@@ -289,7 +289,6 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     history = []
     c_ref = None
     stall = 0
-    converged = False
     model = u = None
     for it in range(budget):
         try:
@@ -309,7 +308,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
                 raise SolverError(f"initial compliance {c} is not positive; "
                                   "cannot normalize the objective")
             c_ref = c
-        if it == budget - 1:
+        converged = stall >= STALL_ITERS
+        if converged or it == budget - 1:
             break
 
         dc, dv = ws.gradients(model, u)
@@ -317,16 +317,6 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
         stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
         s = s_new
-        if stall >= STALL_ITERS:
-            model, u, f, c, vol = ws.analyze(s)
-            vf = vol / ws.domain_volume
-            history.append(HistoryRecord(it + 1, c, vf,
-                                         problem.pair.field_dim
-                                         * model.n_enriched))
-            if observer is not None:
-                observer(IterationState(it + 1, s.copy(), model, u, c, vf))
-            converged = True
-            break
 
     return RunResult(problem=problem, mesh=ws.mesh, grid=ws.grid,
                      history=history, design=s, model=model, u=u,
@@ -338,7 +328,12 @@ def analyze(problem: ProblemSpec, design: np.ndarray | None = None):
     ws = _Workspace(problem)
     if design is None:
         design = ws.field.design.copy()
-    model, u, f, c, vol = ws.analyze(np.asarray(design, dtype=float))
+    design = np.asarray(design, dtype=float)
+    if design.shape != (ws.grid.n_centers,):
+        raise ConfigError([f"design has shape {design.shape}; problem "
+                           f"{problem.name!r} expects {ws.grid.n_centers} "
+                           f"values"])
+    model, u, f, c, vol = ws.analyze(design)
     return model, u, f, c, vol
 
 
@@ -356,10 +351,9 @@ def _cut_topology(model: EnrichedModel) -> tuple:
     cut parent is tiled. The objective is smooth only while this is fixed;
     shortest-diagonal ties flip the tiling under arbitrarily small design
     perturbations even when the cut-edge set is unchanged."""
-    edges = frozenset(en.edge for en in model.enriched_nodes)
-    tiling = tuple((ie.parent, ie.vertex_ids, ie.material)
-                   for ie in model.integration)
-    return edges, tiling
+    t = model.tiles
+    return (model.enr_edges.tobytes(), t.parent.tobytes(),
+            t.vertex_ids.tobytes(), t.material.tobytes())
 
 
 def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
@@ -374,8 +368,15 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     topology events: there the objective is only piecewise smooth and the
     difference quotient does not approximate the one-sided derivative.
     """
+    problems = []
     if quantity not in ("compliance", "volume"):
-        raise ConfigError([f"unknown gradient quantity {quantity!r}"])
+        problems.append(f"unknown gradient quantity {quantity!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        problems.append(f"step h must be finite and positive, got {h}")
+    if n_sample < 1:
+        problems.append(f"n_sample must be at least 1, got {n_sample}")
+    if problems:
+        raise ConfigError(problems)
     ws = _Workspace(problem)
     s0 = ws.field.design.copy() if design is None \
         else np.asarray(design, dtype=float).copy()

@@ -12,6 +12,7 @@ original degrees of freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +20,15 @@ from .mesh import Mesh, cross2
 
 VOID, MATERIAL, CUT = 0, 1, 2
 
-_EDGES = ((0, 1), (1, 2), (2, 0))
 _DIAG_TIE_REL = 1e-12
+
+# A cut parent's five local points are the lone-sign vertex a, the vertices
+# b and c that follow it counterclockwise, and the enriched nodes on ab and
+# ac. Its corner triangle (a, e_ab, e_ac) comes first; the quad
+# (e_ab, b, c, e_ac) splits along the diagonal e_ac-b (table 0) or e_ab-c
+# (table 1).
+_TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
+                   [[0, 3, 4], [3, 1, 2], [3, 2, 4]]])
 
 
 def snap_nodal_levelset(phi: np.ndarray, relative_eps: float = 1e-10) -> np.ndarray:
@@ -71,7 +79,8 @@ class EnrichedNode:
 
 @dataclass(frozen=True, eq=False)
 class IntegrationElement:
-    """One triangle of a cut parent's exact tiling.
+    """One triangle of a cut parent's exact tiling, or a stack of them in
+    which every field gains the same leading axes.
 
     ``vertex_ids`` are global: original node index, or ``n_nodes + m`` for
     enriched node m. ``enr_slots[l]`` is the parent-local enriched slot (0 or
@@ -85,7 +94,15 @@ class IntegrationElement:
     material: bool
     area: float
 
+    @property
+    def slot_matrix(self) -> np.ndarray:
+        """0/1 map from the vertices to the parent's two enriched slots,
+        shape (..., 2, 3): entry (s, l) is 1 where vertex l holds slot s."""
+        slots = np.asarray(self.enr_slots)[..., None, :]
+        return (slots == np.arange(2)[:, None]).astype(float)
 
+
+@dataclass(eq=False, repr=False)
 class EnrichedModel:
     """Cut classification plus interface tiling for one levelset snapshot.
 
@@ -96,69 +113,85 @@ class EnrichedModel:
         Snapped nodal levelset the model was built from.
     element_state : ndarray of int8
         Per element: 0 void, 1 material, 2 cut.
-    enriched_nodes : list of EnrichedNode
+    enr_edges : ndarray, shape (n_enriched, 2)
+        Cut edge (j, k), j < k, of each enriched node, in lexicographic
+        order.
+    enr_t : ndarray, shape (n_enriched,)
+        Fractional position of each enriched node from j toward k.
     enr_coords : ndarray, shape (n_enriched, 2)
     cut_parents : ndarray
         Cut element indices, ascending. Cut parent row r owns integration
-        elements ``integration[3r : 3r+3]`` and enriched slots
-        ``parent_slots[r]``.
+        elements 3r to 3r+2 and enriched slots ``parent_slots[r]``.
     parent_slots : ndarray, shape (n_cut, 2)
         Enriched-node indices per cut parent, in canonical edge order.
-    integration : list of IntegrationElement
+    tiles : IntegrationElement
+        All integration elements stacked along a leading axis of 3 n_cut.
     """
 
-    def __init__(self, mesh, phi, element_state, enriched_nodes, enr_coords,
-                 cut_parents, parent_slots, integration):
-        self.mesh = mesh
-        self.phi = phi
-        self.element_state = element_state
-        self.enriched_nodes = enriched_nodes
-        self.enr_coords = enr_coords
-        self.cut_parents = cut_parents
-        self.parent_slots = parent_slots
-        self.integration = integration
-        self._parent_row = {int(g): r for r, g in enumerate(cut_parents)}
+    mesh: Mesh
+    phi: np.ndarray
+    element_state: np.ndarray
+    enr_edges: np.ndarray
+    enr_t: np.ndarray
+    enr_coords: np.ndarray
+    cut_parents: np.ndarray
+    parent_slots: np.ndarray
+    tiles: IntegrationElement
 
     @property
     def n_enriched(self) -> int:
-        return len(self.enriched_nodes)
+        return self.enr_edges.shape[0]
 
     @property
     def n_cut(self) -> int:
         return len(self.cut_parents)
 
-    def parent_row(self, element: int) -> int:
-        """Row of a cut element in ``cut_parents``; KeyError if not cut."""
-        return self._parent_row[int(element)]
+    @cached_property
+    def enriched_nodes(self) -> list:
+        """Per-node view of the enriched nodes, built on first use."""
+        return [EnrichedNode(index=m, edge=(j, k), t=t, coords=x)
+                for m, ((j, k), t, x) in enumerate(zip(
+                    self.enr_edges.tolist(), self.enr_t.tolist(),
+                    self.enr_coords))]
+
+    @cached_property
+    def integration(self) -> list:
+        """Per-element view of ``tiles``, built on first use: entry i is
+        row i as one :class:`IntegrationElement`."""
+        t = self.tiles
+        return [IntegrationElement(parent=p, vertex_ids=tuple(v),
+                                   enr_slots=tuple(s), coords=x, material=m,
+                                   area=a)
+                for p, v, s, x, m, a in zip(
+                    t.parent.tolist(), t.vertex_ids.tolist(),
+                    t.enr_slots.tolist(), t.coords, t.material.tolist(),
+                    t.area.tolist())]
 
     def parent_hats(self, ie: IntegrationElement, bary) -> np.ndarray:
-        """Original (parent) hat functions evaluated at a barycentric point
-        of an integration element. Always sums to 1."""
-        bary = np.asarray(bary, dtype=float)
-        x = bary @ ie.coords
+        """Original (parent) hat functions evaluated at one barycentric
+        point of integration elements, shape (..., 3). Always sums to 1."""
+        x = np.asarray(bary, dtype=float) @ ie.coords
         x0 = self.mesh.nodes[self.mesh.elements[ie.parent, 0]]
-        n = self.mesh.hat_gradients[ie.parent] @ (x - x0)
-        n[0] += 1.0
+        n = (self.mesh.hat_gradients[ie.parent]
+             @ (x - x0)[..., None])[..., 0]
+        n[..., 0] += 1.0
         return n
 
     def enrichment_values(self, ie: IntegrationElement, bary) -> np.ndarray:
         """Enrichment functions of the parent's two enriched slots at a
-        barycentric point of ``ie``. Each is the integration-element hat of
-        its enriched node, zero if that node is not a vertex of ``ie``."""
-        bary = np.asarray(bary, dtype=float)
-        psi = np.zeros(2)
-        for l in range(3):
-            s = ie.enr_slots[l]
-            if s >= 0:
-                psi[s] += bary[l]
-        return psi
+        barycentric point of integration elements, shape (..., 2). Each is
+        the integration-element hat of its enriched node, zero if that node
+        is not a vertex of the element."""
+        return np.einsum("...sl,...l->...s", ie.slot_matrix,
+                         np.asarray(bary, dtype=float))
 
     def material_volume(self) -> float:
         """Total area of the material phase (uncut material elements plus
         material integration elements)."""
         vol = float(self.mesh.areas[self.element_state == MATERIAL].sum())
-        vol += sum(ie.area for ie in self.integration if ie.material)
-        return vol
+        # a running sum fixes the order in which the pieces are added
+        pieces = np.cumsum(self.tiles.area[self.tiles.material])
+        return vol + (float(pieces[-1]) if pieces.size else 0.0)
 
 
 def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
@@ -183,94 +216,51 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
     state[n_pos == 3] = MATERIAL
     state[n_pos == 0] = VOID
     cut_ids = np.flatnonzero(state == CUT)
+    n_cut = cut_ids.size
 
-    # Unique cut edges in lexicographic order become the enriched nodes.
-    pair_blocks = []
-    for l0, l1 in _EDGES:
-        mask = elem_pos[cut_ids, l0] != elem_pos[cut_ids, l1]
-        if np.any(mask):
-            pair_blocks.append(
-                np.sort(mesh.elements[cut_ids[mask]][:, [l0, l1]], axis=1))
-    if pair_blocks:
-        edges = np.unique(np.vstack(pair_blocks), axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    # vertex with the lone sign; its two incident edges are the cut ones
+    lpos = elem_pos[cut_ids]
+    lone = np.where(lpos[:, 0] == lpos[:, 1], 2,
+                    np.where(lpos[:, 0] == lpos[:, 2], 1, 0))
+    abc = np.take_along_axis(mesh.elements[cut_ids],
+                             (lone[:, None] + np.arange(3)) % 3, axis=1)
+
+    # unique cut edges in lexicographic order become the enriched nodes
+    pairs = np.sort(abc[:, [[0, 1], [0, 2]]], axis=2)  # edges ab, ac
+    edges = np.unique(pairs.reshape(-1, 2), axis=0)
     ej, ek = edges[:, 0], edges[:, 1]
     t = phi[ej] / (phi[ej] - phi[ek])
     enr_coords = mesh.nodes[ej] + t[:, None] * (mesh.nodes[ek] - mesh.nodes[ej])
-    edge_to_enr = {(int(j), int(k)): m for m, (j, k) in enumerate(edges)}
-    enriched_nodes = [
-        EnrichedNode(index=m, edge=(int(ej[m]), int(ek[m])), t=float(t[m]),
-                     coords=enr_coords[m])
-        for m in range(edges.shape[0])
-    ]
+    keys = ej * mesh.n_nodes + ek
+    enr = np.searchsorted(keys, pairs[..., 0] * mesh.n_nodes + pairs[..., 1])
 
-    integration: list[IntegrationElement] = []
-    parent_slots = np.empty((cut_ids.size, 2), dtype=np.int64)
-    n_nodes = mesh.n_nodes
+    # canonical edge order puts ab first only when a is local vertex 0
+    flip = lone != 0
+    parent_slots = np.where(flip[:, None], enr[:, ::-1], enr)
+    ids = np.concatenate([abc, mesh.n_nodes + enr], axis=1)
+    slots = np.concatenate([np.full((n_cut, 3), -1),
+                            np.stack([flip, ~flip], axis=1)], axis=1)
+    points = np.concatenate([mesh.nodes[abc], enr_coords[enr]], axis=1)
 
-    for row, g in enumerate(cut_ids):
-        verts = mesh.elements[g]
-        lpos = elem_pos[g]
-        slots = []
-        for l0, l1 in _EDGES:
-            if lpos[l0] != lpos[l1]:
-                a, b = int(verts[l0]), int(verts[l1])
-                slots.append(edge_to_enr[(a, b) if a < b else (b, a)])
-        assert len(slots) == 2, "cut element must have exactly two cut edges"
-        parent_slots[row] = slots
-        slot_of = {slots[0]: 0, slots[1]: 1}
-
-        # vertex with the lone sign; its two incident edges are the cut ones
-        if lpos[0] == lpos[1]:
-            lone = 2
-        elif lpos[0] == lpos[2]:
-            lone = 1
-        else:
-            lone = 0
-        a, b, c = lone, (lone + 1) % 3, (lone + 2) % 3
-        va, vb, vc = (int(verts[a]), int(verts[b]), int(verts[c]))
-        pab = edge_to_enr[(va, vb) if va < vb else (vb, va)]
-        pac = edge_to_enr[(va, vc) if va < vc else (vc, va)]
-        xb, xc = mesh.nodes[vb], mesh.nodes[vc]
-        xab, xac = enr_coords[pab], enr_coords[pac]
-
-        def make(desc, material):
-            ids, slots3, coords = [], [], np.empty((3, 2))
-            for l, (kind, idx) in enumerate(desc):
-                if kind == 0:
-                    ids.append(idx)
-                    slots3.append(-1)
-                    coords[l] = mesh.nodes[idx]
-                else:
-                    ids.append(n_nodes + idx)
-                    slots3.append(slot_of[idx])
-                    coords[l] = enr_coords[idx]
-            area = 0.5 * cross2(coords[1] - coords[0], coords[2] - coords[0])
-            assert area > 0.0, "integration element lost counterclockwise orientation"
-            integration.append(IntegrationElement(
-                parent=int(g), vertex_ids=tuple(ids), enr_slots=tuple(slots3),
-                coords=coords, material=bool(material), area=float(area)))
-
-        mat_a = bool(lpos[a])
-        make(((0, va), (1, pab), (1, pac)), mat_a)
-
-        # split the remaining quad (pab, vb, vc, pac) along its shorter
-        # diagonal; ties go to the diagonal touching the lower node index
-        d1 = float(np.hypot(*(xc - xab)))
-        d2 = float(np.hypot(*(xac - xb)))
-        if abs(d1 - d2) <= _DIAG_TIE_REL * max(d1, d2):
-            use_d1 = vc < vb
-        else:
-            use_d1 = d1 < d2
-        if use_d1:
-            make(((1, pab), (0, vb), (0, vc)), not mat_a)
-            make(((1, pab), (0, vc), (1, pac)), not mat_a)
-        else:
-            make(((1, pab), (0, vb), (1, pac)), not mat_a)
-            make(((0, vb), (0, vc), (1, pac)), not mat_a)
+    # split the quad along its shorter diagonal; ties go to the diagonal
+    # touching the lower node index
+    d1 = np.hypot(*(points[:, 2] - points[:, 3]).T)
+    d2 = np.hypot(*(points[:, 4] - points[:, 1]).T)
+    tie = np.abs(d1 - d2) <= _DIAG_TIE_REL * np.maximum(d1, d2)
+    use_d1 = np.where(tie, abc[:, 2] < abc[:, 1], d1 < d2)
+    local = _TILES[use_d1.astype(np.int64)]
+    rows = np.arange(n_cut)[:, None, None]
+    coords = points[rows, local].reshape(-1, 3, 2)
+    area = 0.5 * cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    assert np.all(area > 0.0), \
+        "integration element lost counterclockwise orientation"
+    mat_a = lpos[np.arange(n_cut), lone]
+    tiles = IntegrationElement(
+        parent=np.repeat(cut_ids, 3), vertex_ids=ids[rows, local].reshape(-1, 3),
+        enr_slots=slots[rows, local].reshape(-1, 3), coords=coords,
+        material=np.stack([mat_a, ~mat_a, ~mat_a], axis=1).ravel(), area=area)
 
     return EnrichedModel(mesh=mesh, phi=phi, element_state=state,
-                         enriched_nodes=enriched_nodes, enr_coords=enr_coords,
+                         enr_edges=edges, enr_t=t, enr_coords=enr_coords,
                          cut_parents=cut_ids, parent_slots=parent_slots,
-                         integration=integration)
+                         tiles=tiles)

@@ -20,25 +20,37 @@ from scipy.sparse.linalg import splu
 
 from .enrich import CUT, MATERIAL, VOID, EnrichedModel, IntegrationElement
 from .errors import ConfigError, SolverError
+from .mesh import cofactor_hat_gradients
 
 # gradients of the master-triangle hat functions (L1, L2, L3)
 DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 _CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
 
+# Element operators act on one IntegrationElement or on a stack of them
+# (``model.tiles``): every array argument and result gains the stack's
+# leading axes, and each stacked result equals the stack of per-element
+# results bit for bit.
 
-def det2(m: np.ndarray):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+def det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 matrices, shape (...)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def adj2(m: np.ndarray) -> np.ndarray:
-    """Adjugate of a 2x2 matrix: adj(m) @ m = det(m) I."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
 
 
 def inv2(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix, preserving the input dtype."""
-    return adj2(m) / det2(m)
+    """Inverses of 2x2 matrices, preserving the input dtype."""
+    return adj2(m) / det2(m)[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,10 @@ class MaterialPair:
     def field_dim(self) -> int:
         return self.material.field_dim
 
-    def modulus_of(self, material_phase: bool) -> float:
-        return self.material.modulus if material_phase else self.void.modulus
+    def modulus_of(self, material_phase):
+        """Modulus of each phase flag (bool or array of bools)."""
+        return np.where(material_phase, self.material.modulus,
+                        self.void.modulus)
 
 
 @dataclass
@@ -121,6 +135,17 @@ class LoadCase:
     body_material: np.ndarray | None = None
     body_void: np.ndarray | None = None
 
+    def body_of(self, material, field_dim: int):
+        """Body source of elements with the given phase flags, shape
+        (..., field_dim); zero for a phase without one, and None when
+        neither phase carries a body load."""
+        if self.body_material is None and self.body_void is None:
+            return None
+        bm, bv = (np.zeros(field_dim) if b is None
+                  else np.atleast_1d(np.asarray(b, dtype=float))
+                  for b in (self.body_material, self.body_void))
+        return np.where(np.asarray(material)[..., None], bm, bv)
+
 
 def node_dofs(node_ids, field_dim: int, component: int | None = None) -> np.ndarray:
     """Global dof indices of original (or enriched-offset) node ids."""
@@ -132,80 +157,91 @@ def node_dofs(node_ids, field_dim: int, component: int | None = None) -> np.ndar
 
 
 def tri_jacobian(coords: np.ndarray) -> np.ndarray:
-    """Jacobian of the master-to-physical map, columns are edge vectors."""
-    return coords.T @ DL.astype(coords.dtype)
+    """Jacobians of the master-to-physical maps of triangles with vertex
+    coordinates (..., 3, 2); columns are edge vectors."""
+    return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
 
 
 def tri_hat_gradients(coords: np.ndarray) -> np.ndarray:
-    """Physical hat-function gradients of one triangle, shape (3, 2)."""
+    """Physical hat-function gradients DL J^{-1} of triangles with vertex
+    coordinates (..., 3, 2), in their dtype, shape (..., 3, 2).
+
+    Integration elements use this form, mesh elements the cofactor form of
+    :func:`igtop.mesh.cofactor_hat_gradients`. The two agree up to
+    rounding, but optimization histories amplify rounding differences, so
+    replacing either form would move every optimization result.
+    """
     return DL.astype(coords.dtype) @ inv2(tri_jacobian(coords))
 
 
 def build_b(grads: np.ndarray, field_dim: int) -> np.ndarray:
-    """Strain-displacement matrix from per-slot shape gradients (n, 2).
+    """Strain-displacement matrices from per-slot shape gradients (..., n, 2).
 
-    Heat: rows are the gradient operator, shape (2, n). Elasticity: Voigt
-    (eps_xx, eps_yy, gamma_xy), shape (3, 2 n).
+    Heat: rows are the gradient operator, shape (..., 2, n). Elasticity:
+    Voigt (eps_xx, eps_yy, gamma_xy), shape (..., 3, 2 n).
     """
     if field_dim == 1:
-        return grads.T
-    n = grads.shape[0]
-    b = np.zeros((3, 2 * n), dtype=grads.dtype)
-    b[0, 0::2] = grads[:, 0]
-    b[1, 1::2] = grads[:, 1]
-    b[2, 0::2] = grads[:, 1]
-    b[2, 1::2] = grads[:, 0]
+        return np.swapaxes(grads, -1, -2)
+    n = grads.shape[-2]
+    b = np.zeros(grads.shape[:-2] + (3, 2 * n), dtype=grads.dtype)
+    b[..., 0, 0::2] = grads[..., 0]
+    b[..., 1, 1::2] = grads[..., 1]
+    b[..., 2, 0::2] = grads[..., 1]
+    b[..., 2, 1::2] = grads[..., 0]
     return b
 
 
-def cut_parent_dofs(model: EnrichedModel, row: int, field_dim: int) -> np.ndarray:
-    """Global dofs of a cut parent's five slots (3 nodes + 2 enriched)."""
-    parent = model.cut_parents[row]
-    slots = np.concatenate([model.mesh.elements[parent],
-                            model.mesh.n_nodes + model.parent_slots[row]])
-    return node_dofs(slots, field_dim)
+def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
+    """Global dofs of the five slots (3 nodes + 2 enriched) of one cut parent
+    row or an array of rows, shape (..., 5 field_dim)."""
+    slots = np.concatenate([model.mesh.elements[model.cut_parents[rows]],
+                            model.mesh.n_nodes + model.parent_slots[rows]],
+                           axis=-1)
+    return node_dofs(slots.ravel(), field_dim).reshape(
+        slots.shape[:-1] + (5 * field_dim,))
 
 
 def integration_element_gradients(model: EnrichedModel, ie: IntegrationElement,
                                   dtype=np.float64) -> np.ndarray:
-    """Five-slot shape gradients on one integration element, shape (5, 2).
+    """Five-slot shape gradients on integration elements, shape (..., 5, 2).
 
     Rows 0-2: the parent hat gradients (constant over the parent). Rows 3-4:
-    gradients of the parent's two enrichment functions on this integration
-    element; zero for an enriched node that is not a vertex here.
+    gradients of the parent's two enrichment functions on the integration
+    element; zero for an enriched node that is not a vertex there.
     """
-    out = np.zeros((5, 2), dtype=dtype)
-    if dtype == np.float64:
-        out[:3] = model.mesh.hat_gradients[ie.parent]
-    else:
-        parent_coords = model.mesh.nodes[model.mesh.elements[ie.parent]]
-        out[:3] = tri_hat_gradients(parent_coords.astype(dtype))
-    ge = tri_hat_gradients(ie.coords.astype(dtype))
-    for l in range(3):
-        s = ie.enr_slots[l]
-        if s >= 0:
-            out[3 + s] = ge[l]
-    return out
+    mesh = model.mesh
+    parent = cofactor_hat_gradients(
+        mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
+    enriched = ie.slot_matrix.astype(dtype) \
+        @ tri_hat_gradients(ie.coords.astype(dtype))
+    return np.concatenate([parent, enriched], axis=-2)
 
 
 def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
                                   pair: MaterialPair,
                                   dtype=np.float64) -> np.ndarray:
-    """Local stiffness of one integration element over the five parent slots."""
-    d = pair.material.d_unit().astype(dtype) * pair.modulus_of(ie.material)
+    """Local stiffness of integration elements over the five parent slots,
+    shape (..., 5 field_dim, 5 field_dim)."""
+    d = pair.material.d_unit().astype(dtype) \
+        * pair.modulus_of(ie.material).astype(dtype)[..., None, None]
     b = build_b(integration_element_gradients(model, ie, dtype),
                 pair.field_dim)
-    return dtype(ie.area) * (b.T @ d @ b)
+    return np.asarray(ie.area, dtype=dtype)[..., None, None] \
+        * (np.swapaxes(b, -1, -2) @ d @ b)
 
 
 def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
                               body: np.ndarray, field_dim: int,
                               dtype=np.float64) -> np.ndarray:
-    """Consistent body-load vector of one integration element (five slots)."""
+    """Consistent body-load vectors of integration elements over the five
+    slots, shape (..., 5 field_dim). ``body`` is one source for all
+    elements, shape (field_dim,), or one per element."""
     shape = np.concatenate([model.parent_hats(ie, _CENTROID),
-                            model.enrichment_values(ie, _CENTROID)]).astype(dtype)
-    return dtype(ie.area) * np.outer(shape,
-                                     np.atleast_1d(body).astype(dtype)).ravel()
+                            model.enrichment_values(ie, _CENTROID)],
+                           axis=-1).astype(dtype)
+    load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
+    return np.asarray(ie.area, dtype=dtype)[..., None] \
+        * load.reshape(load.shape[:-2] + (5 * field_dim,))
 
 
 class Assembler:
@@ -228,25 +264,8 @@ class Assembler:
         self.loads = loads
         self.dtype = dtype
         d = pair.field_dim
-        if dtype == np.float64:
-            g = mesh.hat_gradients
-        else:
-            coords = mesh.nodes[mesh.elements].astype(dtype)
-            jac = np.einsum("eac,al->ecl", coords, DL.astype(dtype))
-            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            inv = np.empty_like(jac)
-            inv[:, 0, 0], inv[:, 1, 1] = jac[:, 1, 1], jac[:, 0, 0]
-            inv[:, 0, 1], inv[:, 1, 0] = -jac[:, 0, 1], -jac[:, 1, 0]
-            inv /= det[:, None, None]
-            g = np.einsum("al,elc->eac", DL.astype(dtype), inv)
-        if d == 1:
-            b_all = np.swapaxes(g, 1, 2)  # (E, 2, 3)
-        else:
-            b_all = np.zeros((mesh.n_elements, 3, 6), dtype=dtype)
-            b_all[:, 0, 0::2] = g[:, :, 0]
-            b_all[:, 1, 1::2] = g[:, :, 1]
-            b_all[:, 2, 0::2] = g[:, :, 1]
-            b_all[:, 2, 1::2] = g[:, :, 0]
+        b_all = build_b(cofactor_hat_gradients(
+            mesh.nodes[mesh.elements].astype(dtype, copy=False)), d)
         d1 = pair.material.d_unit().astype(dtype)
         self._k_unit = np.einsum("eia,ij,ejb->eab", b_all, d1, b_all,
                                  optimize=True) \
@@ -275,48 +294,40 @@ class Assembler:
         dtype = self.dtype
         ndof = d * (mesh.n_nodes + model.n_enriched)
 
-        factor = np.zeros(mesh.n_elements, dtype=dtype)
-        factor[model.element_state == MATERIAL] = pair.material.modulus
-        factor[model.element_state == VOID] = pair.void.modulus
-        data = (self._k_unit * factor[:, None, None]).ravel()
-        rows = [self._rows]
-        cols = [self._cols]
-        vals = [data]
-
-        f = np.zeros(ndof, dtype=dtype)
-        f[:self._f_base.size] = self._f_base
         for na, nb, _ in loads.edge_loads:
             if (model.phi[na] > 0.0) != (model.phi[nb] > 0.0):
                 raise ConfigError(
                     f"edge load on cut edge ({na}, {nb}) is not supported")
 
-        body = {True: loads.body_material, False: loads.body_void}
-        if any(b is not None for b in body.values()):
-            for phase, state in ((True, MATERIAL), (False, VOID)):
-                b = body[phase]
-                if b is None:
-                    continue
-                sel = model.element_state == state
-                if not np.any(sel):
-                    continue
-                fe = np.outer(mesh.areas[sel].astype(dtype) / 3.0,
-                              np.tile(np.atleast_1d(b).astype(dtype), 3)).ravel()
-                np.add.at(f, self._elem_dofs[sel].ravel(), fe)
-
-        for row in range(model.n_cut):
-            dofs = cut_parent_dofs(model, row, d)
-            for ie in model.integration[3 * row: 3 * row + 3]:
-                k = integration_element_stiffness(model, ie, pair, dtype)
-                rows.append(np.repeat(dofs, dofs.size))
-                cols.append(np.tile(dofs, dofs.size))
-                vals.append(k.ravel())
-                b = body[ie.material]
-                if b is not None:
-                    f[dofs] += integration_element_force(model, ie, b, d, dtype)
-
+        factor = np.zeros(mesh.n_elements, dtype=dtype)
+        factor[model.element_state == MATERIAL] = pair.material.modulus
+        factor[model.element_state == VOID] = pair.void.modulus
+        tiles = model.tiles
+        dofs = cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)
+        k_cut = integration_element_stiffness(model, tiles, pair, dtype)
         k = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate([(self._k_unit * factor[:, None, None]).ravel(),
+                             k_cut.ravel()]),
+             (np.concatenate([self._rows, np.broadcast_to(
+                 dofs[:, :, None], k_cut.shape).ravel()]),
+              np.concatenate([self._cols, np.broadcast_to(
+                  dofs[:, None, :], k_cut.shape).ravel()]))),
             shape=(ndof, ndof)).tocsr()
+
+        f = np.zeros(ndof, dtype=dtype)
+        f[:self._f_base.size] = self._f_base
+        for b, state in ((loads.body_material, MATERIAL),
+                         (loads.body_void, VOID)):
+            sel = model.element_state == state
+            if b is None or not np.any(sel):
+                continue
+            fe = np.outer(mesh.areas[sel].astype(dtype) / 3.0,
+                          np.tile(np.atleast_1d(b).astype(dtype), 3)).ravel()
+            np.add.at(f, self._elem_dofs[sel].ravel(), fe)
+        body = loads.body_of(tiles.material, d)
+        if body is not None:
+            np.add.at(f, dofs.ravel(), integration_element_force(
+                model, tiles, body, d, dtype).ravel())
         return k, f
 
 

@@ -15,6 +15,20 @@ def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
+    """Physical hat-function gradients of triangles with vertex coordinates
+    (..., 3, 2), in their dtype: row i is the rotated opposite edge
+    (y_j - y_k, x_k - x_j) over twice the area, with (i, j, k) cyclic."""
+    g = np.empty_like(coords)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        g[..., i, 0] = coords[..., j, 1] - coords[..., k, 1]
+        g[..., i, 1] = coords[..., k, 0] - coords[..., j, 0]
+    g /= cross2(coords[..., 1, :] - coords[..., 0, :],
+                coords[..., 2, :] - coords[..., 0, :])[..., None, None]
+    return g
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Conforming linear-triangle mesh of a rectangle.
@@ -60,15 +74,7 @@ class Mesh:
         Returns shape (n_elements, 3, 2); row i holds grad(N_i), constant on
         the element.
         """
-        x = self.nodes[self.elements]
-        d = cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])  # 2A, positive
-        g = np.empty((self.n_elements, 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            g[:, i, 0] = x[:, j, 1] - x[:, k, 1]
-            g[:, i, 1] = x[:, k, 0] - x[:, j, 0]
-        g /= d[:, None, None]
-        return g
+        return cofactor_hat_gradients(self.nodes[self.elements])
 
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""

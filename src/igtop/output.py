@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .driver import HistoryRecord
-from .enrich import EnrichedModel, MATERIAL
+from .enrich import CUT, MATERIAL, EnrichedModel
 from .errors import ConfigError
 
 _FLOAT = "%.17g"
@@ -58,15 +58,19 @@ def write_design(path, design: np.ndarray) -> None:
 
 def read_design(path) -> np.ndarray:
     path = Path(path)
-    with path.open() as fh:
-        header = fh.readline().strip()
-        if header != "design":
-            raise ConfigError(f"{path} is not a design file")
-        try:
-            values = [float(line) for line in fh if line.strip()]
-        except ValueError as err:
-            raise ConfigError(f"{path}: {err}") from err
-    return np.array(values)
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as err:
+        raise ConfigError(f"cannot read design {path}: {err}") from None
+    if not lines or lines[0].strip() != "design":
+        raise ConfigError(f"{path} is not a design file")
+    try:
+        values = np.array([float(line) for line in lines[1:] if line.strip()])
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path}: design values must be finite")
+    return values
 
 
 def write_contour(path, model: EnrichedModel) -> None:
@@ -75,12 +79,9 @@ def write_contour(path, model: EnrichedModel) -> None:
     Each line holds ``x1 y1 x2 y2``: the straight interface segment joining
     the parent's two edge-intersection points.
     """
-    path = Path(path)
-    with path.open("w") as fh:
-        for row in range(model.n_cut):
-            a, b = model.enr_coords[model.parent_slots[row]]
-            fh.write(f"{_FLOAT % a[0]} {_FLOAT % a[1]} "
-                     f"{_FLOAT % b[0]} {_FLOAT % b[1]}\n")
+    segments = model.enr_coords[model.parent_slots].reshape(-1, 4)
+    with Path(path).open("w") as fh:
+        np.savetxt(fh, segments, fmt=" ".join([_FLOAT] * 4))
 
 
 def write_vtk(path, model: EnrichedModel, title: str = "igtop design") -> None:
@@ -91,19 +92,11 @@ def write_vtk(path, model: EnrichedModel, title: str = "igtop design") -> None:
     the phase (1 material, 0 void).
     """
     mesh = model.mesh
-    points = np.vstack([mesh.nodes, model.enr_coords]) \
-        if model.n_enriched else mesh.nodes
-    cells = []
-    phase = []
-    cut = set(int(e) for e in model.cut_parents)
-    for e in range(mesh.n_elements):
-        if e in cut:
-            continue
-        cells.append(mesh.elements[e])
-        phase.append(1 if model.element_state[e] == MATERIAL else 0)
-    for ie in model.integration:
-        cells.append(ie.vertex_ids)
-        phase.append(1 if ie.material else 0)
+    points = np.vstack([mesh.nodes, model.enr_coords])
+    uncut = model.element_state != CUT
+    cells = np.vstack([mesh.elements[uncut], model.tiles.vertex_ids])
+    phase = np.concatenate([model.element_state[uncut] == MATERIAL,
+                            model.tiles.material])
 
     path = Path(path)
     with path.open("w") as fh:
@@ -111,13 +104,11 @@ def write_vtk(path, model: EnrichedModel, title: str = "igtop design") -> None:
         fh.write(title.replace("\n", " ")[:255] + "\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            fh.write(f"{_FLOAT % p[0]} {_FLOAT % p[1]} 0\n")
+        np.savetxt(fh, points, fmt=f"{_FLOAT} {_FLOAT} 0")
         fh.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
-        for c in cells:
-            fh.write(f"3 {c[0]} {c[1]} {c[2]}\n")
+        np.savetxt(fh, cells, fmt="3 %d %d %d")
         fh.write(f"CELL_TYPES {len(cells)}\n")
         fh.write("5\n" * len(cells))
         fh.write(f"CELL_DATA {len(cells)}\n")
         fh.write("SCALARS material int 1\nLOOKUP_TABLE default\n")
-        fh.write("".join(f"{m}\n" for m in phase))
+        np.savetxt(fh, phase, fmt="%d")

@@ -151,6 +151,8 @@ class LevelsetField:
             raise ValueError(
                 f"design vector has shape {design.shape}, "
                 f"expected ({self.grid.n_centers},)")
+        if not np.all(np.isfinite(design)):
+            raise ValueError("design vector has non-finite entries")
         self._design = design.copy()
         self._design.setflags(write=False)
         self._nodal = self.theta @ self._design

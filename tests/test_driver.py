@@ -152,6 +152,18 @@ class TestRunLoop:
         assert np.isnan(seen[0].compliance)
         assert seen[0].design.shape == (p.rbf_nx * p.rbf_ny,)
 
+    def test_stall_converges_after_one_more_analysis(self):
+        # steps below the stall tolerance: ten of them stop the loop, and
+        # the design they reach is analyzed once before it ends
+        seen = []
+        result = run(cantilever(11, 6, rbf_nx=11, rbf_ny=6), budget=50,
+                     move_limit=1e-7, observer=seen.append)
+        assert result.converged
+        assert len(result.history) == 11
+        assert result.history[-1].iteration == 10
+        assert [state.iteration for state in seen] == list(range(11))
+        assert np.array_equal(seen[-1].design, result.design)
+
     def test_rejects_zero_budget(self):
         with pytest.raises(ConfigError, match="budget"):
             run(small_cantilever(), budget=0)
@@ -165,6 +177,10 @@ class TestAnalyze:
         assert c == pytest.approx(rec0.compliance, rel=1e-14)
         assert vol / (p.width * p.height) \
             == pytest.approx(rec0.volume_fraction, rel=1e-14)
+
+    def test_design_of_wrong_length_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="expects 66 values"):
+            analyze(small_cantilever(), np.zeros(2))
 
     def test_explicit_design_roundtrip(self):
         p = small_cantilever()

@@ -141,6 +141,16 @@ class TestDesignFile:
         with pytest.raises(ConfigError, match="not a design file"):
             read_design(path)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read design"):
+            read_design(tmp_path / "nope.txt")
+
+    def test_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "design.txt"
+        path.write_text("design\n0.5\nnan\n")
+        with pytest.raises(ConfigError, match="finite"):
+            read_design(path)
+
 
 @pytest.fixture(scope="module")
 def interface_model():
@@ -262,6 +272,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "within 0.001" in out
 
+    @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "nan"],
+                                       ["--samples", "0"]])
+    def test_check_gradients_rejects_bad_arguments(self, tmp_path, capsys,
+                                                   flags):
+        rc = main(["check-gradients", str(tiny_config(tmp_path))] + flags)
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_export_roundtrip(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -272,6 +290,23 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "final.vtk").exists()
         assert (tmp_path / "final_contour.txt").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read design"),
+        ("design\n" + "nan\n" * 66, "must be finite"),
+        ("design\n0.5\n0.5\n", "expects 66 values"),
+    ], ids=["missing", "nan", "wrong-length"])
+    def test_export_rejects_bad_design_file(self, tmp_path, capsys, content,
+                                            message):
+        design = tmp_path / "design.txt"
+        if content is not None:
+            design.write_text(content)
+        rc = main(["export", str(tiny_config(tmp_path)),
+                   "--design", str(design),
+                   "--contour", str(tmp_path / "c.txt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
 
     def test_export_snapshot_by_iteration(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

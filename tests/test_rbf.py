@@ -141,6 +141,14 @@ class TestLevelsetField:
         with pytest.raises(ValueError):
             field.update_design(np.zeros(3))
 
+    def test_non_finite_design_rejected(self, field):
+        before = field.nodal_values
+        design = field.design.copy()
+        design[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            field.update_design(design)
+        assert field.nodal_values is before
+
     def test_uncovered_points_rejected(self):
         mesh = structured_grid(2.0, 1.0, 21, 11)
         grid = RbfGrid.structured(2.0, 1.0, 3, 2, support_factor=0.3)

@@ -13,9 +13,11 @@ import pytest
 
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.fem import (Conduction, LoadCase, MaterialPair, PlaneStressElastic,
-                       assemble_system, compliance, cut_parent_dofs,
-                       integration_element_force, integration_element_stiffness,
-                       node_dofs, solve_system, tri_jacobian)
+                       adj2, assemble_system, build_b, compliance,
+                       cut_parent_dofs, det2, integration_element_force,
+                       integration_element_gradients,
+                       integration_element_stiffness, inv2, node_dofs,
+                       solve_system, tri_hat_gradients, tri_jacobian)
 from igtop.mesh import Mesh, cross2, structured_grid
 from igtop.rbf import LevelsetField, RbfGrid, fit_design
 from igtop.sensitivity import (compliance_gradient, design_velocity,
@@ -338,8 +340,9 @@ class TestNodalGradients:
             nodal_volume_gradient(model, "solid")
 
     def test_fused_loop_matches_element_operator_assembly(self):
-        # The production gradient uses a quadratic-form shortcut; rebuild the
-        # same quantity the slow way from the element-level operators.
+        # The production gradient contracts the stiffness-derivative factors
+        # with u on the stacked tiles; rebuild the same quantity element by
+        # element from the full dK.
         mesh, phi, loads, fixed = build_heat_problem(interface=0.53)
         model, u, f, _ = solve_compliance(mesh, phi, HEAT, loads, fixed)
         fast = nodal_compliance_gradient(model, HEAT, loads, u)
@@ -368,6 +371,79 @@ class TestNodalGradients:
                 slow[j] += dc_dx[s] @ vj
                 slow[k] += dc_dx[s] @ vk
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
+
+
+class TestStackedOperators:
+    """Each element operator called on the stack ``model.tiles`` equals the
+    stack of its calls on the per-element view ``model.integration``."""
+
+    @pytest.fixture(scope="class", params=["heat", "elastic"])
+    @staticmethod
+    def case(request):
+        mesh = structured_grid(1.5, 1.0, 7, 5)
+        r = np.hypot(mesh.nodes[:, 0] - 0.75, mesh.nodes[:, 1] - 0.5)
+        model = build_enriched_model(mesh, snap_nodal_levelset(r - 0.28))
+        if request.param == "heat":
+            loads = LoadCase(body_material=[1.0], body_void=[0.3])
+            return model, HEAT, loads
+        return model, ELASTIC, LoadCase(body_material=[0.5, -1.2])
+
+    def test_per_element_view_is_the_stack(self, case):
+        model, _, _ = case
+        t = model.tiles
+        assert model.n_cut >= 8 and len(model.integration) == 3 * model.n_cut
+        for i, ie in enumerate(model.integration):
+            assert ie.parent == t.parent[i]
+            assert ie.vertex_ids == tuple(t.vertex_ids[i])
+            assert ie.enr_slots == tuple(t.enr_slots[i])
+            np.testing.assert_array_equal(ie.coords, t.coords[i])
+            assert ie.material == t.material[i] and ie.area == t.area[i]
+        for m, en in enumerate(model.enriched_nodes):
+            assert en.edge == tuple(model.enr_edges[m])
+            assert en.t == model.enr_t[m]
+            np.testing.assert_array_equal(en.coords, model.enr_coords[m])
+
+    def test_operators_broadcast_over_the_stack(self, case):
+        model, pair, loads = case
+        d = pair.field_dim
+        operators = {
+            "tri_jacobian": lambda ie: tri_jacobian(ie.coords),
+            "tri_hat_gradients": lambda ie: tri_hat_gradients(ie.coords),
+            "adj2": lambda ie: adj2(tri_jacobian(ie.coords)),
+            "inv2": lambda ie: inv2(tri_jacobian(ie.coords)),
+            "det2": lambda ie: det2(tri_jacobian(ie.coords)),
+            "build_b": lambda ie: build_b(
+                integration_element_gradients(model, ie), d),
+            "gradients": lambda ie: integration_element_gradients(model, ie),
+            "stiffness": lambda ie: integration_element_stiffness(
+                model, ie, pair),
+            "force": lambda ie: integration_element_force(
+                model, ie, loads.body_of(ie.material, d), d),
+            "parent_hats": lambda ie: model.parent_hats(ie, [0.2, 0.3, 0.5]),
+            "enrichment_values": lambda ie: model.enrichment_values(
+                ie, [0.2, 0.3, 0.5]),
+        }
+        for l in range(3):
+            for c in range(2):
+                dj = jacobian_derivative(l, c)
+                operators[f"det_derivative {l}{c}"] = \
+                    lambda ie, dj=dj: det_derivative(tri_jacobian(ie.coords),
+                                                     dj)
+                operators[f"inv_derivative {l}{c}"] = \
+                    lambda ie, dj=dj: inv_derivative(tri_jacobian(ie.coords),
+                                                     dj)
+                operators[f"stiffness_derivative {l}{c}"] = \
+                    lambda ie, l=l, c=c: \
+                    integration_element_stiffness_derivative(
+                        model, ie, pair, l, c)
+                operators[f"force_derivative {l}{c}"] = \
+                    lambda ie, l=l, c=c: integration_element_force_derivative(
+                        model, ie, loads.body_of(ie.material, d), d, l, c)
+        for name, op in operators.items():
+            stacked = op(model.tiles)
+            single = np.stack([op(ie) for ie in model.integration])
+            assert stacked.shape == single.shape, name
+            np.testing.assert_array_equal(stacked, single, err_msg=name)
 
 
 class TestDesignGradients:
