@@ -11,13 +11,16 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import OutputConfig, RunConfig, load_config
-from .driver import (BUILTIN_PROBLEMS, analyze, check_gradients, get_problem,
-                     run)
+from .driver import (BUILTIN_PROBLEMS, S_MAX, S_MIN, analyze, check_gradients,
+                     get_problem, run)
 from .errors import ConfigError, NumericalError
 from .output import (read_design, write_contour, write_design, write_history,
                      write_vtk)
@@ -113,6 +116,9 @@ def _report_gradient_rows(rows, tolerance: float) -> bool:
 
 
 def _cmd_check_gradients(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be finite and positive, got "
+                          f"{args.tolerance}")
     cfg = _resolve(args)
     rows = check_gradients(cfg.problem, n_sample=args.samples,
                            h=args.step, seed=args.seed,
@@ -137,6 +143,12 @@ def _cmd_export(args) -> int:
         design = read_design(snap)
     else:
         design = read_design(args.design) if args.design else None
+    if design is not None:
+        outside = np.flatnonzero((design < S_MIN) | (design > S_MAX))
+        if outside.size:
+            i = int(outside[0])
+            raise ConfigError(f"design value {design[i]:g} at index {i} lies "
+                              f"outside [{S_MIN:g}, {S_MAX:g}]")
     model, u, f, c, vol = analyze(cfg.problem, design)
     domain = cfg.problem.width * cfg.problem.height
     if args.vtk:

@@ -16,7 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .enrich import CUT, MATERIAL, VOID, EnrichedModel, IntegrationElement
 from .errors import ConfigError, SolverError
@@ -343,13 +344,35 @@ class SolveResult:
     residual: float
 
 
+def _banded_cholesky(kss: sparse.csc_matrix):
+    """Cholesky factor of a symmetric positive definite matrix in LAPACK
+    lower band storage, on its reverse Cuthill-McKee ordering.
+
+    Returns (factor, perm, iperm): row i of the ordered matrix is row
+    perm[i] of ``kss``, and iperm inverts perm. Raises LinAlgError when a
+    leading minor is not positive definite.
+    """
+    perm = reverse_cuthill_mckee(kss.tocsr(), symmetric_mode=True)
+    iperm = np.empty_like(perm)
+    iperm[perm] = np.arange(perm.size, dtype=perm.dtype)
+    coo = kss.tocoo()
+    i, j = iperm[coo.row], iperm[coo.col]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    band = np.zeros((int((i - j).max()) + 1, perm.size))
+    band[i - j, j] = coo.data[lower]
+    return (cholesky_banded(band, lower=True, overwrite_ab=True,
+                            check_finite=False), perm, iperm)
+
+
 def solve_system(k: sparse.csr_matrix, f: np.ndarray,
                  fixed_dofs) -> SolveResult:
     """Direct solve with homogeneous essential conditions on ``fixed_dofs``.
 
-    The reduced system is symmetrically Jacobi-scaled before factorization.
-    Raises SolverError on singular systems (typically an unconstrained rigid
-    mode) or when the relative residual exceeds 1e-6.
+    The reduced system is symmetrically Jacobi-scaled, ordered by reverse
+    Cuthill-McKee and factored by banded Cholesky. Raises SolverError on
+    singular or indefinite systems (typically an unconstrained rigid mode)
+    or when the relative residual exceeds 1e-6.
     """
     ndof = f.size
     fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
@@ -372,16 +395,24 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     dmat = sparse.diags(scale)
     kss = (dmat @ kff @ dmat).tocsc()
     try:
-        lu = splu(kss.astype(np.float64) if work_ld else kss)
-    except RuntimeError as err:
+        factor, perm, iperm = _banded_cholesky(
+            kss.astype(np.float64) if work_ld else kss)
+    except LinAlgError as err:
         raise SolverError(
             f"stiffness factorization failed ({err}); check boundary "
             f"conditions for a free rigid mode") from err
-    upiv = np.abs(lu.U.diagonal())
-    if upiv.min() < 1e-12 * upiv.max():
+    pivots = factor[0] ** 2
+    if pivots.min() < 1e-12 * pivots.max():
         raise SolverError(
             "stiffness matrix is numerically singular; check boundary "
             "conditions for a free rigid mode")
+
+    # a plain closure: a factor held in a reference cycle would outlive the
+    # solve until the seldom-run cyclic collector frees it
+    def solve(b):
+        return cho_solve_banded((factor, True), b.astype(np.float64)[perm],
+                                check_finite=False)[iperm]
+
     fs = ff * scale
     # refinement with extended-precision residuals recovers the accuracy
     # lost to the material-contrast conditioning; with longdouble assembly
@@ -389,12 +420,12 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
     kld = kss if work_ld else kss.astype(np.longdouble)
     fld = fs.astype(np.longdouble)
-    y = lu.solve(fs.astype(np.float64)).astype(np.longdouble)
+    y = solve(fs).astype(np.longdouble)
     for _ in range(6 if work_ld else 3):
         r = fld - kld @ y
         if float(np.linalg.norm(r.astype(np.float64))) <= 1e-16 * fsnorm:
             break
-        y = y + lu.solve(r.astype(np.float64))
+        y = y + solve(r)
     if not np.all(np.isfinite(y.astype(np.float64))):
         raise SolverError("solver produced non-finite values; the system is "
                           "singular (free rigid mode?)")

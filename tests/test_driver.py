@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           analyze, cantilever, check_gradients, get_problem,
                           heat_sink, mbb, run)
-from igtop.errors import ConfigError, SolverError
+from igtop.errors import ConfigError, NumericalError, SolverError
 
 
 def small_cantilever(**kw):
@@ -187,6 +189,31 @@ class TestAnalyze:
         result = run(p, budget=4)
         model, u, f, c, vol = analyze(p, result.design)
         assert c == pytest.approx(result.history[-1].compliance, rel=1e-14)
+
+
+SMALL_PROBLEMS = {
+    "elastic": small_cantilever(),
+    "conduction": heat_sink(nx=9, ny=9, rbf_nx=7, rbf_ny=7),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(SMALL_PROBLEMS)), st.data())
+def test_random_in_bound_designs_keep_the_analysis_invariants(physics, data):
+    p = SMALL_PROBLEMS[physics]
+    design = np.array(data.draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0),
+        min_size=p.rbf_nx * p.rbf_ny, max_size=p.rbf_nx * p.rbf_ny)))
+    try:
+        model, u, f, c, vol = analyze(p, design)
+    except NumericalError:
+        return
+    domain = p.width * p.height
+    assert np.isfinite(c) and c > 0.0
+    assert 0.0 <= vol <= domain
+    tiled = model.tiles.area.reshape(model.n_cut, 3).sum(axis=1)
+    parents = model.mesh.areas[model.cut_parents]
+    assert np.all(np.abs(tiled - parents) <= 1e-12 * parents)
 
 
 class TestGradientCheck:

@@ -1,6 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, SolverError
 from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
@@ -208,3 +213,66 @@ class TestSolve:
         k, f = assemble_system(model, pair, loads)
         with pytest.raises(ValueError):
             solve_system(k, f, fixed_dofs=[10_000])
+
+
+def initial_system(problem):
+    """Stiffness, load, fixed dofs and mesh of a problem's initial design."""
+    ws = _Workspace(problem)
+    model = build_enriched_model(
+        ws.mesh, snap_nodal_levelset(ws.field.nodal_values))
+    k, f = ws.assembler.assemble(model)
+    return k, f, ws.fixed, ws.mesh
+
+
+def superlu_reference(k, f, fixed):
+    """The same Jacobi-scaled reduced system and extended-precision
+    refinement as solve_system, factored by SuperLU instead."""
+    free = np.setdiff1d(np.arange(f.size), fixed)
+    kff = k[free][:, free].tocsc()
+    scale = 1.0 / np.sqrt(kff.diagonal())
+    dmat = sparse.diags(scale)
+    kss = (dmat @ kff @ dmat).tocsc()
+    lu = splu(kss)
+    fs = f[free] * scale
+    kld, fld = kss.astype(np.longdouble), fs.astype(np.longdouble)
+    y = lu.solve(fs).astype(np.longdouble)
+    for _ in range(3):
+        r = fld - kld @ y
+        if float(np.linalg.norm(r.astype(np.float64))) \
+                <= 1e-16 * np.linalg.norm(fs):
+            break
+        y = y + lu.solve(r.astype(np.float64))
+    u = np.zeros(f.size)
+    u[free] = (y * scale).astype(np.float64)
+    return u
+
+
+class TestBandedCholesky:
+    @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
+    def test_matches_superlu_on_initial_designs(self, problem):
+        k, f, fixed, _ = initial_system(problem())
+        res = solve_system(k, f, fixed)
+        ref = superlu_reference(k, f, fixed)
+        assert np.max(np.abs(res.u - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert res.residual <= 1e-10
+
+    @pytest.mark.parametrize("support", ["none", "ux-left", "one-node"])
+    def test_under_constrained_elastic_system(self, support):
+        k, f, _, mesh = initial_system(cantilever())
+        fixed = {"none": [],
+                 "ux-left": node_dofs(mesh.boundary["left"], 2, 0),
+                 "one-node": node_dofs([0], 2)}[support]
+        with pytest.raises(SolverError, match="rigid|singular"):
+            solve_system(k, f, fixed)
+
+    def test_factor_is_freed_without_the_cycle_collector(self):
+        # a factor held in a reference cycle outlives the solve until the
+        # cyclic collector runs, which optimization loops seldom trigger
+        k, f, fixed, _ = initial_system(cantilever())
+        gc.collect()
+        gc.disable()
+        try:
+            solve_system(k, f, fixed)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -273,7 +273,10 @@ class TestCli:
         assert "within 0.001" in out
 
     @pytest.mark.parametrize("flags", [["--step", "0"], ["--step", "nan"],
-                                       ["--samples", "0"]])
+                                       ["--samples", "0"],
+                                       ["--tolerance", "nan"],
+                                       ["--tolerance", "-1"],
+                                       ["--tolerance", "0"]])
     def test_check_gradients_rejects_bad_arguments(self, tmp_path, capsys,
                                                    flags):
         rc = main(["check-gradients", str(tiny_config(tmp_path))] + flags)
@@ -306,6 +309,21 @@ class TestCli:
                    "--contour", str(tmp_path / "c.txt")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("value", ["5.0", "-1.5"])
+    def test_export_rejects_out_of_bounds_design(self, tmp_path, capsys,
+                                                 value):
+        values = ["0.5"] * 66
+        values[7] = values[40] = value
+        design = tmp_path / "design.txt"
+        design.write_text("design\n" + "\n".join(values) + "\n")
+        rc = main(["export", str(tiny_config(tmp_path)),
+                   "--design", str(design),
+                   "--contour", str(tmp_path / "c.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "index 7 " in err and "[-1, 1]" in err
         assert not (tmp_path / "c.txt").exists()
 
     def test_export_snapshot_by_iteration(self, tmp_path, capsys):
