@@ -29,6 +29,10 @@ STALL_TOL = 1e-6
 STALL_ITERS = 10
 
 
+def _is_move_limit(value) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
 @dataclass(frozen=True)
 class DirichletRule:
     """Prescribes zero essential values on part of the boundary.
@@ -93,8 +97,9 @@ class ProblemSpec:
                 problems.append(f"{label} must be at least 2, got {n}")
         if self.budget < 1:
             problems.append(f"budget must be at least 1, got {self.budget}")
-        if self.move_limit <= 0.0:
-            problems.append("move_limit must be positive")
+        if not _is_move_limit(self.move_limit):
+            problems.append("move_limit must be finite and positive, got "
+                            f"{self.move_limit}")
         if problems:
             raise ConfigError(problems)
 
@@ -280,6 +285,9 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     if budget < 1:
         raise ConfigError(["budget must be at least 1"])
     move = problem.move_limit if move_limit is None else float(move_limit)
+    if not _is_move_limit(move):
+        raise ConfigError([f"move_limit must be finite and positive, "
+                           f"got {move}"])
 
     ws = _Workspace(problem)
     s = ws.field.design.copy()
@@ -289,8 +297,9 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     history = []
     c_ref = None
     stall = 0
-    model = u = None
     for it in range(budget):
+        # free the last analysis, with its model's cached geometry, first
+        model = u = f = None
         try:
             model, u, f, c, vol = ws.analyze(s)
         except SolverError:

@@ -11,12 +11,13 @@ original degrees of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .mesh import Mesh, cross2
+from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2, inv2,
+                   tri_jacobian)
 
 VOID, MATERIAL, CUT = 0, 1, 2
 
@@ -29,6 +30,8 @@ _DIAG_TIE_REL = 1e-12
 # (table 1).
 _TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
                    [[0, 3, 4], [3, 1, 2], [3, 2, 4]]])
+
+_CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
 def snap_nodal_levelset(phi: np.ndarray, relative_eps: float = 1e-10) -> np.ndarray:
@@ -102,6 +105,32 @@ class IntegrationElement:
         return (slots == np.arange(2)[:, None]).astype(float)
 
 
+@dataclass(frozen=True, eq=False)
+class TileGeometry:
+    """Geometry of integration elements in one dtype, with the leading axes
+    of the elements: what the element operators and their derivatives read.
+
+    jac, adj, jinv : (..., 2, 2)
+        Jacobians of the master-to-physical maps, their adjugates and
+        their inverses.
+    slot_matrix : (..., 2, 3)
+        The elements' :attr:`IntegrationElement.slot_matrix`.
+    grads : (..., 5, 2)
+        Five-slot shape gradients: the parent's three hat gradients
+        (cofactor form), then the gradients of its two enrichment functions
+        (DL J^{-1} form).
+    shape : (..., 5)
+        Parent hats and enrichment values at the element centroid.
+    """
+
+    jac: np.ndarray
+    adj: np.ndarray
+    jinv: np.ndarray
+    slot_matrix: np.ndarray
+    grads: np.ndarray
+    shape: np.ndarray
+
+
 @dataclass(eq=False, repr=False)
 class EnrichedModel:
     """Cut classification plus interface tiling for one levelset snapshot.
@@ -137,6 +166,7 @@ class EnrichedModel:
     cut_parents: np.ndarray
     parent_slots: np.ndarray
     tiles: IntegrationElement
+    _geometry: dict = field(default_factory=dict, init=False)
 
     @property
     def n_enriched(self) -> int:
@@ -185,6 +215,33 @@ class EnrichedModel:
         return np.einsum("...sl,...l->...s", ie.slot_matrix,
                          np.asarray(bary, dtype=float))
 
+    def geometry(self, ie: IntegrationElement,
+                 dtype=np.float64) -> TileGeometry:
+        """Geometry of integration elements ``ie`` in ``dtype``. That of the
+        stack ``tiles`` is computed on first use and kept, one per dtype."""
+        if ie is not self.tiles:
+            return self._compute_geometry(ie, dtype)
+        key = np.dtype(dtype)
+        if key not in self._geometry:
+            self._geometry[key] = self._compute_geometry(ie, dtype)
+        return self._geometry[key]
+
+    def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
+        mesh = self.mesh
+        jac = tri_jacobian(ie.coords.astype(dtype))
+        jinv = inv2(jac)
+        slot_matrix = ie.slot_matrix.astype(dtype)
+        parent = cofactor_hat_gradients(
+            mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
+        enriched = slot_matrix @ (DL.astype(dtype) @ jinv)
+        shape = np.concatenate([self.parent_hats(ie, _CENTROID),
+                                self.enrichment_values(ie, _CENTROID)],
+                               axis=-1).astype(dtype)
+        return TileGeometry(jac=jac, adj=adj2(jac), jinv=jinv,
+                            slot_matrix=slot_matrix,
+                            grads=np.concatenate([parent, enriched], axis=-2),
+                            shape=shape)
+
     def material_volume(self) -> float:
         """Total area of the material phase (uncut material elements plus
         material integration elements)."""
@@ -226,13 +283,15 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
                              (lone[:, None] + np.arange(3)) % 3, axis=1)
 
     # unique cut edges in lexicographic order become the enriched nodes
+    # (the keys j * n_nodes + k of edges j < k sort like the pairs)
     pairs = np.sort(abc[:, [[0, 1], [0, 2]]], axis=2)  # edges ab, ac
-    edges = np.unique(pairs.reshape(-1, 2), axis=0)
+    pair_keys = pairs[..., 0] * mesh.n_nodes + pairs[..., 1]
+    keys = np.unique(pair_keys)
+    edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
     ej, ek = edges[:, 0], edges[:, 1]
     t = phi[ej] / (phi[ej] - phi[ek])
     enr_coords = mesh.nodes[ej] + t[:, None] * (mesh.nodes[ek] - mesh.nodes[ej])
-    keys = ej * mesh.n_nodes + ek
-    enr = np.searchsorted(keys, pairs[..., 0] * mesh.n_nodes + pairs[..., 1])
+    enr = np.searchsorted(keys, pair_keys)
 
     # canonical edge order puts ab first only when a is local vertex 0
     flip = lone != 0

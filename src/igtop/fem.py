@@ -21,37 +21,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .enrich import CUT, MATERIAL, VOID, EnrichedModel, IntegrationElement
 from .errors import ConfigError, SolverError
-from .mesh import cofactor_hat_gradients
-
-# gradients of the master-triangle hat functions (L1, L2, L3)
-DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-_CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
-
-# Element operators act on one IntegrationElement or on a stack of them
-# (``model.tiles``): every array argument and result gains the stack's
-# leading axes, and each stacked result equals the stack of per-element
-# results bit for bit.
-
-
-def det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of 2x2 matrices, shape (...)."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def adj2(m: np.ndarray) -> np.ndarray:
-    """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
-
-
-def inv2(m: np.ndarray) -> np.ndarray:
-    """Inverses of 2x2 matrices, preserving the input dtype."""
-    return adj2(m) / det2(m)[..., None, None]
+# the triangle operators are part of this module's interface
+from .mesh import (DL, adj2, cofactor_hat_gradients, det2, inv2,
+                   tri_hat_gradients, tri_jacobian)
 
 
 @dataclass(frozen=True)
@@ -157,24 +129,6 @@ def node_dofs(node_ids, field_dim: int, component: int | None = None) -> np.ndar
     return field_dim * node_ids + component
 
 
-def tri_jacobian(coords: np.ndarray) -> np.ndarray:
-    """Jacobians of the master-to-physical maps of triangles with vertex
-    coordinates (..., 3, 2); columns are edge vectors."""
-    return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
-
-
-def tri_hat_gradients(coords: np.ndarray) -> np.ndarray:
-    """Physical hat-function gradients DL J^{-1} of triangles with vertex
-    coordinates (..., 3, 2), in their dtype, shape (..., 3, 2).
-
-    Integration elements use this form, mesh elements the cofactor form of
-    :func:`igtop.mesh.cofactor_hat_gradients`. The two agree up to
-    rounding, but optimization histories amplify rounding differences, so
-    replacing either form would move every optimization result.
-    """
-    return DL.astype(coords.dtype) @ inv2(tri_jacobian(coords))
-
-
 def build_b(grads: np.ndarray, field_dim: int) -> np.ndarray:
     """Strain-displacement matrices from per-slot shape gradients (..., n, 2).
 
@@ -202,6 +156,13 @@ def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
         slots.shape[:-1] + (5 * field_dim,))
 
 
+# Element operators act on one IntegrationElement or on a stack of them
+# (``model.tiles``): every array argument and result gains the stack's
+# leading axes, and each stacked result equals the stack of per-element
+# results bit for bit. They read the element geometry through
+# ``model.geometry``, which computes that of ``model.tiles`` once per dtype.
+
+
 def integration_element_gradients(model: EnrichedModel, ie: IntegrationElement,
                                   dtype=np.float64) -> np.ndarray:
     """Five-slot shape gradients on integration elements, shape (..., 5, 2).
@@ -210,12 +171,7 @@ def integration_element_gradients(model: EnrichedModel, ie: IntegrationElement,
     gradients of the parent's two enrichment functions on the integration
     element; zero for an enriched node that is not a vertex there.
     """
-    mesh = model.mesh
-    parent = cofactor_hat_gradients(
-        mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
-    enriched = ie.slot_matrix.astype(dtype) \
-        @ tri_hat_gradients(ie.coords.astype(dtype))
-    return np.concatenate([parent, enriched], axis=-2)
+    return model.geometry(ie, dtype).grads
 
 
 def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
@@ -237,9 +193,7 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
     """Consistent body-load vectors of integration elements over the five
     slots, shape (..., 5 field_dim). ``body`` is one source for all
     elements, shape (field_dim,), or one per element."""
-    shape = np.concatenate([model.parent_hats(ie, _CENTROID),
-                            model.enrichment_values(ie, _CENTROID)],
-                           axis=-1).astype(dtype)
+    shape = model.geometry(ie, dtype).shape
     load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
     return np.asarray(ie.area, dtype=dtype)[..., None] \
         * load.reshape(load.shape[:-2] + (5 * field_dim,))
@@ -344,25 +298,65 @@ class SolveResult:
     residual: float
 
 
-def _banded_cholesky(kss: sparse.csc_matrix):
+def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+         n: int) -> sparse.csr_matrix:
+    """n x n CSR matrix of entries given in row-major order."""
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
+def _entry_rows(a: sparse.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
+                     np.diff(a.indptr))
+
+
+def _banded_cholesky(kss: sparse.csr_matrix):
     """Cholesky factor of a symmetric positive definite matrix in LAPACK
     lower band storage, on its reverse Cuthill-McKee ordering.
 
     Returns (factor, perm, iperm): row i of the ordered matrix is row
-    perm[i] of ``kss``, and iperm inverts perm. Raises LinAlgError when a
-    leading minor is not positive definite.
+    perm[i] of ``kss``, and iperm inverts perm. The factor is float64
+    whatever the dtype of ``kss``. Raises LinAlgError when a leading minor
+    is not positive definite.
     """
-    perm = reverse_cuthill_mckee(kss.tocsr(), symmetric_mode=True)
+    perm = reverse_cuthill_mckee(kss, symmetric_mode=True)
     iperm = np.empty_like(perm)
     iperm[perm] = np.arange(perm.size, dtype=perm.dtype)
-    coo = kss.tocoo()
-    i, j = iperm[coo.row], iperm[coo.col]
+    i, j = iperm[_entry_rows(kss)], iperm[kss.indices]
     lower = i >= j
     i, j = i[lower], j[lower]
     band = np.zeros((int((i - j).max()) + 1, perm.size))
-    band[i - j, j] = coo.data[lower]
+    band[i - j, j] = kss.data[lower]
     return (cholesky_banded(band, lower=True, overwrite_ab=True,
                             check_finite=False), perm, iperm)
+
+
+def _reduce(k: sparse.csr_matrix, free: np.ndarray, scale: np.ndarray):
+    """The free-dof block kff of ``k`` and its Jacobi scaling
+    kss = diag(scale) kff diag(scale), both CSR, in one pass over the
+    entries of ``k``.
+
+    Each row keeps the column order of ``k``, so with ``k`` in canonical
+    form a matrix-vector product sums every row in increasing column order.
+    kss drops the entries where (scale_i k_ij) or (scale_i k_ij) scale_j is
+    zero, like the sparse product that computes it factor by factor.
+    """
+    is_free = np.zeros(k.shape[0], dtype=bool)
+    is_free[free] = True
+    new = np.cumsum(is_free, dtype=k.indices.dtype) - 1
+    rows = _entry_rows(k)
+    keep = is_free[rows] & is_free[k.indices]
+    rows, cols, data = new[rows[keep]], new[k.indices[keep]], k.data[keep]
+    kff = _csr(data, rows, cols, free.size)
+
+    scaled = scale[rows] * data
+    nz = scaled != 0.0
+    rows, cols = rows[nz], cols[nz]
+    scaled = scaled[nz] * scale[cols]
+    nz = scaled != 0.0
+    return kff, _csr(scaled[nz], rows[nz], cols[nz], free.size)
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray,
@@ -382,21 +376,22 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
-    kff = k[free][:, free].tocsc()
+    # one entry per position, columns ascending in each row: the band
+    # scatter and the order of the row sums rely on it
+    k = sparse.csr_matrix(k)
+    k.sum_duplicates()
     ff = f[free]
-    work_ld = kff.dtype == np.longdouble
-    diag = kff.diagonal()
+    work_ld = k.dtype == np.longdouble
+    diag = k.diagonal()[free]
     if np.any(diag <= 0.0):
         bad = free[int(np.argmin(diag))]
         raise SolverError(
             f"nonpositive stiffness diagonal at dof {bad}; "
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
-    dmat = sparse.diags(scale)
-    kss = (dmat @ kff @ dmat).tocsc()
+    kff, kss = _reduce(k, free, scale)
     try:
-        factor, perm, iperm = _banded_cholesky(
-            kss.astype(np.float64) if work_ld else kss)
+        factor, perm, iperm = _banded_cholesky(kss)
     except LinAlgError as err:
         raise SolverError(
             f"stiffness factorization failed ({err}); check boundary "
@@ -418,7 +413,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     # lost to the material-contrast conditioning; with longdouble assembly
     # the refinement target itself carries the extra digits
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
-    kld = kss if work_ld else kss.astype(np.longdouble)
+    kld = kss.astype(np.longdouble, copy=False)
     fld = fs.astype(np.longdouble)
     y = solve(fs).astype(np.longdouble)
     for _ in range(6 if work_ld else 3):

@@ -10,9 +10,51 @@ import numpy as np
 from .errors import ConfigError
 
 
+# gradients of the master-triangle hat functions (L1, L2, L3)
+DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
 def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z-component of the cross product of stacked 2-D vectors."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 matrices, shape (...)."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def adj2(m: np.ndarray) -> np.ndarray:
+    """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
+
+
+def inv2(m: np.ndarray) -> np.ndarray:
+    """Inverses of 2x2 matrices, preserving the input dtype."""
+    return adj2(m) / det2(m)[..., None, None]
+
+
+def tri_jacobian(coords: np.ndarray) -> np.ndarray:
+    """Jacobians of the master-to-physical maps of triangles with vertex
+    coordinates (..., 3, 2); columns are edge vectors."""
+    return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
+
+
+def tri_hat_gradients(coords: np.ndarray) -> np.ndarray:
+    """Physical hat-function gradients DL J^{-1} of triangles with vertex
+    coordinates (..., 3, 2), in their dtype, shape (..., 3, 2).
+
+    Integration elements use this form, mesh elements the cofactor form of
+    :func:`cofactor_hat_gradients`. The two agree up to rounding, but
+    optimization histories amplify rounding differences, so replacing
+    either form would move every optimization result.
+    """
+    return DL.astype(coords.dtype) @ inv2(tri_jacobian(coords))
 
 
 def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:

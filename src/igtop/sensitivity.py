@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enrich import EnrichedModel, IntegrationElement
-from .fem import (DL, LoadCase, MaterialPair, adj2, build_b, cut_parent_dofs,
-                  integration_element_gradients, inv2, tri_jacobian)
-
-_CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
+from .enrich import EnrichedModel, IntegrationElement, TileGeometry
+from .fem import LoadCase, MaterialPair, build_b, cut_parent_dofs
+from .mesh import DL, adj2, inv2
 
 
 def design_velocity(xj, xk, phij, phik) -> np.ndarray:
@@ -51,23 +49,31 @@ def jacobian_derivative(vertex: int, component: int) -> np.ndarray:
 
 def det_derivative(jac: np.ndarray, djac: np.ndarray) -> np.ndarray:
     """Directional derivative of det(J): trace(adj(J) dJ), shape (...)."""
-    return np.einsum("...ij,...ji->...", adj2(jac), djac)
+    return _det_derivative(adj2(jac), djac)
+
+
+def _det_derivative(adj: np.ndarray, djac: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ji->...", adj, djac)
 
 
 def inv_derivative(jac: np.ndarray, djac: np.ndarray) -> np.ndarray:
     """Directional derivative of J^{-1}: -J^{-1} dJ J^{-1}."""
-    jinv = inv2(jac)
+    return _inv_derivative(inv2(jac), djac)
+
+
+def _inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
     # dJ J^{-1} first: for the one-row dJ of a moving vertex this is the
     # rank-one update -J^{-1}[:, c] (DL[l] J^{-1}) to the last bit
     return -(jinv @ (djac @ jinv))
 
 
-def _enrichment_gradient_derivative(ie: IntegrationElement, jac, vertex: int,
+def _enrichment_gradient_derivative(geom: TileGeometry, vertex: int,
                                     component: int) -> np.ndarray:
     """Five-slot gradient perturbation of moving local ``vertex`` along
     ``component``, shape (..., 5, 2): only the enriched rows respond."""
-    dge = DL @ inv_derivative(jac, jacobian_derivative(vertex, component))
-    rows = ie.slot_matrix @ dge
+    dge = DL @ _inv_derivative(geom.jinv,
+                               jacobian_derivative(vertex, component))
+    rows = geom.slot_matrix @ dge
     return np.concatenate([np.zeros_like(dge), rows], axis=-2)
 
 
@@ -80,11 +86,11 @@ def integration_element_stiffness_derivative(
     Only the determinant and the enrichment-gradient rows respond; the parent
     hat gradients are unaffected by interface motion.
     """
+    geom = model.geometry(ie)
     d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
-    b = build_b(integration_element_gradients(model, ie), pair.field_dim)
-    jac = tri_jacobian(ie.coords)
-    djdet = det_derivative(jac, jacobian_derivative(vertex, component))
-    db = build_b(_enrichment_gradient_derivative(ie, jac, vertex, component),
+    b = build_b(geom.grads, pair.field_dim)
+    djdet = _det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    db = build_b(_enrichment_gradient_derivative(geom, vertex, component),
                  pair.field_dim)
     cross = np.swapaxes(db, -1, -2) @ d @ b
     return 0.5 * djdet[..., None, None] * (np.swapaxes(b, -1, -2) @ d @ b) \
@@ -105,13 +111,11 @@ def integration_element_force_derivative(
     one per element, as in :func:`igtop.fem.integration_element_force`.
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
-    jac = tri_jacobian(ie.coords)
-    djdet = det_derivative(jac, jacobian_derivative(vertex, component))
-    shape = np.concatenate([model.parent_hats(ie, _CENTROID),
-                            model.enrichment_values(ie, _CENTROID)], axis=-1)
-    dhat = model.mesh.hat_gradients[ie.parent][..., component] / 3.0
+    geom = model.geometry(ie)
+    djdet = _det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
-    rate = 0.5 * djdet[..., None] * shape \
+    rate = 0.5 * djdet[..., None] * geom.shape \
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
     return load.reshape(load.shape[:-2] + (5 * field_dim,))
@@ -127,7 +131,8 @@ def _to_nodes(model: EnrichedModel, dx: np.ndarray) -> np.ndarray:
     ``model.tiles``, shape (3 n_cut, 3, 2), through the enriched-node
     positions to the nodal levelset values; original vertices do not move.
     """
-    per_tile = (model.tiles.slot_matrix @ dx).reshape(-1, 3, 2, 2)
+    slots = model.geometry(model.tiles).slot_matrix
+    per_tile = (slots @ dx).reshape(-1, 3, 2, 2)
     per_slot = per_tile[:, 0] + per_tile[:, 1] + per_tile[:, 2]
     edges = model.enr_edges[model.parent_slots]  # (n_cut, slot, end)
     j, k = edges[..., 0], edges[..., 1]
@@ -150,24 +155,24 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     :func:`integration_element_stiffness_derivative` without forming dK.
     """
     tiles = model.tiles
+    geom = model.geometry(tiles)
     d = pair.field_dim
     ue = u[cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)]
     dmat = pair.material.d_unit() \
         * pair.modulus_of(tiles.material)[:, None, None]
-    strain = (build_b(integration_element_gradients(model, tiles), d)
-              @ ue[..., None])[..., 0]
+    strain = (build_b(geom.grads, d) @ ue[..., None])[..., 0]
     stress = (dmat @ strain[..., None])[..., 0]
     energy = _dot(strain, stress)
-    jac = tri_jacobian(tiles.coords)
+    area2 = 2.0 * tiles.area
     body = loads.body_of(tiles.material, d)
     dx = np.zeros((3 * model.n_cut, 3, 2))
     for l in range(3):
         for c in range(2):
-            djdet = det_derivative(jac, jacobian_derivative(l, c))
-            db = build_b(_enrichment_gradient_derivative(tiles, jac, l, c), d)
+            djdet = _det_derivative(geom.adj, jacobian_derivative(l, c))
+            db = build_b(_enrichment_gradient_derivative(geom, l, c), d)
             dstrain = (db @ ue[..., None])[..., 0]
             dx[:, l, c] = -(0.5 * djdet * energy
-                            + 2.0 * tiles.area * _dot(dstrain, stress))
+                            + area2 * _dot(dstrain, stress))
             if body is not None:
                 df = integration_element_force_derivative(
                     model, tiles, body, d, l, c)
@@ -186,7 +191,7 @@ def nodal_volume_gradient(model: EnrichedModel,
         raise ValueError(f"which must be 'material' or 'void', got {which!r}")
     tiles = model.tiles
     # d(area)/d(x_l[c]) = det_derivative / 2 = (DL adj(J))[l, c] / 2
-    darea = 0.5 * (DL @ adj2(tri_jacobian(tiles.coords)))
+    darea = 0.5 * (DL @ model.geometry(tiles).adj)
     phase = tiles.material == (which == "material")
     return _to_nodes(model, np.where(phase[:, None, None], darea, 0.0))
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
-                          analyze, cantilever, check_gradients, get_problem,
-                          heat_sink, mbb, run)
+                          _Workspace, analyze, cantilever, check_gradients,
+                          get_problem, heat_sink, mbb, run)
 from igtop.errors import ConfigError, NumericalError, SolverError
 
 
@@ -129,6 +129,13 @@ class TestRunLoop:
         seen[0].design[:] = 99.0
         assert not np.any(result.design == 99.0)
 
+    @pytest.mark.parametrize("move", [np.nan, np.inf, 0.0, -0.01])
+    def test_move_limit_must_be_finite_and_positive(self, move):
+        with pytest.raises(ConfigError, match="move_limit"):
+            small_cantilever(move_limit=move)
+        with pytest.raises(ConfigError, match="move_limit"):
+            run(small_cantilever(), move_limit=move)
+
     def test_deterministic(self):
         r1 = run(small_cantilever())
         r2 = run(small_cantilever())
@@ -189,6 +196,38 @@ class TestAnalyze:
         result = run(p, budget=4)
         model, u, f, c, vol = analyze(p, result.design)
         assert c == pytest.approx(result.history[-1].compliance, rel=1e-14)
+
+    @pytest.mark.parametrize("problem", [
+        small_cantilever(), heat_sink(nx=9, ny=9, rbf_nx=7, rbf_ny=7)],
+        ids=["elastic", "conduction"])
+    def test_tile_geometry_is_computed_once(self, monkeypatch, problem):
+        # assembly and both gradients read one geometry of model.tiles
+        import igtop.enrich
+        import igtop.fem
+        import igtop.mesh
+        import igtop.sensitivity
+        from igtop.enrich import EnrichedModel
+
+        calls = {"tri_jacobian": 0, "parent_hats": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (igtop.mesh, igtop.enrich, igtop.fem,
+                       igtop.sensitivity):
+            if hasattr(module, "tri_jacobian"):
+                monkeypatch.setattr(module, "tri_jacobian", counted(
+                    "tri_jacobian", module.tri_jacobian))
+        monkeypatch.setattr(EnrichedModel, "parent_hats", counted(
+            "parent_hats", EnrichedModel.parent_hats))
+        ws = _Workspace(problem)
+        model, u, *_ = ws.analyze(ws.field.design)
+        assert model.n_cut > 0
+        ws.gradients(model, u)
+        assert calls == {"tri_jacobian": 1, "parent_hats": 1}
 
 
 SMALL_PROBLEMS = {

@@ -9,10 +9,11 @@ from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, SolverError
 from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
-                       PlaneStressElastic, assemble_system, build_b,
-                       compliance, node_dofs, solve_system,
-                       tri_hat_gradients, tri_jacobian)
-from igtop.mesh import Mesh, structured_grid
+                       PlaneStressElastic, _reduce, adj2, assemble_system,
+                       build_b, compliance, integration_element_gradients, inv2,
+                       node_dofs, solve_system, tri_hat_gradients,
+                       tri_jacobian)
+from igtop.mesh import Mesh, cofactor_hat_gradients, structured_grid
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -276,3 +277,62 @@ class TestBandedCholesky:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTileGeometry:
+    """The geometry kept per model and dtype is, bit for bit, what fresh
+    calls of the element helpers compute."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def model():
+        mesh = structured_grid(1.5, 1.0, 9, 7)
+        r = np.hypot(mesh.nodes[:, 0] - 0.7, mesh.nodes[:, 1] - 0.45)
+        return build_enriched_model(mesh, snap_nodal_levelset(r - 0.3))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_equals_fresh_helpers(self, model, dtype):
+        mesh, tiles = model.mesh, model.tiles
+        geom = model.geometry(tiles, dtype)
+        assert model.geometry(tiles, dtype) is geom
+        coords = tiles.coords.astype(dtype)
+        eq = np.testing.assert_array_equal
+        eq(geom.jac, tri_jacobian(coords))
+        eq(geom.adj, adj2(tri_jacobian(coords)))
+        eq(geom.jinv, inv2(tri_jacobian(coords)))
+        eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
+        eq(geom.grads, np.concatenate([
+            cofactor_hat_gradients(
+                mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
+            tiles.slot_matrix.astype(dtype) @ tri_hat_gradients(coords)],
+            axis=-2))
+        centroid = [1 / 3, 1 / 3, 1 / 3]
+        eq(geom.shape, np.concatenate(
+            [model.parent_hats(tiles, centroid),
+             model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
+        for field in ("jac", "adj", "jinv", "slot_matrix", "grads", "shape"):
+            assert getattr(geom, field).dtype == dtype, field
+        # per-element views are computed fresh and agree with the stack
+        eq(geom.grads, np.stack([integration_element_gradients(model, ie,
+                                                               dtype)
+                                 for ie in model.integration]))
+
+
+class TestReducedSystem:
+    @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
+    def test_equals_sliced_and_scaled_products(self, problem):
+        # the free-dof block and its Jacobi scaling as sparse slicing and
+        # products compute them; kss must hold the same entries in the same
+        # row order, since reverse Cuthill-McKee reads that order
+        k, _, fixed, _ = initial_system(problem())
+        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        ref_ff = k[free][:, free]
+        scale = 1.0 / np.sqrt(ref_ff.diagonal())
+        dmat = sparse.diags(scale)
+        ref_ss = (dmat @ ref_ff.tocsc() @ dmat).tocsc().tocsr()
+        kff, kss = _reduce(k, free, scale)
+        assert ref_ss.nnz < ref_ff.nnz  # the products drop stored zeros
+        for got, want in ((kff, ref_ff), (kss, ref_ss)):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, part),
+                                              getattr(want, part))

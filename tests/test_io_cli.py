@@ -265,6 +265,11 @@ class TestCli:
         bad.write_text("[problem]\nname = cantilever\nnx = many\n")
         assert main(["run", str(bad)]) == 2
 
+    def test_non_finite_move_limit_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, "move_limit = nan\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "move_limit" in capsys.readouterr().err
+
     def test_check_gradients(self, tmp_path, capsys):
         rc = main(["check-gradients", str(tiny_config(tmp_path)),
                    "--samples", "6", "--seed", "3"])
@@ -276,7 +281,9 @@ class TestCli:
                                        ["--samples", "0"],
                                        ["--tolerance", "nan"],
                                        ["--tolerance", "-1"],
-                                       ["--tolerance", "0"]])
+                                       ["--tolerance", "0"],
+                                       ["--move-limit", "nan"],
+                                       ["--move-limit", "inf"]])
     def test_check_gradients_rejects_bad_arguments(self, tmp_path, capsys,
                                                    flags):
         rc = main(["check-gradients", str(tiny_config(tmp_path))] + flags)
