@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2, inv2,
+from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2, det2,
                    tri_jacobian)
 
 VOID, MATERIAL, CUT = 0, 1, 2
@@ -110,9 +110,9 @@ class TileGeometry:
     """Geometry of integration elements in one dtype, with the leading axes
     of the elements: what the element operators and their derivatives read.
 
-    jac, adj, jinv : (..., 2, 2)
-        Jacobians of the master-to-physical maps, their adjugates and
-        their inverses.
+    adj, jinv : (..., 2, 2)
+        Adjugates and inverses of the Jacobians of the master-to-physical
+        maps.
     slot_matrix : (..., 2, 3)
         The elements' :attr:`IntegrationElement.slot_matrix`.
     grads : (..., 5, 2)
@@ -123,7 +123,6 @@ class TileGeometry:
         Parent hats and enrichment values at the element centroid.
     """
 
-    jac: np.ndarray
     adj: np.ndarray
     jinv: np.ndarray
     slot_matrix: np.ndarray
@@ -229,7 +228,8 @@ class EnrichedModel:
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
         mesh = self.mesh
         jac = tri_jacobian(ie.coords.astype(dtype))
-        jinv = inv2(jac)
+        adj = adj2(jac)
+        jinv = adj / det2(jac)[..., None, None]
         slot_matrix = ie.slot_matrix.astype(dtype)
         parent = cofactor_hat_gradients(
             mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
@@ -237,7 +237,7 @@ class EnrichedModel:
         shape = np.concatenate([self.parent_hats(ie, _CENTROID),
                                 self.enrichment_values(ie, _CENTROID)],
                                axis=-1).astype(dtype)
-        return TileGeometry(jac=jac, adj=adj2(jac), jinv=jinv,
+        return TileGeometry(adj=adj, jinv=jinv,
                             slot_matrix=slot_matrix,
                             grads=np.concatenate([parent, enriched], axis=-2),
                             shape=shape)

@@ -297,7 +297,6 @@ class TestTileGeometry:
         assert model.geometry(tiles, dtype) is geom
         coords = tiles.coords.astype(dtype)
         eq = np.testing.assert_array_equal
-        eq(geom.jac, tri_jacobian(coords))
         eq(geom.adj, adj2(tri_jacobian(coords)))
         eq(geom.jinv, inv2(tri_jacobian(coords)))
         eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
@@ -310,7 +309,7 @@ class TestTileGeometry:
         eq(geom.shape, np.concatenate(
             [model.parent_hats(tiles, centroid),
              model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
-        for field in ("jac", "adj", "jinv", "slot_matrix", "grads", "shape"):
+        for field in ("adj", "jinv", "slot_matrix", "grads", "shape"):
             assert getattr(geom, field).dtype == dtype, field
         # per-element views are computed fresh and agree with the stack
         eq(geom.grads, np.stack([integration_element_gradients(model, ie,
