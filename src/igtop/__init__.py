@@ -19,7 +19,7 @@ from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
 from .mesh import Mesh, structured_grid
 from .mma import MmaOptimizer
 from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
-                  fit_initial_design, hole_lattice_levelset, uniform_levelset)
+                  hole_lattice_levelset)
 from .sensitivity import (compliance_gradient, design_velocity,
                           nodal_compliance_gradient, nodal_volume_gradient,
                           volume_gradient)
@@ -38,7 +38,7 @@ __all__ = [
     "Mesh", "structured_grid",
     "MmaOptimizer",
     "LevelsetField", "RbfGrid", "build_theta", "fit_design",
-    "fit_initial_design", "hole_lattice_levelset", "uniform_levelset",
+    "hole_lattice_levelset",
     "compliance_gradient", "design_velocity", "nodal_compliance_gradient",
     "nodal_volume_gradient", "volume_gradient",
     "__version__",

@@ -59,7 +59,11 @@ def _cmd_run(args) -> int:
     cfg = _resolve(args)
     out = cfg.output
     outdir = Path(args.output_dir) if args.output_dir else out.directory
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {outdir}: "
+                          f"{err}") from None
     every = out.snapshot_every
 
     def observer(state):

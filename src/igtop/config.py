@@ -49,10 +49,6 @@ _OUTPUT_KEYS = {
     "gradient_check": bool,
 }
 
-_BOOL_STATES = {"1": True, "yes": True, "true": True, "on": True,
-                "0": False, "no": False, "false": False, "off": False}
-
-
 @dataclass
 class OutputConfig:
     directory: Path = Path("igtop-out")
@@ -83,7 +79,7 @@ def _parse_section(cp, section, schema, problems):
         try:
             if typ is bool:
                 try:
-                    out[key] = _BOOL_STATES[raw.strip().lower()]
+                    out[key] = cp.BOOLEAN_STATES[raw.strip().lower()]
                 except KeyError:
                     raise ValueError(f"not a boolean: {raw!r}")
             else:
@@ -125,6 +121,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     output = OutputConfig(directory=directory, **out_kw)
     if output.snapshot_every < 0:
         raise ConfigError("[output] snapshot_every must be >= 0")
+    if output.history in ("", "..") \
+            or Path(output.history).name != output.history:
+        raise ConfigError(f"[output] history must be a file name, got "
+                          f"{output.history!r}")
     return RunConfig(problem=problem, output=output)
 
 

@@ -21,16 +21,11 @@ from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
 from .mma import MmaOptimizer
-from .rbf import (LevelsetField, RbfGrid, fit_initial_design,
-                  hole_lattice_levelset)
+from .rbf import LevelsetField, RbfGrid, fit_design, hole_lattice_levelset
 
 S_MIN, S_MAX = -1.0, 1.0
 STALL_TOL = 1e-6
 STALL_ITERS = 10
-
-
-def _is_move_limit(value) -> bool:
-    return math.isfinite(value) and value > 0.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class ProblemSpec:
     body_void: object = None
     budget: int = 300
     move_limit: float = 0.01
-    initial_phi: object = None  # callable points -> levelset; holes if None
 
     def __post_init__(self):
         problems = []
@@ -97,7 +91,7 @@ class ProblemSpec:
                 problems.append(f"{label} must be at least 2, got {n}")
         if self.budget < 1:
             problems.append(f"budget must be at least 1, got {self.budget}")
-        if not _is_move_limit(self.move_limit):
+        if not (math.isfinite(self.move_limit) and self.move_limit > 0.0):
             problems.append("move_limit must be finite and positive, got "
                             f"{self.move_limit}")
         if problems:
@@ -137,10 +131,8 @@ class ProblemSpec:
         return np.unique(np.concatenate(out))
 
     def initial_design(self, grid: RbfGrid) -> np.ndarray:
-        phi0 = self.initial_phi
-        if phi0 is None:
-            phi0 = hole_lattice_levelset(self.width, self.height)
-        return fit_initial_design(grid, phi0, S_MIN, S_MAX)
+        phi0 = hole_lattice_levelset(self.width, self.height)
+        return fit_design(grid, phi0(grid.centers), S_MIN, S_MAX)
 
 
 def cantilever(nx: int = 21, ny: int = 11, **overrides) -> ProblemSpec:
@@ -253,12 +245,16 @@ class _Workspace:
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
 
+    def model(self, design: np.ndarray) -> EnrichedModel:
+        """Enriched model of one design."""
+        self.field.update_design(design)
+        phi = snap_nodal_levelset(self.field.nodal_values)
+        return build_enriched_model(self.mesh, phi)
+
     def analyze(self, design: np.ndarray):
         """Solve the state problem for one design. Returns
         (model, u, f, compliance, material volume)."""
-        self.field.update_design(design)
-        phi = snap_nodal_levelset(self.field.nodal_values)
-        model = build_enriched_model(self.mesh, phi)
+        model = self.model(design)
         k, f = self.assembler.assemble(model)
         u = solve_system(k, f, self.fixed).u
         return model, u, f, compliance(u, f), model.material_volume()
@@ -267,7 +263,7 @@ class _Workspace:
         from .sensitivity import compliance_gradient, volume_gradient
         dc = compliance_gradient(model, self.field, self.problem.pair,
                                  self.loads, u)
-        dv = volume_gradient(model, self.field, "material")
+        dv = volume_gradient(model, self.field)
         return dc, dv
 
 
@@ -281,17 +277,16 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     ten consecutive iterations. If the state solve fails, the offending
     design is handed to the observer before the error propagates.
     """
-    budget = problem.budget if budget is None else int(budget)
-    if budget < 1:
-        raise ConfigError(["budget must be at least 1"])
-    move = problem.move_limit if move_limit is None else float(move_limit)
-    if not _is_move_limit(move):
-        raise ConfigError([f"move_limit must be finite and positive, "
-                           f"got {move}"])
+    problem = problem.with_overrides(
+        budget=problem.budget if budget is None else int(budget),
+        move_limit=(problem.move_limit if move_limit is None
+                    else float(move_limit)))
+    budget = problem.budget
 
     ws = _Workspace(problem)
     s = ws.field.design.copy()
-    opt = MmaOptimizer(ws.grid.n_centers, S_MIN, S_MAX, move_limit=move)
+    opt = MmaOptimizer(ws.grid.n_centers, S_MIN, S_MAX,
+                       move_limit=problem.move_limit)
     v_limit = problem.volume_fraction * ws.domain_volume
 
     history = []
@@ -398,9 +393,7 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         if quantity == "compliance":
             model, _, _, value, _ = ws.analyze(s)
         else:
-            ws.field.update_design(s)
-            phi = snap_nodal_levelset(ws.field.nodal_values)
-            model = build_enriched_model(ws.mesh, phi)
+            model = ws.model(s)
             value = model.material_volume()
         return model, value
 

@@ -22,6 +22,7 @@ from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2, det2,
 VOID, MATERIAL, CUT = 0, 1, 2
 
 _DIAG_TIE_REL = 1e-12
+_SNAP_REL = 1e-10
 
 # A cut parent's five local points are the lone-sign vertex a, the vertices
 # b and c that follow it counterclockwise, and the enriched nodes on ab and
@@ -34,50 +35,45 @@ _TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
 _CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
-def snap_nodal_levelset(phi: np.ndarray, relative_eps: float = 1e-10) -> np.ndarray:
+def snap_nodal_levelset(phi: np.ndarray) -> np.ndarray:
     """Copy of ``phi`` with entries near zero replaced by a small positive value.
 
     Guarantees no entry satisfies ``|phi| < eps`` with
-    ``eps = relative_eps * max(|phi|)`` (scale floored for the all-zero
-    vector), so every element classifies cleanly as material, void, or cut
-    and edge intersections stay strictly inside their edges.
+    ``eps = 1e-10 * max(|phi|)`` (scale floored for the all-zero vector), so
+    every element classifies cleanly as material, void, or cut and edge
+    intersections stay strictly inside their edges.
     """
     phi = np.asarray(phi, dtype=float)
     scale = max(float(np.max(np.abs(phi))) if phi.size else 0.0, 1e-30)
-    eps = relative_eps * scale
+    eps = _SNAP_REL * scale
     out = phi.copy()
     out[np.abs(out) < eps] = eps
     return out
 
 
-def intersect_edge(xj, xk, phij: float, phik: float):
-    """Zero-contour crossing of the segment from ``xj`` to ``xk``.
+def cut_values(phij, phik):
+    """Levelset values at the ends of cut edges as float arrays; raises
+    ValueError unless each pair has strictly opposite nonzero signs."""
+    phij = np.asarray(phij, dtype=float)
+    phik = np.asarray(phik, dtype=float)
+    if np.any((phij == 0.0) | (phik == 0.0) | ((phij > 0.0) == (phik > 0.0))):
+        raise ValueError("edge is not cut: levelset values must have "
+                         "strictly opposite signs")
+    return phij, phik
+
+
+def intersect_edge(xj, xk, phij, phik):
+    """Zero-contour crossings of the segments from ``xj`` to ``xk``.
 
     Returns ``(point, t)`` with ``point = xj + t (xk - xj)`` and
     ``t = phij / (phij - phik)``. Requires strictly opposite nonzero signs.
+    Broadcasts over leading axes: points (..., 2), levelset values (...).
     """
-    if phij == 0.0 or phik == 0.0 or (phij > 0.0) == (phik > 0.0):
-        raise ValueError(
-            f"edge is not cut: levelset values {phij} and {phik} "
-            f"must have strictly opposite signs")
+    phij, phik = cut_values(phij, phik)
     t = phij / (phij - phik)
     xj = np.asarray(xj, dtype=float)
     xk = np.asarray(xk, dtype=float)
-    return xj + t * (xk - xj), t
-
-
-@dataclass(frozen=True, eq=False)
-class EnrichedNode:
-    """Interface node on a cut edge.
-
-    ``edge`` holds the original node pair (j, k) with j < k; ``t`` is the
-    fractional position from j toward k.
-    """
-
-    index: int
-    edge: tuple[int, int]
-    t: float
-    coords: np.ndarray
+    return xj + t[..., None] * (xk - xj), t
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +170,6 @@ class EnrichedModel:
     @property
     def n_cut(self) -> int:
         return len(self.cut_parents)
-
-    @cached_property
-    def enriched_nodes(self) -> list:
-        """Per-node view of the enriched nodes, built on first use."""
-        return [EnrichedNode(index=m, edge=(j, k), t=t, coords=x)
-                for m, ((j, k), t, x) in enumerate(zip(
-                    self.enr_edges.tolist(), self.enr_t.tolist(),
-                    self.enr_coords))]
 
     @cached_property
     def integration(self) -> list:
@@ -289,8 +277,8 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
     keys = np.unique(pair_keys)
     edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
     ej, ek = edges[:, 0], edges[:, 1]
-    t = phi[ej] / (phi[ej] - phi[ek])
-    enr_coords = mesh.nodes[ej] + t[:, None] * (mesh.nodes[ek] - mesh.nodes[ej])
+    enr_coords, t = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
+                                   phi[ej], phi[ek])
     enr = np.searchsorted(keys, pair_keys)
 
     # canonical edge order puts ab first only when a is local vertex 0

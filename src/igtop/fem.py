@@ -19,11 +19,9 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .enrich import CUT, MATERIAL, VOID, EnrichedModel, IntegrationElement
+from .enrich import MATERIAL, VOID, EnrichedModel, IntegrationElement
 from .errors import ConfigError, SolverError
-# the triangle operators are part of this module's interface
-from .mesh import (DL, adj2, cofactor_hat_gradients, det2, inv2,
-                   tri_hat_gradients, tri_jacobian)
+from .mesh import cofactor_hat_gradients
 
 
 @dataclass(frozen=True)
@@ -163,17 +161,6 @@ def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
 # ``model.geometry``, which computes that of ``model.tiles`` once per dtype.
 
 
-def integration_element_gradients(model: EnrichedModel, ie: IntegrationElement,
-                                  dtype=np.float64) -> np.ndarray:
-    """Five-slot shape gradients on integration elements, shape (..., 5, 2).
-
-    Rows 0-2: the parent hat gradients (constant over the parent). Rows 3-4:
-    gradients of the parent's two enrichment functions on the integration
-    element; zero for an enriched node that is not a vertex there.
-    """
-    return model.geometry(ie, dtype).grads
-
-
 def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
                                   pair: MaterialPair,
                                   dtype=np.float64) -> np.ndarray:
@@ -181,8 +168,7 @@ def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
     shape (..., 5 field_dim, 5 field_dim)."""
     d = pair.material.d_unit().astype(dtype) \
         * pair.modulus_of(ie.material).astype(dtype)[..., None, None]
-    b = build_b(integration_element_gradients(model, ie, dtype),
-                pair.field_dim)
+    b = build_b(model.geometry(ie, dtype).grads, pair.field_dim)
     return np.asarray(ie.area, dtype=dtype)[..., None, None] \
         * (np.swapaxes(b, -1, -2) @ d @ b)
 
@@ -334,13 +320,12 @@ def _banded_cholesky(kss: sparse.csr_matrix):
 
 
 def _reduce(k: sparse.csr_matrix, free: np.ndarray, scale: np.ndarray):
-    """The free-dof block kff of ``k`` and its Jacobi scaling
-    kss = diag(scale) kff diag(scale), both CSR, in one pass over the
-    entries of ``k``.
+    """The Jacobi-scaled free-dof block diag(scale) K_ff diag(scale)
+    of ``k`` as CSR, in one pass over the entries of ``k``.
 
     Each row keeps the column order of ``k``, so with ``k`` in canonical
     form a matrix-vector product sums every row in increasing column order.
-    kss drops the entries where (scale_i k_ij) or (scale_i k_ij) scale_j is
+    It drops the entries where (scale_i k_ij) or (scale_i k_ij) scale_j is
     zero, like the sparse product that computes it factor by factor.
     """
     is_free = np.zeros(k.shape[0], dtype=bool)
@@ -349,14 +334,12 @@ def _reduce(k: sparse.csr_matrix, free: np.ndarray, scale: np.ndarray):
     rows = _entry_rows(k)
     keep = is_free[rows] & is_free[k.indices]
     rows, cols, data = new[rows[keep]], new[k.indices[keep]], k.data[keep]
-    kff = _csr(data, rows, cols, free.size)
-
     scaled = scale[rows] * data
     nz = scaled != 0.0
     rows, cols = rows[nz], cols[nz]
     scaled = scaled[nz] * scale[cols]
     nz = scaled != 0.0
-    return kff, _csr(scaled[nz], rows[nz], cols[nz], free.size)
+    return _csr(scaled[nz], rows[nz], cols[nz], free.size)
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray,
@@ -389,7 +372,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
             f"nonpositive stiffness diagonal at dof {bad}; "
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
-    kff, kss = _reduce(k, free, scale)
+    kss = _reduce(k, free, scale)
     try:
         factor, perm, iperm = _banded_cholesky(kss)
     except LinAlgError as err:
@@ -424,15 +407,16 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     if not np.all(np.isfinite(y.astype(np.float64))):
         raise SolverError("solver produced non-finite values; the system is "
                           "singular (free rigid mode?)")
-    uf = (y * scale).astype(np.float64)
+    u = np.zeros(ndof)
+    u[free] = (y * scale).astype(np.float64)
+    # fixed columns multiply exact zeros, so the free rows of K u sum the
+    # same terms in the same order as the free block would
     fnorm = float(np.linalg.norm(ff.astype(np.float64)))
-    residual = float(np.linalg.norm((kff @ uf - ff).astype(np.float64))) \
+    residual = float(np.linalg.norm((k @ u - f)[free].astype(np.float64))) \
         / (fnorm if fnorm else 1.0)
-    if residual > 1e-6:
+    if not residual <= 1e-6:
         raise SolverError(f"relative solve residual {residual:.3e} exceeds "
                           f"1e-6; check boundary conditions")
-    u = np.zeros(ndof)
-    u[free] = uf
     return SolveResult(u=u, residual=residual)
 
 

@@ -7,9 +7,9 @@ through its one-dimensional dual. Asymptotes widen while the iterate moves
 monotonically and contract when it oscillates.
 
 The constraint is relaxed with an elastic variable y >= 0 priced at
-c*y + d*y^2/2, so the subproblem is always feasible; with c well above the
-constraint's dual price the optimizer drives y to zero and the constraint
-binds exactly. Intended for objectives scaled to order one.
+c*y + d*y^2/2 (c = 10, d = 1), so the subproblem is always feasible; with c
+well above the constraint's dual price the optimizer drives y to zero and
+the constraint binds exactly. Intended for objectives scaled to order one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ _ASY_MAX = 10.0
 _ALBEFA = 0.1
 _RAA0 = 1e-5
 _DUAL_TOL = 1e-9
+_RELAX_C = 10.0
+_RELAX_D = 1.0
 
 
 class MmaOptimizer:
@@ -39,12 +41,9 @@ class MmaOptimizer:
         Variable bounds.
     move_limit : float
         Hard cap on the per-variable step, in absolute variable units.
-    c, d : float
-        Linear and quadratic price of the constraint-relaxation variable.
     """
 
-    def __init__(self, n: int, xmin=-1.0, xmax=1.0, move_limit: float = 0.01,
-                 c: float = 10.0, d: float = 1.0):
+    def __init__(self, n: int, xmin=-1.0, xmax=1.0, move_limit: float = 0.01):
         self.n = int(n)
         self.xmin = np.broadcast_to(np.asarray(xmin, dtype=float),
                                     (self.n,)).copy()
@@ -55,8 +54,6 @@ class MmaOptimizer:
         if not move_limit > 0.0:
             raise ValueError("move_limit must be positive")
         self.move_limit = float(move_limit)
-        self.c = float(c)
-        self.d = float(d)
         self.range = np.maximum(self.xmax - self.xmin, _RAA0)
         self.low = None
         self.upp = None
@@ -130,7 +127,7 @@ class MmaOptimizer:
 
         def dual_slope(lam: float) -> float:
             xs = primal(lam)
-            y = max(0.0, (lam - self.c) / self.d)
+            y = max(0.0, (lam - _RELAX_C) / _RELAX_D)
             return float(np.sum(p1 / (upp - xs) + q1 / (xs - low))) - b - y
 
         lam = 0.0
@@ -163,7 +160,7 @@ class MmaOptimizer:
 
         xnew = primal(lam)
         self.lam = lam
-        self.y = max(0.0, (lam - self.c) / self.d)
+        self.y = max(0.0, (lam - _RELAX_C) / _RELAX_D)
         self.xold2 = self.xold1
         self.xold1 = x.copy()
         self.iteration += 1

@@ -7,6 +7,7 @@ written-and-reread value is bitwise identical to the original.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,19 @@ HISTORY_FIELDS = ("iteration", "compliance", "volume_fraction",
                   "enriched_dofs")
 
 
+@contextmanager
+def _writing(path, **kw):
+    """Text file opened for writing; an OSError becomes a ConfigError that
+    names the path."""
+    try:
+        with Path(path).open("w", **kw) as fh:
+            yield fh
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from None
+
+
 def write_history(path, records) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with _writing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(HISTORY_FIELDS)
         for r in records:
@@ -49,8 +60,7 @@ def read_history(path) -> list:
 def write_design(path, design: np.ndarray) -> None:
     """One design coefficient per line."""
     design = np.asarray(design, dtype=float)
-    path = Path(path)
-    with path.open("w") as fh:
+    with _writing(path) as fh:
         fh.write("design\n")
         for v in design:
             fh.write(_FLOAT % v + "\n")
@@ -80,7 +90,7 @@ def write_contour(path, model: EnrichedModel) -> None:
     the parent's two edge-intersection points.
     """
     segments = model.enr_coords[model.parent_slots].reshape(-1, 4)
-    with Path(path).open("w") as fh:
+    with _writing(path) as fh:
         np.savetxt(fh, segments, fmt=" ".join([_FLOAT] * 4))
 
 
@@ -98,8 +108,7 @@ def write_vtk(path, model: EnrichedModel, title: str = "igtop design") -> None:
     phase = np.concatenate([model.element_state[uncut] == MATERIAL,
                             model.tiles.material])
 
-    path = Path(path)
-    with path.open("w") as fh:
+    with _writing(path) as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(title.replace("\n", " ")[:255] + "\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")

@@ -185,13 +185,6 @@ def fit_design(grid: RbfGrid, target_at_centers: np.ndarray,
     return np.clip(s, s_min, s_max)
 
 
-def fit_initial_design(grid: RbfGrid, initial_phi,
-                       s_min: float = -1.0, s_max: float = 1.0) -> np.ndarray:
-    """Collocation fit of a callable initial levelset ``initial_phi(points)``."""
-    return fit_design(grid, np.asarray(initial_phi(grid.centers), dtype=float),
-                      s_min=s_min, s_max=s_max)
-
-
 # Relative hole positions of the classic 15-hole seed layout: two columns of
 # three holes, four columns of two holes between them, one center hole.
 _HOLE_PATTERN = np.array([
@@ -201,32 +194,22 @@ _HOLE_PATTERN = np.array([
     (0.0, 3 / 4), (1 / 3, 3 / 4), (2 / 3, 3 / 4), (1.0, 3 / 4),
     (1 / 6, 1.0), (5 / 6, 1.0),
 ])
+_HOLE_RADIUS = 0.1  # relative to the domain height
 
 
-def hole_lattice_levelset(width: float, height: float,
-                          radius_factor: float = 0.1):
+def hole_lattice_levelset(width: float, height: float):
     """Initial levelset with a lattice of 15 circular holes.
 
     Returns a callable mapping points (n, 2) to signed values: negative inside
-    a hole (void), positive outside (material). Hole radius is
-    ``radius_factor * height``.
+    a hole (void), positive outside (material). Hole radius is a tenth of
+    the height.
     """
     centers = _HOLE_PATTERN * np.array([width, height])
-    radius = radius_factor * height
+    radius = _HOLE_RADIUS * height
 
     def phi0(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
         return d.min(axis=1) - radius
-
-    return phi0
-
-
-def uniform_levelset(value: float):
-    """Constant initial levelset (positive = solid everywhere)."""
-
-    def phi0(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.full(points.shape[0], float(value))
 
     return phi0

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enrich import EnrichedModel, IntegrationElement, TileGeometry
+from .enrich import (EnrichedModel, IntegrationElement, TileGeometry,
+                     cut_values)
 from .fem import LoadCase, MaterialPair, build_b, cut_parent_dofs
-from .mesh import DL, adj2, inv2
+from .mesh import DL
 
 
 def design_velocity(xj, xk, phij, phik) -> np.ndarray:
@@ -30,11 +31,7 @@ def design_velocity(xj, xk, phij, phik) -> np.ndarray:
     derivative with respect to ``phik``. Broadcasts over leading axes:
     points (..., 2), levelset values (...).
     """
-    phij = np.asarray(phij, dtype=float)
-    phik = np.asarray(phik, dtype=float)
-    if np.any((phij == 0.0) | (phik == 0.0) | ((phij > 0.0) == (phik > 0.0))):
-        raise ValueError("edge is not cut: levelset values must have "
-                         "strictly opposite signs")
+    phij, phik = cut_values(phij, phik)
     xj = np.asarray(xj, dtype=float)
     xk = np.asarray(xk, dtype=float)
     return (-phik / np.float_power(phij - phik, 2))[..., None] * (xk - xj)
@@ -47,21 +44,15 @@ def jacobian_derivative(vertex: int, component: int) -> np.ndarray:
     return dj
 
 
-def det_derivative(jac: np.ndarray, djac: np.ndarray) -> np.ndarray:
-    """Directional derivative of det(J): trace(adj(J) dJ), shape (...)."""
-    return _det_derivative(adj2(jac), djac)
-
-
-def _det_derivative(adj: np.ndarray, djac: np.ndarray) -> np.ndarray:
+def det_derivative(adj: np.ndarray, djac: np.ndarray) -> np.ndarray:
+    """Directional derivative of det(J) from ``adj`` = adj(J):
+    trace(adj(J) dJ), shape (...)."""
     return np.einsum("...ij,...ji->...", adj, djac)
 
 
-def inv_derivative(jac: np.ndarray, djac: np.ndarray) -> np.ndarray:
-    """Directional derivative of J^{-1}: -J^{-1} dJ J^{-1}."""
-    return _inv_derivative(inv2(jac), djac)
-
-
-def _inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
+def inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
+    """Directional derivative of J^{-1} from ``jinv`` = J^{-1}:
+    -J^{-1} dJ J^{-1}."""
     # dJ J^{-1} first: for the one-row dJ of a moving vertex this is the
     # rank-one update -J^{-1}[:, c] (DL[l] J^{-1}) to the last bit
     return -(jinv @ (djac @ jinv))
@@ -71,8 +62,8 @@ def _enrichment_gradient_derivative(geom: TileGeometry, vertex: int,
                                     component: int) -> np.ndarray:
     """Five-slot gradient perturbation of moving local ``vertex`` along
     ``component``, shape (..., 5, 2): only the enriched rows respond."""
-    dge = DL @ _inv_derivative(geom.jinv,
-                               jacobian_derivative(vertex, component))
+    dge = DL @ inv_derivative(geom.jinv,
+                              jacobian_derivative(vertex, component))
     rows = geom.slot_matrix @ dge
     return np.concatenate([np.zeros_like(dge), rows], axis=-2)
 
@@ -89,7 +80,7 @@ def integration_element_stiffness_derivative(
     geom = model.geometry(ie)
     d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
-    djdet = _det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    djdet = det_derivative(geom.adj, jacobian_derivative(vertex, component))
     db = build_b(_enrichment_gradient_derivative(geom, vertex, component),
                  pair.field_dim)
     cross = np.swapaxes(db, -1, -2) @ d @ b
@@ -112,7 +103,7 @@ def integration_element_force_derivative(
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
     geom = model.geometry(ie)
-    djdet = _det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    djdet = det_derivative(geom.adj, jacobian_derivative(vertex, component))
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
     rate = 0.5 * djdet[..., None] * geom.shape \
@@ -168,7 +159,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     dx = np.zeros((3 * model.n_cut, 3, 2))
     for l in range(3):
         for c in range(2):
-            djdet = _det_derivative(geom.adj, jacobian_derivative(l, c))
+            djdet = det_derivative(geom.adj, jacobian_derivative(l, c))
             db = build_b(_enrichment_gradient_derivative(geom, l, c), d)
             dstrain = (db @ ue[..., None])[..., 0]
             dx[:, l, c] = -(0.5 * djdet * energy
@@ -180,20 +171,13 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     return _to_nodes(model, dx)
 
 
-def nodal_volume_gradient(model: EnrichedModel,
-                          which: str = "material") -> np.ndarray:
-    """d(phase volume)/d(phi_j) for every mesh node.
-
-    The material and void gradients sum to zero entrywise: parent areas are
-    fixed, interface motion only trades one phase for the other.
-    """
-    if which not in ("material", "void"):
-        raise ValueError(f"which must be 'material' or 'void', got {which!r}")
+def nodal_volume_gradient(model: EnrichedModel) -> np.ndarray:
+    """d(material volume)/d(phi_j) for every mesh node."""
     tiles = model.tiles
     # d(area)/d(x_l[c]) = det_derivative / 2 = (DL adj(J))[l, c] / 2
     darea = 0.5 * (DL @ model.geometry(tiles).adj)
-    phase = tiles.material == (which == "material")
-    return _to_nodes(model, np.where(phase[:, None, None], darea, 0.0))
+    return _to_nodes(model,
+                     np.where(tiles.material[:, None, None], darea, 0.0))
 
 
 def compliance_gradient(model: EnrichedModel, levelset, pair: MaterialPair,
@@ -203,8 +187,7 @@ def compliance_gradient(model: EnrichedModel, levelset, pair: MaterialPair,
     return np.asarray(levelset.dphi_ds().T @ nodal).ravel()
 
 
-def volume_gradient(model: EnrichedModel, levelset,
-                    which: str = "material") -> np.ndarray:
-    """d(phase volume)/d(s_i) through the kernel matrix."""
-    nodal = nodal_volume_gradient(model, which)
+def volume_gradient(model: EnrichedModel, levelset) -> np.ndarray:
+    """d(material volume)/d(s_i) through the kernel matrix."""
+    nodal = nodal_volume_gradient(model)
     return np.asarray(levelset.dphi_ds().T @ nodal).ravel()

@@ -19,8 +19,8 @@ from igtop.fem import (Conduction, LoadCase, MaterialPair,
                        PlaneStressElastic, assemble_system, compliance,
                        integration_element_force,
                        integration_element_stiffness, node_dofs,
-                       solve_system, tri_jacobian)
-from igtop.mesh import Mesh, cross2, structured_grid
+                       solve_system)
+from igtop.mesh import Mesh, adj2, cross2, inv2, structured_grid, tri_jacobian
 from igtop.sensitivity import (det_derivative,
                                integration_element_force_derivative,
                                integration_element_stiffness_derivative,
@@ -316,12 +316,12 @@ class TestCriterion7ElementDerivatives:
 
                         jp, jm = tri_jacobian(up.coords), \
                             tri_jacobian(dn.coords)
-                        track("det", det_derivative(tri_jacobian(ie.coords),
-                                                    dj),
+                        track("det", det_derivative(
+                                  adj2(tri_jacobian(ie.coords)), dj),
                               (np.linalg.det(jp) - np.linalg.det(jm))
                               / (2 * h))
-                        track("inv", inv_derivative(tri_jacobian(ie.coords),
-                                                    dj),
+                        track("inv", inv_derivative(
+                                  inv2(tri_jacobian(ie.coords)), dj),
                               (np.linalg.inv(jp) - np.linalg.inv(jm))
                               / (2 * h))
 

@@ -106,6 +106,12 @@ class TestRunLoop:
         assert len(result.history) == 1
         assert result.history[0].iteration == 0
 
+    def test_result_carries_the_effective_overrides(self):
+        result = run(small_cantilever(), budget=2, move_limit=0.02)
+        assert result.problem.budget == 2
+        assert result.problem.move_limit == 0.02
+        assert len(result.history) == 2
+
     def test_volume_constraint_is_enforced(self):
         # the hole-lattice start is volume-infeasible on this coarse grid;
         # the optimizer must walk the volume fraction toward the limit

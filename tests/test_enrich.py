@@ -61,6 +61,16 @@ class TestIntersectEdge:
         np.testing.assert_allclose(p1, p2, atol=1e-15)
         assert t1 + t2 == pytest.approx(1.0)
 
+    def test_broadcasts_over_edges(self):
+        rng = np.random.default_rng(5)
+        xj, xk = rng.uniform(-1.0, 1.0, (2, 6, 2))
+        pj, pk = -rng.uniform(0.1, 2.0, 6), rng.uniform(0.1, 2.0, 6)
+        points, t = intersect_edge(xj, xk, pj, pk)
+        for i in range(6):
+            point, ti = intersect_edge(xj[i], xk[i], pj[i], pk[i])
+            np.testing.assert_array_equal(points[i], point)
+            assert t[i] == ti
+
     def test_uncut_edge_rejected(self):
         with pytest.raises(ValueError, match="opposite signs"):
             intersect_edge([0, 0], [1, 0], 1.0, 2.0)
@@ -103,11 +113,9 @@ class TestSingleCutTriangle:
 
     def test_two_enriched_nodes_on_cut_edges(self, model):
         assert model.n_enriched == 2
-        first, second = model.enriched_nodes
-        assert first.edge == (0, 1) and first.t == pytest.approx(0.5)
-        np.testing.assert_allclose(first.coords, [0.5, 0.0])
-        assert second.edge == (0, 2)
-        np.testing.assert_allclose(second.coords, [0.0, 0.5])
+        np.testing.assert_array_equal(model.enr_edges, [[0, 1], [0, 2]])
+        assert model.enr_t[0] == pytest.approx(0.5)
+        np.testing.assert_allclose(model.enr_coords, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_three_integration_elements_tile_parent(self, model):
         assert len(model.integration) == 3

@@ -34,6 +34,10 @@ def tiny_config(tmp_path, extra=""):
     return cfg
 
 
+def run_not_reached(*args, **kwargs):
+    raise AssertionError("the optimization started")
+
+
 class TestConfig:
     def test_full_roundtrip(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
@@ -377,6 +381,43 @@ class TestCli:
                      "contour.txt"):
             assert (paths[0] / name).read_bytes() \
                 == (paths[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("history", ["", "nosuch/h.csv"])
+    def test_bad_history_name_exits_2_before_running(self, tmp_path, capsys,
+                                                     monkeypatch, history):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text() + f"history = {history}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "history" in capsys.readouterr().err
+
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(str(tmp_path / "out"),
+                                               str(blocker / "x")))
+        assert main(["run", str(cfg)]) == 2
+        assert "output directory" in capsys.readouterr().err
+
+    def test_output_dir_flag_naming_a_file_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["run", str(tiny_config(tmp_path)),
+                   "--output-dir", str(blocker)])
+        assert rc == 2
+        assert "output directory" in capsys.readouterr().err
+
+    def test_export_to_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "nosuch" / "x.vtk"
+        rc = main(["export", str(tiny_config(tmp_path)),
+                   "--vtk", str(target)])
+        assert rc == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from igtop.errors import ConfigError
 from igtop.mesh import structured_grid
 from igtop.rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
-                       fit_initial_design, hole_lattice_levelset,
-                       uniform_levelset, wendland)
+                       hole_lattice_levelset, wendland)
 
 
 class TestWendland:
@@ -184,7 +183,7 @@ class TestFit:
         grid = RbfGrid.structured(1.0, 1.0, 21, 21)
         phi0 = lambda p: np.linalg.norm(
             np.atleast_2d(p) - [0.5, 0.5], axis=1) - 0.25
-        s = fit_initial_design(grid, phi0)
+        s = fit_design(grid, phi0(grid.centers))
 
         def phi(points):
             return build_theta(grid, np.atleast_2d(points)) @ s
@@ -217,7 +216,3 @@ class TestInitialLevelsets:
         assert np.any(vals < 0) and np.any(vals > 0)
         # holes occupy well under half of the domain
         assert np.mean(vals < 0) < 0.35
-
-    def test_uniform(self):
-        phi0 = uniform_levelset(0.7)
-        np.testing.assert_allclose(phi0(np.zeros((4, 2))), 0.7)

@@ -13,12 +13,12 @@ import pytest
 
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.fem import (Conduction, LoadCase, MaterialPair, PlaneStressElastic,
-                       adj2, assemble_system, build_b, compliance,
-                       cut_parent_dofs, det2, integration_element_force,
-                       integration_element_gradients,
-                       integration_element_stiffness, inv2, node_dofs,
-                       solve_system, tri_hat_gradients, tri_jacobian)
-from igtop.mesh import Mesh, cross2, structured_grid
+                       assemble_system, build_b, compliance, cut_parent_dofs,
+                       integration_element_force,
+                       integration_element_stiffness, node_dofs,
+                       solve_system)
+from igtop.mesh import (Mesh, adj2, cross2, det2, inv2, structured_grid,
+                        tri_hat_gradients, tri_jacobian)
 from igtop.rbf import LevelsetField, RbfGrid, fit_design
 from igtop.sensitivity import (compliance_gradient, design_velocity,
                                det_derivative, integration_element_force_derivative,
@@ -102,12 +102,14 @@ class TestJacobianDerivatives:
             cm[vertex, comp] -= h
             fd_det = (np.linalg.det(tri_jacobian(cp))
                       - np.linalg.det(tri_jacobian(cm))) / (2 * h)
-            np.testing.assert_allclose(det_derivative(jac, djac), fd_det,
+            np.testing.assert_allclose(det_derivative(adj2(jac), djac),
+                                       fd_det,
                                        rtol=1e-5, atol=1e-12)
 
             fd_inv = (np.linalg.inv(tri_jacobian(cp))
                       - np.linalg.inv(tri_jacobian(cm))) / (2 * h)
-            np.testing.assert_allclose(inv_derivative(jac, djac), fd_inv,
+            np.testing.assert_allclose(inv_derivative(inv2(jac), djac),
+                                       fd_inv,
                                        rtol=1e-5, atol=1e-9)
             checked += 1
 
@@ -204,8 +206,7 @@ class TestElementDerivatives:
         # Off-edge motion breaks the tiling and is legitimately nonzero.
         model = cut_triangle
         for s in range(2):
-            en = model.enriched_nodes[s]
-            j, k = en.edge
+            j, k = model.enr_edges[s]
             tangent = model.mesh.nodes[k] - model.mesh.nodes[j]
             total = np.zeros(3)
             for ie in model.integration:
@@ -242,7 +243,7 @@ class TestNodalGradients:
         model, u, f, c0 = solve_compliance(mesh, phi, HEAT, loads, fixed)
         grad = nodal_compliance_gradient(model, HEAT, loads, u)
 
-        cut_nodes = sorted({n for en in model.enriched_nodes for n in en.edge})
+        cut_nodes = np.unique(model.enr_edges).tolist()
         assert cut_nodes, "test problem must have a cut interface"
         far = [j for j in range(mesh.n_nodes) if j not in cut_nodes]
         assert all(grad[j] == 0.0 for j in far)
@@ -265,7 +266,7 @@ class TestNodalGradients:
         model, u, f, c0 = solve_compliance(mesh, phi, HEAT, loads, fixed)
         grad = nodal_compliance_gradient(model, HEAT, loads, u)
         h = 1e-6
-        cut_nodes = sorted({n for en in model.enriched_nodes for n in en.edge})
+        cut_nodes = np.unique(model.enr_edges).tolist()
         worst = 0.0
         for j in cut_nodes:
             pp, pm = phi.copy(), phi.copy()
@@ -293,7 +294,7 @@ class TestNodalGradients:
         grad = nodal_compliance_gradient(model, ELASTIC, loads, u)
         assert model.n_cut >= 8
 
-        cut_nodes = sorted({n for en in model.enriched_nodes for n in en.edge})
+        cut_nodes = np.unique(model.enr_edges).tolist()
         # At a phase contrast of 1e6 the linear-solve roundoff enters the
         # difference quotient as noise/h; h = 1e-5 keeps it ~3e-5 relative
         # while the O(h^2) truncation stays far below that.
@@ -312,10 +313,10 @@ class TestNodalGradients:
     def test_volume_gradient_matches_fd_and_sums_to_interface_length(self):
         mesh, phi, _, _ = build_heat_problem(interface=0.37)
         model = build_enriched_model(mesh, phi)
-        grad = nodal_volume_gradient(model, "material")
+        grad = nodal_volume_gradient(model)
 
         h = 1e-6
-        cut_nodes = sorted({n for en in model.enriched_nodes for n in en.edge})
+        cut_nodes = np.unique(model.enr_edges).tolist()
         for j in cut_nodes:
             pp, pm = phi.copy(), phi.copy()
             pp[j] += h
@@ -329,15 +330,6 @@ class TestNodalGradients:
         # every nodal value shifts by -da, so the gradient sums to the
         # interface length (here the domain height, exactly).
         assert grad.sum() == pytest.approx(1.0, rel=1e-12)
-
-    def test_volume_gradients_are_complementary(self):
-        mesh, phi, _, _ = build_heat_problem(interface=0.41)
-        model = build_enriched_model(mesh, phi)
-        g_mat = nodal_volume_gradient(model, "material")
-        g_void = nodal_volume_gradient(model, "void")
-        np.testing.assert_allclose(g_mat + g_void, 0.0, atol=1e-13)
-        with pytest.raises(ValueError, match="material"):
-            nodal_volume_gradient(model, "solid")
 
     def test_fused_loop_matches_element_operator_assembly(self):
         # The production gradient contracts the stiffness-derivative factors
@@ -362,8 +354,7 @@ class TestNodalGradients:
                             model, ie, HEAT, l, c)
                         dc_dx[s, c] += -float(ue @ dk @ ue)
             for s in range(2):
-                en = model.enriched_nodes[model.parent_slots[row][s]]
-                j, k = en.edge
+                j, k = model.enr_edges[model.parent_slots[row][s]]
                 vj = design_velocity(mesh.nodes[j], mesh.nodes[k],
                                      phi[j], phi[k])
                 vk = design_velocity(mesh.nodes[k], mesh.nodes[j],
@@ -398,10 +389,6 @@ class TestStackedOperators:
             assert ie.enr_slots == tuple(t.enr_slots[i])
             np.testing.assert_array_equal(ie.coords, t.coords[i])
             assert ie.material == t.material[i] and ie.area == t.area[i]
-        for m, en in enumerate(model.enriched_nodes):
-            assert en.edge == tuple(model.enr_edges[m])
-            assert en.t == model.enr_t[m]
-            np.testing.assert_array_equal(en.coords, model.enr_coords[m])
 
     def test_operators_broadcast_over_the_stack(self, case):
         model, pair, loads = case
@@ -412,9 +399,8 @@ class TestStackedOperators:
             "adj2": lambda ie: adj2(tri_jacobian(ie.coords)),
             "inv2": lambda ie: inv2(tri_jacobian(ie.coords)),
             "det2": lambda ie: det2(tri_jacobian(ie.coords)),
-            "build_b": lambda ie: build_b(
-                integration_element_gradients(model, ie), d),
-            "gradients": lambda ie: integration_element_gradients(model, ie),
+            "build_b": lambda ie: build_b(model.geometry(ie).grads, d),
+            "gradients": lambda ie: model.geometry(ie).grads,
             "stiffness": lambda ie: integration_element_stiffness(
                 model, ie, pair),
             "force": lambda ie: integration_element_force(
@@ -427,11 +413,11 @@ class TestStackedOperators:
             for c in range(2):
                 dj = jacobian_derivative(l, c)
                 operators[f"det_derivative {l}{c}"] = \
-                    lambda ie, dj=dj: det_derivative(tri_jacobian(ie.coords),
-                                                     dj)
+                    lambda ie, dj=dj: det_derivative(
+                        adj2(tri_jacobian(ie.coords)), dj)
                 operators[f"inv_derivative {l}{c}"] = \
-                    lambda ie, dj=dj: inv_derivative(tri_jacobian(ie.coords),
-                                                     dj)
+                    lambda ie, dj=dj: inv_derivative(
+                        inv2(tri_jacobian(ie.coords)), dj)
                 operators[f"stiffness_derivative {l}{c}"] = \
                     lambda ie, l=l, c=c: \
                     integration_element_stiffness_derivative(
@@ -476,7 +462,7 @@ class TestDesignGradients:
         s0 = field.design.copy()
         model, u, c0, v0 = self.evaluate(mesh, field, loads, fixed, s0)
         dc = compliance_gradient(model, field, ELASTIC, loads, u)
-        dv = volume_gradient(model, field, "material")
+        dv = volume_gradient(model, field)
         assert dc.shape == (grid.n_centers,)
 
         rng = np.random.default_rng(3)
@@ -501,9 +487,9 @@ class TestDesignGradients:
         s0 = field.design.copy()
         model, u, _, _ = self.evaluate(mesh, field, loads, fixed, s0)
         dc = compliance_gradient(model, field, ELASTIC, loads, u)
-        dv = volume_gradient(model, field, "material")
+        dv = volume_gradient(model, field)
 
-        cut_nodes = sorted({n for en in model.enriched_nodes for n in en.edge})
+        cut_nodes = np.unique(model.enr_edges).tolist()
         theta = field.theta.tocsc()
         for i in range(grid.n_centers):
             rows = theta.indices[theta.indptr[i]:theta.indptr[i + 1]]
