@@ -14,8 +14,7 @@ from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
 from .errors import (ConfigError, IgtopError, MmaStepError, NumericalError,
                      SolverError)
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
-                  PlaneStressElastic, assemble_system, compliance,
-                  solve_system)
+                  PlaneStressElastic, compliance, solve_system)
 from .mesh import Mesh, structured_grid
 from .mma import MmaOptimizer
 from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
@@ -34,7 +33,7 @@ __all__ = [
     "ConfigError", "IgtopError", "MmaStepError", "NumericalError",
     "SolverError",
     "Assembler", "Conduction", "LoadCase", "MaterialPair",
-    "PlaneStressElastic", "assemble_system", "compliance", "solve_system",
+    "PlaneStressElastic", "compliance", "solve_system",
     "Mesh", "structured_grid",
     "MmaOptimizer",
     "LevelsetField", "RbfGrid", "build_theta", "fit_design",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import OutputConfig, RunConfig, load_config
+from .config import ARTIFACTS, OutputConfig, RunConfig, load_config
 from .driver import (BUILTIN_PROBLEMS, S_MAX, S_MIN, analyze, check_gradients,
                      get_problem, run)
 from .errors import ConfigError, NumericalError
@@ -68,14 +68,14 @@ def _cmd_run(args) -> int:
 
     def observer(state):
         if state.u is None:
-            write_design(outdir / "design_failed.txt", state.design)
+            failed = outdir / ARTIFACTS["failed"]
+            write_design(failed, state.design)
             print(f"solver failed at iteration {state.iteration}; "
-                  f"design saved to {outdir / 'design_failed.txt'}",
-                  file=sys.stderr)
+                  f"design saved to {failed}", file=sys.stderr)
             return
         if every and state.iteration % every == 0:
-            write_design(outdir / f"design_{state.iteration:04d}.txt",
-                         state.design)
+            write_design(outdir / ARTIFACTS["snapshot"].format(
+                state.iteration), state.design)
         if state.iteration % 10 == 0:
             print(f"iter {state.iteration:4d}  compliance "
                   f"{state.compliance:14.6g}  volume fraction "
@@ -84,12 +84,12 @@ def _cmd_run(args) -> int:
     result = run(cfg.problem, observer=observer)
 
     write_history(outdir / out.history, result.history)
-    write_design(outdir / "design_final.txt", result.design)
+    write_design(outdir / ARTIFACTS["final"], result.design)
     if out.vtk:
-        write_vtk(outdir / "design.vtk", result.model,
+        write_vtk(outdir / ARTIFACTS["vtk"], result.model,
                   title=f"{cfg.problem.name} final design")
     if out.contour:
-        write_contour(outdir / "contour.txt", result.model)
+        write_contour(outdir / ARTIFACTS["contour"], result.model)
     last = result.history[-1]
     print(f"done: {len(result.history)} iterations, final compliance "
           f"{last.compliance:.6g}, volume fraction "
@@ -138,9 +138,14 @@ def _cmd_export(args) -> int:
         raise ConfigError("nothing to export: pass --vtk and/or --contour")
     if args.design and args.iteration is not None:
         raise ConfigError("pass --design or --iteration, not both")
+    for target in (args.vtk, args.contour):
+        if target and not Path(target).parent.is_dir():
+            raise ConfigError(f"cannot write {target}: no directory "
+                              f"{Path(target).parent}")
     cfg = _resolve(args)
     if args.iteration is not None:
-        snap = cfg.output.directory / f"design_{args.iteration:04d}.txt"
+        snap = cfg.output.directory / ARTIFACTS["snapshot"].format(
+            args.iteration)
         if not snap.exists():
             raise ConfigError(f"no snapshot {snap} (was the run saved with "
                               "snapshot_every > 0?)")

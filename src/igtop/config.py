@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +49,14 @@ _OUTPUT_KEYS = {
     "contour": bool,
     "gradient_check": bool,
 }
+
+# files ``igtop run`` writes next to the history; ``snapshot`` formats the
+# iteration number
+ARTIFACTS = {"final": "design_final.txt", "failed": "design_failed.txt",
+             "vtk": "design.vtk", "contour": "contour.txt",
+             "snapshot": "design_{:04d}.txt"}
+_SNAPSHOT_NAME = re.compile(r"design_[0-9]{4,}\.txt")
+
 
 @dataclass
 class OutputConfig:
@@ -125,6 +134,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
             or Path(output.history).name != output.history:
         raise ConfigError(f"[output] history must be a file name, got "
                           f"{output.history!r}")
+    if output.history in ARTIFACTS.values() \
+            or _SNAPSHOT_NAME.fullmatch(output.history):
+        raise ConfigError(f"[output] history {output.history!r} is the name "
+                          f"of another file the run writes")
     return RunConfig(problem=problem, output=output)
 
 

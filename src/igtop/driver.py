@@ -20,10 +20,9 @@ from .errors import ConfigError, SolverError
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
-from .mma import MmaOptimizer
+from .mma import S_MAX, S_MIN, MmaOptimizer
 from .rbf import LevelsetField, RbfGrid, fit_design, hole_lattice_levelset
 
-S_MIN, S_MAX = -1.0, 1.0
 STALL_TOL = 1e-6
 STALL_ITERS = 10
 
@@ -32,7 +31,7 @@ STALL_ITERS = 10
 class DirichletRule:
     """Prescribes zero essential values on part of the boundary.
 
-    Either ``side`` (with an optional coordinate window) or ``point``
+    Either ``side`` (every node on one side of the rectangle) or ``point``
     (nearest node) selects the nodes; ``component`` picks one field
     component, or all of them when None.
     """
@@ -40,10 +39,6 @@ class DirichletRule:
     side: str | None = None
     point: tuple[float, float] | None = None
     component: int | None = None
-    xmin: float = -math.inf
-    xmax: float = math.inf
-    ymin: float = -math.inf
-    ymax: float = math.inf
 
     def select_nodes(self, mesh: Mesh) -> np.ndarray:
         if (self.side is None) == (self.point is None):
@@ -51,11 +46,11 @@ class DirichletRule:
                                "or point"])
         if self.point is not None:
             return np.array([mesh.nearest_node(self.point)], dtype=np.int64)
-        nodes = mesh.boundary[self.side]
-        xy = mesh.nodes[nodes]
-        keep = ((xy[:, 0] >= self.xmin) & (xy[:, 0] <= self.xmax)
-                & (xy[:, 1] >= self.ymin) & (xy[:, 1] <= self.ymax))
-        return nodes[keep]
+        if self.side not in mesh.boundary:
+            raise ConfigError([f"support rule has unknown side "
+                               f"{self.side!r}; sides are "
+                               f"{', '.join(sorted(mesh.boundary))}"])
+        return mesh.boundary[self.side]
 
 
 @dataclass
@@ -122,17 +117,14 @@ class ProblemSpec:
         d = self.pair.field_dim
         out = []
         for rule in self.dirichlet:
-            nodes = rule.select_nodes(mesh)
-            if nodes.size == 0:
-                raise ConfigError([f"support rule {rule} selects no nodes"])
-            out.append(node_dofs(nodes, d, rule.component))
+            out.append(node_dofs(rule.select_nodes(mesh), d, rule.component))
         if not out:
             raise ConfigError(["problem has no supports"])
         return np.unique(np.concatenate(out))
 
     def initial_design(self, grid: RbfGrid) -> np.ndarray:
         phi0 = hole_lattice_levelset(self.width, self.height)
-        return fit_design(grid, phi0(grid.centers), S_MIN, S_MAX)
+        return np.clip(fit_design(grid, phi0(grid.centers)), S_MIN, S_MAX)
 
 
 def cantilever(nx: int = 21, ny: int = 11, **overrides) -> ProblemSpec:
@@ -268,7 +260,7 @@ class _Workspace:
 
 
 def run(problem: ProblemSpec, *, budget: int | None = None,
-        move_limit: float | None = None, observer=None) -> RunResult:
+        observer=None) -> RunResult:
     """Optimize a problem; returns the final design and iteration history.
 
     The history holds one record per analysis, starting with the initial
@@ -278,15 +270,12 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     design is handed to the observer before the error propagates.
     """
     problem = problem.with_overrides(
-        budget=problem.budget if budget is None else int(budget),
-        move_limit=(problem.move_limit if move_limit is None
-                    else float(move_limit)))
+        budget=problem.budget if budget is None else int(budget))
     budget = problem.budget
 
     ws = _Workspace(problem)
     s = ws.field.design.copy()
-    opt = MmaOptimizer(ws.grid.n_centers, S_MIN, S_MAX,
-                       move_limit=problem.move_limit)
+    opt = MmaOptimizer(ws.grid.n_centers, move_limit=problem.move_limit)
     v_limit = problem.volume_fraction * ws.domain_volume
 
     history = []

@@ -109,6 +109,9 @@ class TileGeometry:
     adj, jinv : (..., 2, 2)
         Adjugates and inverses of the Jacobians of the master-to-physical
         maps.
+    ddet : (..., 3, 2)
+        DL adj(J): entry (l, c) is d(det J)/d(x_l[c]), twice the rate of
+        change of the area as vertex l moves along axis c.
     slot_matrix : (..., 2, 3)
         The elements' :attr:`IntegrationElement.slot_matrix`.
     grads : (..., 5, 2)
@@ -121,6 +124,7 @@ class TileGeometry:
 
     adj: np.ndarray
     jinv: np.ndarray
+    ddet: np.ndarray
     slot_matrix: np.ndarray
     grads: np.ndarray
     shape: np.ndarray
@@ -226,6 +230,7 @@ class EnrichedModel:
                                 self.enrichment_values(ie, _CENTROID)],
                                axis=-1).astype(dtype)
         return TileGeometry(adj=adj, jinv=jinv,
+                            ddet=DL.astype(dtype) @ adj,
                             slot_matrix=slot_matrix,
                             grads=np.concatenate([parent, enriched], axis=-2),
                             shape=shape)

@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .enrich import MATERIAL, VOID, EnrichedModel, IntegrationElement
+from .enrich import CUT, MATERIAL, EnrichedModel, IntegrationElement
 from .errors import ConfigError, SolverError
 from .mesh import cofactor_hat_gradients
 
@@ -240,9 +240,9 @@ class Assembler:
                 raise ConfigError(
                     f"edge load on cut edge ({na}, {nb}) is not supported")
 
-        factor = np.zeros(mesh.n_elements, dtype=dtype)
-        factor[model.element_state == MATERIAL] = pair.material.modulus
-        factor[model.element_state == VOID] = pair.void.modulus
+        uncut = model.element_state != CUT
+        material = model.element_state == MATERIAL
+        factor = np.where(uncut, pair.modulus_of(material), 0.0).astype(dtype)
         tiles = model.tiles
         dofs = cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)
         k_cut = integration_element_stiffness(model, tiles, pair, dtype)
@@ -257,25 +257,18 @@ class Assembler:
 
         f = np.zeros(ndof, dtype=dtype)
         f[:self._f_base.size] = self._f_base
-        for b, state in ((loads.body_material, MATERIAL),
-                         (loads.body_void, VOID)):
-            sel = model.element_state == state
-            if b is None or not np.any(sel):
-                continue
-            fe = np.outer(mesh.areas[sel].astype(dtype) / 3.0,
-                          np.tile(np.atleast_1d(b).astype(dtype), 3)).ravel()
-            np.add.at(f, self._elem_dofs[sel].ravel(), fe)
+        # a node never belongs to both an uncut material and an uncut void
+        # element, so one pass adds each entry's terms in element order
+        body = loads.body_of(material[uncut], d)
+        if body is not None:
+            fe = (mesh.areas[uncut].astype(dtype) / 3.0)[:, None] \
+                * np.tile(body.astype(dtype), 3)
+            np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
         body = loads.body_of(tiles.material, d)
         if body is not None:
             np.add.at(f, dofs.ravel(), integration_element_force(
                 model, tiles, body, d, dtype).ravel())
         return k, f
-
-
-def assemble_system(model: EnrichedModel, pair: MaterialPair, loads: LoadCase,
-                    dtype=np.float64):
-    """One-shot assembly; builds a throwaway :class:`Assembler`."""
-    return Assembler(model.mesh, pair, loads, dtype=dtype).assemble(model)
 
 
 @dataclass(frozen=True)

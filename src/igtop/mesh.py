@@ -34,33 +34,22 @@ def adj2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv2(m: np.ndarray) -> np.ndarray:
-    """Inverses of 2x2 matrices, preserving the input dtype."""
-    return adj2(m) / det2(m)[..., None, None]
-
-
 def tri_jacobian(coords: np.ndarray) -> np.ndarray:
     """Jacobians of the master-to-physical maps of triangles with vertex
     coordinates (..., 3, 2); columns are edge vectors."""
     return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
 
 
-def tri_hat_gradients(coords: np.ndarray) -> np.ndarray:
-    """Physical hat-function gradients DL J^{-1} of triangles with vertex
-    coordinates (..., 3, 2), in their dtype, shape (..., 3, 2).
-
-    Integration elements use this form, mesh elements the cofactor form of
-    :func:`cofactor_hat_gradients`. The two agree up to rounding, but
-    optimization histories amplify rounding differences, so replacing
-    either form would move every optimization result.
-    """
-    return DL.astype(coords.dtype) @ inv2(tri_jacobian(coords))
-
-
 def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
     """Physical hat-function gradients of triangles with vertex coordinates
     (..., 3, 2), in their dtype: row i is the rotated opposite edge
-    (y_j - y_k, x_k - x_j) over twice the area, with (i, j, k) cyclic."""
+    (y_j - y_k, x_k - x_j) over twice the area, with (i, j, k) cyclic.
+
+    Mesh elements use this form, integration elements the form DL J^{-1}
+    (see :meth:`igtop.enrich.EnrichedModel.geometry`). The two agree up to
+    rounding, but optimization histories amplify rounding differences, so
+    replacing either form would move every optimization result.
+    """
     g = np.empty_like(coords)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3

@@ -29,32 +29,28 @@ _DUAL_TOL = 1e-9
 _RELAX_C = 10.0
 _RELAX_D = 1.0
 
+# the design box
+S_MIN, S_MAX = -1.0, 1.0
+_RANGE = S_MAX - S_MIN
+
 
 class MmaOptimizer:
-    """Stateful MMA update for box-bounded minimization with one constraint.
+    """Stateful MMA update for minimization over the box
+    [S_MIN, S_MAX]^n with one constraint.
 
     Parameters
     ----------
     n : int
         Number of design variables.
-    xmin, xmax : float or array
-        Variable bounds.
     move_limit : float
         Hard cap on the per-variable step, in absolute variable units.
     """
 
-    def __init__(self, n: int, xmin=-1.0, xmax=1.0, move_limit: float = 0.01):
+    def __init__(self, n: int, move_limit: float = 0.01):
         self.n = int(n)
-        self.xmin = np.broadcast_to(np.asarray(xmin, dtype=float),
-                                    (self.n,)).copy()
-        self.xmax = np.broadcast_to(np.asarray(xmax, dtype=float),
-                                    (self.n,)).copy()
-        if not np.all(self.xmax > self.xmin):
-            raise ValueError("xmax must exceed xmin everywhere")
         if not move_limit > 0.0:
             raise ValueError("move_limit must be positive")
         self.move_limit = float(move_limit)
-        self.range = np.maximum(self.xmax - self.xmin, _RAA0)
         self.low = None
         self.upp = None
         self.xold1 = None
@@ -65,8 +61,8 @@ class MmaOptimizer:
 
     def _update_asymptotes(self, x: np.ndarray) -> None:
         if self.iteration < 2:
-            self.low = x - _ASY_INIT * self.range
-            self.upp = x + _ASY_INIT * self.range
+            self.low = x - _ASY_INIT * _RANGE
+            self.upp = x + _ASY_INIT * _RANGE
             return
         trend = (x - self.xold1) * (self.xold1 - self.xold2)
         factor = np.ones(self.n)
@@ -74,10 +70,10 @@ class MmaOptimizer:
         factor[trend > 0.0] = _ASY_GROW
         low = x - factor * (self.xold1 - self.low)
         upp = x + factor * (self.upp - self.xold1)
-        self.low = np.clip(low, x - _ASY_MAX * self.range,
-                           x - _ASY_MIN * self.range)
-        self.upp = np.clip(upp, x + _ASY_MIN * self.range,
-                           x + _ASY_MAX * self.range)
+        self.low = np.clip(low, x - _ASY_MAX * _RANGE,
+                           x - _ASY_MIN * _RANGE)
+        self.upp = np.clip(upp, x + _ASY_MIN * _RANGE,
+                           x + _ASY_MAX * _RANGE)
 
     def step(self, x, df0dx, fval: float, dfdx) -> np.ndarray:
         """One design update.
@@ -100,14 +96,14 @@ class MmaOptimizer:
         self._update_asymptotes(x)
         low, upp = self.low, self.upp
 
-        alpha = np.maximum.reduce([self.xmin, low + _ALBEFA * (x - low),
-                                   x - self.move_limit])
-        beta = np.minimum.reduce([self.xmax, upp - _ALBEFA * (upp - x),
-                                  x + self.move_limit])
+        alpha = np.maximum(np.maximum(S_MIN, low + _ALBEFA * (x - low)),
+                           x - self.move_limit)
+        beta = np.minimum(np.minimum(S_MAX, upp - _ALBEFA * (upp - x)),
+                          x + self.move_limit)
 
         ux = upp - x
         xl = x - low
-        base = _RAA0 / self.range
+        base = _RAA0 / _RANGE
         p0 = ux ** 2 * (np.maximum(df0dx, 0.0)
                         + 0.001 * np.abs(df0dx) + base)
         q0 = xl ** 2 * (np.maximum(-df0dx, 0.0)

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import HistoryRecord
 from .enrich import CUT, MATERIAL, EnrichedModel
 from .errors import ConfigError
 
@@ -39,22 +38,6 @@ def write_history(path, records) -> None:
         for r in records:
             w.writerow([r.iteration, _FLOAT % r.compliance,
                         _FLOAT % r.volume_fraction, r.enriched_dofs])
-
-
-def read_history(path) -> list:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != HISTORY_FIELDS:
-            raise ConfigError(f"{path} is not a history file: header {header}")
-        out = []
-        for row in reader:
-            out.append(HistoryRecord(iteration=int(row[0]),
-                                     compliance=float(row[1]),
-                                     volume_fraction=float(row[2]),
-                                     enriched_dofs=int(row[3])))
-    return out
 
 
 def write_design(path, design: np.ndarray) -> None:

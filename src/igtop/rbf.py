@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigError
 
-DEFAULT_SUPPORT_FACTOR = float(np.sqrt(2.0))
+_SUPPORT_FACTOR = float(np.sqrt(2.0))  # support radius / center spacing
 
 # Stored-entry cutoff sits a hair above the support radius so centers exactly
 # on the support boundary keep an explicit (zero) entry in the sparse pattern.
@@ -61,19 +61,17 @@ class RbfGrid:
         return self.centers.shape[0]
 
     @classmethod
-    def structured(cls, width: float, height: float, nx: int, ny: int,
-                   support_factor: float = DEFAULT_SUPPORT_FACTOR) -> "RbfGrid":
+    def structured(cls, width: float, height: float, nx: int,
+                   ny: int) -> "RbfGrid":
         """Regular nx-by-ny center grid over [0, width] x [0, height].
 
-        The support radius is ``support_factor`` times the x-spacing.
+        The support radius is sqrt(2) times the x-spacing.
         """
         problems = []
         if not (width > 0.0 and height > 0.0):
             problems.append(f"extents must be positive, got {width} x {height}")
         if nx < 2 or ny < 2:
             problems.append(f"need at least 2 centers per direction, got {nx} x {ny}")
-        if not support_factor > 0.0:
-            problems.append(f"support factor must be positive, got {support_factor}")
         if problems:
             raise ConfigError("; ".join(problems))
         xs = np.linspace(0.0, width, nx)
@@ -82,7 +80,7 @@ class RbfGrid:
         centers = np.column_stack([gx.ravel(), gy.ravel()])
         spacing = width / (nx - 1)
         return cls(centers=centers, spacing=spacing,
-                   support_radius=support_factor * spacing)
+                   support_radius=_SUPPORT_FACTOR * spacing)
 
 
 def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:
@@ -115,11 +113,11 @@ class LevelsetField:
 
     Holds the kernel matrix for the points (usually mesh nodes), the current
     design vector, and the cached nodal field phi = theta @ s. The cache is
-    refreshed only by :meth:`update_design`.
+    refreshed only by :meth:`update_design`. ``theta`` is also the design
+    derivative: entry (j, i) is d(phi_j)/d(s_i).
     """
 
-    def __init__(self, grid: RbfGrid, points: np.ndarray,
-                 design: np.ndarray | None = None):
+    def __init__(self, grid: RbfGrid, points: np.ndarray, design: np.ndarray):
         self.grid = grid
         self.points = np.asarray(points, dtype=float)
         self.theta = build_theta(grid, self.points)
@@ -130,8 +128,6 @@ class LevelsetField:
                 f"{bad.size} of {self.points.shape[0]} points lie outside every "
                 f"kernel support (first few: {bad[:5].tolist()}); refine the "
                 f"center grid or enlarge the support radius")
-        if design is None:
-            design = np.zeros(grid.n_centers)
         self._design = None
         self._nodal = None
         self.update_design(design)
@@ -158,16 +154,10 @@ class LevelsetField:
         self._nodal = self.theta @ self._design
         self._nodal.setflags(write=False)
 
-    def dphi_ds(self) -> sparse.csr_matrix:
-        """Derivative of nodal values w.r.t. the design: entry (j, i) is
-        d(phi_j)/d(s_i). Aliases the stored kernel matrix; never recomputed."""
-        return self.theta
 
-
-def fit_design(grid: RbfGrid, target_at_centers: np.ndarray,
-               s_min: float = -1.0, s_max: float = 1.0) -> np.ndarray:
+def fit_design(grid: RbfGrid, target_at_centers: np.ndarray) -> np.ndarray:
     """Design vector whose field interpolates ``target_at_centers`` at the
-    kernel centers, clamped to [s_min, s_max] afterwards.
+    kernel centers.
 
     Raises
     ------
@@ -182,7 +172,7 @@ def fit_design(grid: RbfGrid, target_at_centers: np.ndarray,
         raise ConfigError(f"center collocation system is singular: {err}") from err
     if not np.all(np.isfinite(s)):
         raise ConfigError("center collocation produced non-finite design values")
-    return np.clip(s, s_min, s_max)
+    return s
 
 
 # Relative hole positions of the classic 15-hole seed layout: two columns of

@@ -44,12 +44,6 @@ def jacobian_derivative(vertex: int, component: int) -> np.ndarray:
     return dj
 
 
-def det_derivative(adj: np.ndarray, djac: np.ndarray) -> np.ndarray:
-    """Directional derivative of det(J) from ``adj`` = adj(J):
-    trace(adj(J) dJ), shape (...)."""
-    return np.einsum("...ij,...ji->...", adj, djac)
-
-
 def inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
     """Directional derivative of J^{-1} from ``jinv`` = J^{-1}:
     -J^{-1} dJ J^{-1}."""
@@ -80,7 +74,7 @@ def integration_element_stiffness_derivative(
     geom = model.geometry(ie)
     d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
-    djdet = det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    djdet = geom.ddet[..., vertex, component]
     db = build_b(_enrichment_gradient_derivative(geom, vertex, component),
                  pair.field_dim)
     cross = np.swapaxes(db, -1, -2) @ d @ b
@@ -103,7 +97,7 @@ def integration_element_force_derivative(
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
     geom = model.geometry(ie)
-    djdet = det_derivative(geom.adj, jacobian_derivative(vertex, component))
+    djdet = geom.ddet[..., vertex, component]
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
     rate = 0.5 * djdet[..., None] * geom.shape \
@@ -159,7 +153,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     dx = np.zeros((3 * model.n_cut, 3, 2))
     for l in range(3):
         for c in range(2):
-            djdet = det_derivative(geom.adj, jacobian_derivative(l, c))
+            djdet = geom.ddet[:, l, c]
             db = build_b(_enrichment_gradient_derivative(geom, l, c), d)
             dstrain = (db @ ue[..., None])[..., 0]
             dx[:, l, c] = -(0.5 * djdet * energy
@@ -174,8 +168,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
 def nodal_volume_gradient(model: EnrichedModel) -> np.ndarray:
     """d(material volume)/d(phi_j) for every mesh node."""
     tiles = model.tiles
-    # d(area)/d(x_l[c]) = det_derivative / 2 = (DL adj(J))[l, c] / 2
-    darea = 0.5 * (DL @ model.geometry(tiles).adj)
+    darea = 0.5 * model.geometry(tiles).ddet
     return _to_nodes(model,
                      np.where(tiles.material[:, None, None], darea, 0.0))
 
@@ -184,10 +177,10 @@ def compliance_gradient(model: EnrichedModel, levelset, pair: MaterialPair,
                         loads: LoadCase, u: np.ndarray) -> np.ndarray:
     """d(compliance)/d(s_i) through the kernel matrix."""
     nodal = nodal_compliance_gradient(model, pair, loads, u)
-    return np.asarray(levelset.dphi_ds().T @ nodal).ravel()
+    return np.asarray(levelset.theta.T @ nodal).ravel()
 
 
 def volume_gradient(model: EnrichedModel, levelset) -> np.ndarray:
     """d(material volume)/d(s_i) through the kernel matrix."""
     nodal = nodal_volume_gradient(model)
-    return np.asarray(levelset.dphi_ds().T @ nodal).ravel()
+    return np.asarray(levelset.theta.T @ nodal).ravel()

@@ -9,6 +9,7 @@ from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           _Workspace, analyze, cantilever, check_gradients,
                           get_problem, heat_sink, mbb, run)
 from igtop.errors import ConfigError, NumericalError, SolverError
+from igtop.mma import S_MAX, S_MIN
 
 
 def small_cantilever(**kw):
@@ -83,10 +84,20 @@ class TestProblemSpecs:
             DirichletRule().select_nodes(mesh)
         with pytest.raises(ConfigError):
             DirichletRule(side="left", point=(0, 0)).select_nodes(mesh)
-        rule = DirichletRule(side="bottom", xmin=10.0)
-        p = small_cantilever(dirichlet=(rule,))
-        with pytest.raises(ConfigError, match="selects no nodes"):
-            p.fixed_dofs(mesh)
+
+    def test_unknown_side_names_the_valid_sides(self):
+        p = small_cantilever(dirichlet=(DirichletRule(side="lft"),))
+        with pytest.raises(ConfigError, match="'lft'") as err:
+            p.fixed_dofs(p.build_mesh())
+        for side in ("bottom", "left", "right", "top"):
+            assert side in str(err.value)
+
+    def test_initial_design_is_clipped_to_the_box(self):
+        # on a 20 x 10 domain the hole-lattice fit rises far above S_MAX
+        p = small_cantilever(width=20.0, height=10.0)
+        s = p.initial_design(p.build_rbf())
+        assert np.all((s >= S_MIN) & (s <= S_MAX))
+        assert np.max(s) == S_MAX
 
 
 class TestRunLoop:
@@ -107,7 +118,7 @@ class TestRunLoop:
         assert result.history[0].iteration == 0
 
     def test_result_carries_the_effective_overrides(self):
-        result = run(small_cantilever(), budget=2, move_limit=0.02)
+        result = run(small_cantilever(move_limit=0.02), budget=2)
         assert result.problem.budget == 2
         assert result.problem.move_limit == 0.02
         assert len(result.history) == 2
@@ -139,8 +150,6 @@ class TestRunLoop:
     def test_move_limit_must_be_finite_and_positive(self, move):
         with pytest.raises(ConfigError, match="move_limit"):
             small_cantilever(move_limit=move)
-        with pytest.raises(ConfigError, match="move_limit"):
-            run(small_cantilever(), move_limit=move)
 
     def test_deterministic(self):
         r1 = run(small_cantilever())
@@ -171,8 +180,8 @@ class TestRunLoop:
         # steps below the stall tolerance: ten of them stop the loop, and
         # the design they reach is analyzed once before it ends
         seen = []
-        result = run(cantilever(11, 6, rbf_nx=11, rbf_ny=6), budget=50,
-                     move_limit=1e-7, observer=seen.append)
+        result = run(cantilever(11, 6, rbf_nx=11, rbf_ny=6, move_limit=1e-7),
+                     budget=50, observer=seen.append)
         assert result.converged
         assert len(result.history) == 11
         assert result.history[-1].iteration == 10

@@ -9,10 +9,10 @@ from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, SolverError
 from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
-                       PlaneStressElastic, _reduce, assemble_system, build_b,
-                       compliance, node_dofs, solve_system)
-from igtop.mesh import (Mesh, adj2, cofactor_hat_gradients, inv2,
-                        structured_grid, tri_hat_gradients, tri_jacobian)
+                       PlaneStressElastic, _reduce, build_b, compliance,
+                       node_dofs, solve_system)
+from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients, det2,
+                        structured_grid, tri_jacobian)
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -20,7 +20,7 @@ UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 class TestElementKernels:
     def test_unit_triangle_jacobian(self):
         np.testing.assert_allclose(tri_jacobian(UNIT_TRI), np.eye(2))
-        np.testing.assert_allclose(tri_hat_gradients(UNIT_TRI),
+        np.testing.assert_allclose(cofactor_hat_gradients(UNIT_TRI),
                                    [[-1, -1], [1, 0], [0, 1]])
 
     def test_conduction_stiffness_unit_triangle(self):
@@ -28,7 +28,7 @@ class TestElementKernels:
         mesh = Mesh(nodes=UNIT_TRI, elements=np.array([[0, 1, 2]]))
         pair = MaterialPair(Conduction(1.0), Conduction(0.5))
         model = build_enriched_model(mesh, np.ones(3))
-        k, _ = assemble_system(model, pair, LoadCase())
+        k, _ = Assembler(model.mesh, pair, LoadCase()).assemble(model)
         expected = np.array([[1.0, -0.5, -0.5],
                              [-0.5, 0.5, 0.0],
                              [-0.5, 0.0, 0.5]])
@@ -39,7 +39,7 @@ class TestElementKernels:
         pair = MaterialPair(PlaneStressElastic(1.0, 0.3),
                             PlaneStressElastic(1e-6, 0.3))
         model = build_enriched_model(mesh, np.ones(3))
-        k, _ = assemble_system(model, pair, LoadCase())
+        k, _ = Assembler(model.mesh, pair, LoadCase()).assemble(model)
         k = k.toarray()
         np.testing.assert_allclose(k, k.T, atol=1e-14)
         for mode in ([1, 0, 1, 0, 1, 0],
@@ -96,7 +96,7 @@ def heat_bar(nx=5, ny=5, interface=None):
 class TestUniformBar:
     def test_linear_temperature_field(self):
         mesh, model, pair, loads, fixed = heat_bar()
-        k, f = assemble_system(model, pair, loads)
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
         res = solve_system(k, f, fixed)
         np.testing.assert_allclose(res.u, mesh.nodes[:, 0], atol=1e-12)
         assert res.residual <= 1e-10
@@ -113,7 +113,7 @@ class TestBiMaterialBar:
     def test_heat_nodal_exactness(self):
         mesh, model, pair, loads, fixed = heat_bar(interface=0.4)
         assert model.n_enriched > 0
-        k, f = assemble_system(model, loads=loads, pair=pair)
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
         res = solve_system(k, f, fixed)
         exact = self.exact_heat(mesh.nodes[:, 0])
         scale = np.max(np.abs(exact))
@@ -137,7 +137,8 @@ class TestBiMaterialBar:
         loads = LoadCase(edge_loads=[(int(a), int(b), [1.0, 0.0])
                                      for a, b in mesh.boundary_edges("right")])
         fixed = node_dofs(mesh.boundary["left"], 2)
-        k, f = assemble_system(model, pair, loads, dtype=np.longdouble)
+        k, f = Assembler(model.mesh, pair, loads,
+                         dtype=np.longdouble).assemble(model)
         res = solve_system(k, f, fixed)
         x = mesh.nodes[:, 0]
         exact_ux = np.where(x <= 0.4, 1e6 * x, 4e5 + (x - 0.4))
@@ -153,7 +154,7 @@ class TestAssembler:
         mesh, model, pair, loads, _ = heat_bar(interface=0.37)
         asm = Assembler(mesh, pair, loads)
         k1, f1 = asm.assemble(model)
-        k2, f2 = assemble_system(model, pair, loads)
+        k2, f2 = Assembler(model.mesh, pair, loads).assemble(model)
         assert (k1 - k2).nnz == 0 or np.max(np.abs((k1 - k2).data)) < 1e-15
         np.testing.assert_array_equal(f1, f2)
         # rebuild with a different interface: same assembler still valid
@@ -164,7 +165,7 @@ class TestAssembler:
 
     def test_stiffness_symmetric_on_cut_model(self):
         _, model, pair, loads, _ = heat_bar(interface=0.4)
-        k, _ = assemble_system(model, pair, loads)
+        k, _ = Assembler(model.mesh, pair, loads).assemble(model)
         asym = np.abs((k - k.T).data)
         assert asym.size == 0 or asym.max() <= 1e-12
 
@@ -174,14 +175,14 @@ class TestAssembler:
                             PlaneStressElastic(1e-6, 0.3))
         loads = LoadCase(point_loads=[(4, 1, -2.5)])
         model = build_enriched_model(mesh, np.ones(mesh.n_nodes))
-        _, f = assemble_system(model, pair, loads)
+        _, f = Assembler(model.mesh, pair, loads).assemble(model)
         assert f[9] == -2.5
         assert np.count_nonzero(f) == 1
 
     def test_body_load_total_matches_domain(self):
         mesh, model, pair, _, _ = heat_bar(interface=0.4)
         loads = LoadCase(body_material=[1.0], body_void=[1.0])
-        _, f = assemble_system(model, pair, loads)
+        _, f = Assembler(model.mesh, pair, loads).assemble(model)
         # standard entries integrate the source exactly; enrichment rows add
         # only interface detail
         assert f[:mesh.n_nodes].sum() == pytest.approx(1.0, rel=1e-12)
@@ -197,19 +198,19 @@ class TestAssembler:
 class TestSolve:
     def test_unconstrained_system_reports_rigid_mode(self):
         _, model, pair, loads, _ = heat_bar()
-        k, f = assemble_system(model, pair, loads)
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
         with pytest.raises(SolverError, match="rigid|singular|factorization"):
             solve_system(k, f, fixed_dofs=[])
 
     def test_fixed_dofs_honoured(self):
         mesh, model, pair, loads, fixed = heat_bar(interface=0.4)
-        k, f = assemble_system(model, pair, loads)
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
         res = solve_system(k, f, fixed)
         np.testing.assert_array_equal(res.u[fixed], 0.0)
 
     def test_out_of_range_fixed_dof(self):
         _, model, pair, loads, _ = heat_bar()
-        k, f = assemble_system(model, pair, loads)
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
         with pytest.raises(ValueError):
             solve_system(k, f, fixed_dofs=[10_000])
 
@@ -305,21 +306,25 @@ class TestTileGeometry:
         mesh, tiles = model.mesh, model.tiles
         geom = model.geometry(tiles, dtype)
         assert model.geometry(tiles, dtype) is geom
-        coords = tiles.coords.astype(dtype)
+        jac = tri_jacobian(tiles.coords.astype(dtype))
+        jinv = adj2(jac) / det2(jac)[..., None, None]
+        dl = DL.astype(dtype)
         eq = np.testing.assert_array_equal
-        eq(geom.adj, adj2(tri_jacobian(coords)))
-        eq(geom.jinv, inv2(tri_jacobian(coords)))
+        eq(geom.adj, adj2(jac))
+        eq(geom.jinv, jinv)
+        eq(geom.ddet, dl @ adj2(jac))
         eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
         eq(geom.grads, np.concatenate([
             cofactor_hat_gradients(
                 mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
-            tiles.slot_matrix.astype(dtype) @ tri_hat_gradients(coords)],
+            tiles.slot_matrix.astype(dtype) @ (dl @ jinv)],
             axis=-2))
         centroid = [1 / 3, 1 / 3, 1 / 3]
         eq(geom.shape, np.concatenate(
             [model.parent_hats(tiles, centroid),
              model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
-        for field in ("adj", "jinv", "slot_matrix", "grads", "shape"):
+        for field in ("adj", "jinv", "ddet", "slot_matrix", "grads",
+                      "shape"):
             assert getattr(geom, field).dtype == dtype, field
         # per-element views are computed fresh and agree with the stack
         eq(geom.grads, np.stack([model.geometry(ie, dtype).grads

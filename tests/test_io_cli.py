@@ -1,5 +1,6 @@
 """Config parsing, file formats, and the command-line interface."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,19 @@ from igtop.driver import HistoryRecord, analyze, cantilever, run
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError
 from igtop.mesh import structured_grid
-from igtop.output import (read_design, read_history, write_contour,
-                          write_design, write_history, write_vtk)
+from igtop.output import (read_design, write_contour, write_design,
+                          write_history, write_vtk)
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def read_history(path):
+    """The records of a history file, read back with the csv module."""
+    with open(path, newline="") as fh:
+        return [HistoryRecord(int(r["iteration"]), float(r["compliance"]),
+                              float(r["volume_fraction"]),
+                              int(r["enriched_dofs"]))
+                for r in csv.DictReader(fh)]
 
 
 def tiny_config(tmp_path, extra=""):
@@ -36,6 +46,10 @@ def tiny_config(tmp_path, extra=""):
 
 def run_not_reached(*args, **kwargs):
     raise AssertionError("the optimization started")
+
+
+def analyze_not_reached(*args, **kwargs):
+    raise AssertionError("the design was analyzed")
 
 
 class TestConfig:
@@ -123,12 +137,6 @@ class TestHistoryFile:
         write_history(path, [])
         assert path.read_text().splitlines()[0] \
             == "iteration,compliance,volume_fraction,enriched_dofs"
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ConfigError, match="not a history file"):
-            read_history(path)
 
 
 class TestDesignFile:
@@ -382,6 +390,17 @@ class TestCli:
             assert (paths[0] / name).read_bytes() \
                 == (paths[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("history", [
+        "design_final.txt", "design_failed.txt", "design.vtk", "contour.txt",
+        "design_0003.txt", "design_12345.txt"])
+    def test_history_named_like_another_artifact_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, history):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text() + f"history = {history}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert f"history {history!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("history", ["", "nosuch/h.csv"])
     def test_bad_history_name_exits_2_before_running(self, tmp_path, capsys,
                                                      monkeypatch, history):
@@ -412,12 +431,16 @@ class TestCli:
         assert rc == 2
         assert "output directory" in capsys.readouterr().err
 
-    def test_export_to_missing_directory_exits_2(self, tmp_path, capsys):
-        target = tmp_path / "nosuch" / "x.vtk"
-        rc = main(["export", str(tiny_config(tmp_path)),
-                   "--vtk", str(target)])
-        assert rc == 2
-        assert f"cannot write {target}" in capsys.readouterr().err
+    def test_export_to_missing_directory_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the paths are checked before the design is analyzed
+        monkeypatch.setattr("igtop.cli.analyze", analyze_not_reached)
+        for flag in ("--vtk", "--contour"):
+            target = tmp_path / "nosuch" / "x.out"
+            rc = main(["export", str(tiny_config(tmp_path)), flag,
+                       str(target)])
+            assert rc == 2
+            assert f"cannot write {target}" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

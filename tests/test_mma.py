@@ -30,7 +30,7 @@ class TestUnconstrainedProgress:
         np.testing.assert_allclose(np.abs(xnew - x), 0.01, rtol=1e-6)
 
     def test_respects_box_bounds(self):
-        opt = MmaOptimizer(1, xmin=-1.0, xmax=1.0, move_limit=0.5)
+        opt = MmaOptimizer(1, move_limit=0.5)
         x = np.array([0.99])
         xnew = opt.step(x, np.array([-5.0]), -1.0, np.zeros(1))
         assert xnew[0] <= 1.0
@@ -69,7 +69,7 @@ class TestConstrainedOptimum:
 
 class TestAsymptotes:
     def test_initialization_is_half_range(self):
-        opt = MmaOptimizer(2, xmin=-1.0, xmax=1.0)
+        opt = MmaOptimizer(2)
         x = np.array([0.2, -0.4])
         opt.step(x, np.ones(2), -1.0, np.zeros(2))
         np.testing.assert_allclose(opt.low, x - 1.0)
@@ -118,10 +118,6 @@ class TestValidation:
         opt = MmaOptimizer(3)
         with pytest.raises(ValueError, match="shape"):
             opt.step(np.zeros(2), np.zeros(3), 0.0, np.zeros(3))
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError, match="xmax"):
-            MmaOptimizer(2, xmin=1.0, xmax=-1.0)
 
     def test_error_type_is_numerical(self):
         from igtop.errors import NumericalError

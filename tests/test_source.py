@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,21 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_definition_is_named_elsewhere():
+    # a module-level function or class that no other line of the package
+    # names has no caller; an import in __init__.py counts as a use
+    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unnamed = []
+    for module, text in texts.items():
+        for node in ast.parse(text, filename=module).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            lines = text.splitlines()
+            del lines[node.lineno - 1:node.end_lineno]
+            rest = [t for m, t in texts.items() if m != module]
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(t) for t in ["\n".join(lines)] + rest):
+                unnamed.append(f"{module}: {node.name}")
+    assert not unnamed, f"definitions nothing else names: {unnamed}"
