@@ -1,11 +1,12 @@
 """Run configuration files.
 
 INI syntax with two sections. ``[problem]`` picks a built-in problem by name
-and may override its numeric parameters; ``[output]`` controls artifact
-paths. Unknown sections, unknown keys, and unparseable values are all
-collected and reported together in one error. A relative output directory
-resolves against IGTOP_OUTPUT_ROOT when that variable is set, else against
-the config file's own directory.
+and may override its numeric parameters; ``[output]`` sets the artifact
+directory, the snapshot interval and the post-run gradient check. Unknown
+sections, unknown keys, and unparseable values are all collected and
+reported together in one error. A relative output directory resolves
+against IGTOP_OUTPUT_ROOT when that variable is set, else against the config
+file's own directory.
 
 Example::
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import configparser
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,28 +43,15 @@ _PROBLEM_KEYS = {
 
 _OUTPUT_KEYS = {
     "directory": str,
-    "history": str,
     "snapshot_every": int,
-    "vtk": bool,
-    "contour": bool,
     "gradient_check": bool,
 }
-
-# files ``igtop run`` writes next to the history; ``snapshot`` formats the
-# iteration number
-ARTIFACTS = {"final": "design_final.txt", "failed": "design_failed.txt",
-             "vtk": "design.vtk", "contour": "contour.txt",
-             "snapshot": "design_{:04d}.txt"}
-_SNAPSHOT_NAME = re.compile(r"design_[0-9]{4,}\.txt")
 
 
 @dataclass
 class OutputConfig:
     directory: Path = Path("igtop-out")
-    history: str = "history.csv"
     snapshot_every: int = 10
-    vtk: bool = True
-    contour: bool = True
     gradient_check: bool = False
 
 
@@ -130,14 +117,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     output = OutputConfig(directory=directory, **out_kw)
     if output.snapshot_every < 0:
         raise ConfigError("[output] snapshot_every must be >= 0")
-    if output.history in ("", "..") \
-            or Path(output.history).name != output.history:
-        raise ConfigError(f"[output] history must be a file name, got "
-                          f"{output.history!r}")
-    if output.history in ARTIFACTS.values() \
-            or _SNAPSHOT_NAME.fullmatch(output.history):
-        raise ConfigError(f"[output] history {output.history!r} is the name "
-                          f"of another file the run writes")
     return RunConfig(problem=problem, output=output)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sensitivity
 from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
 from .errors import ConfigError, SolverError
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
@@ -252,10 +253,9 @@ class _Workspace:
         return model, u, f, compliance(u, f), model.material_volume()
 
     def gradients(self, model, u):
-        from .sensitivity import compliance_gradient, volume_gradient
-        dc = compliance_gradient(model, self.field, self.problem.pair,
-                                 self.loads, u)
-        dv = volume_gradient(model, self.field)
+        dc = sensitivity.compliance_gradient(model, self.field,
+                                             self.problem.pair, self.loads, u)
+        dv = sensitivity.volume_gradient(model, self.field)
         return dc, dv
 
 

@@ -106,9 +106,8 @@ class TileGeometry:
     """Geometry of integration elements in one dtype, with the leading axes
     of the elements: what the element operators and their derivatives read.
 
-    adj, jinv : (..., 2, 2)
-        Adjugates and inverses of the Jacobians of the master-to-physical
-        maps.
+    jinv : (..., 2, 2)
+        Inverses of the Jacobians of the master-to-physical maps.
     ddet : (..., 3, 2)
         DL adj(J): entry (l, c) is d(det J)/d(x_l[c]), twice the rate of
         change of the area as vertex l moves along axis c.
@@ -122,7 +121,6 @@ class TileGeometry:
         Parent hats and enrichment values at the element centroid.
     """
 
-    adj: np.ndarray
     jinv: np.ndarray
     ddet: np.ndarray
     slot_matrix: np.ndarray
@@ -229,7 +227,7 @@ class EnrichedModel:
         shape = np.concatenate([self.parent_hats(ie, _CENTROID),
                                 self.enrichment_values(ie, _CENTROID)],
                                axis=-1).astype(dtype)
-        return TileGeometry(adj=adj, jinv=jinv,
+        return TileGeometry(jinv=jinv,
                             ddet=DL.astype(dtype) @ adj,
                             slot_matrix=slot_matrix,
                             grads=np.concatenate([parent, enriched], axis=-2),

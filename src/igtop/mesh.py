@@ -73,15 +73,11 @@ class Mesh:
     boundary : dict of str to ndarray
         Node indices on each side ('left', 'right', 'bottom', 'top'),
         ordered along the side. Corner nodes appear in both incident sides.
-    width, height : float
-        Extents of the bounding rectangle.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary: dict[str, np.ndarray] = field(default_factory=dict)
-    width: float = 0.0
-    height: float = 0.0
 
     @property
     def n_nodes(self) -> int:
@@ -171,5 +167,4 @@ def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
         "bottom": np.arange(nx),
         "top": (ny - 1) * nx + np.arange(nx),
     }
-    return Mesh(nodes=nodes, elements=elements, boundary=boundary,
-                width=float(width), height=float(height))
+    return Mesh(nodes=nodes, elements=elements, boundary=boundary)

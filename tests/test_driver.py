@@ -285,3 +285,11 @@ class TestGradientCheck:
         p = small_cantilever()
         rows = check_gradients(p, n_sample=10_000, seed=0)
         assert len(rows) == p.rbf_nx * p.rbf_ny
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(h=0.0), "step h"), (dict(h=float("nan")), "step h"),
+        (dict(n_sample=0), "n_sample"), (dict(quantity="stress"), "quantity"),
+    ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity"])
+    def test_rejects_bad_arguments(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            check_gradients(small_cantilever(), **kwargs)

@@ -10,8 +10,7 @@ from igtop.mesh import Mesh, structured_grid
 
 def single_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]),
-                width=1.0, height=1.0)
+    return Mesh(nodes=nodes, elements=np.array([[0, 1, 2]]))
 
 
 class TestSnap:

@@ -310,7 +310,6 @@ class TestTileGeometry:
         jinv = adj2(jac) / det2(jac)[..., None, None]
         dl = DL.astype(dtype)
         eq = np.testing.assert_array_equal
-        eq(geom.adj, adj2(jac))
         eq(geom.jinv, jinv)
         eq(geom.ddet, dl @ adj2(jac))
         eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
@@ -323,8 +322,7 @@ class TestTileGeometry:
         eq(geom.shape, np.concatenate(
             [model.parent_hats(tiles, centroid),
              model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
-        for field in ("adj", "jinv", "ddet", "slot_matrix", "grads",
-                      "shape"):
+        for field in ("jinv", "ddet", "slot_matrix", "grads", "shape"):
             assert getattr(geom, field).dtype == dtype, field
         # per-element views are computed fresh and agree with the stack
         eq(geom.grads, np.stack([model.geometry(ie, dtype).grads

@@ -66,7 +66,7 @@ def test_nearest_node_exact_and_tie(grid_21x11):
 def test_hat_gradients_unit_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elems = np.array([[0, 1, 2]])
-    m = Mesh(nodes=nodes, elements=elems, width=1.0, height=1.0)
+    m = Mesh(nodes=nodes, elements=elems)
     np.testing.assert_allclose(m.hat_gradients[0],
                                [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
                                atol=1e-14)

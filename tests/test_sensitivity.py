@@ -120,7 +120,7 @@ class TestJacobianDerivatives:
 def cut_triangle():
     """Single unit triangle cut by phi = (-1, 1, 1)."""
     mesh = Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                elements=np.array([[0, 1, 2]]), width=1.0, height=1.0)
+                elements=np.array([[0, 1, 2]]))
     phi = np.array([-1.0, 1.0, 1.0])
     return build_enriched_model(mesh, phi)
 
