@@ -394,12 +394,25 @@ class TestCli:
             assert (paths[0] / name).read_bytes() \
                 == (paths[1] / name).read_bytes()
 
-    def test_history_key_is_unknown_and_exits_2_before_running(
-            self, tmp_path, capsys, monkeypatch):
-        # the history file name is fixed, so no config key sets it
+    # the history file name is fixed, so no config key sets it: whatever
+    # name a config gives, it fails as an unknown key before anything runs
+    @pytest.mark.parametrize("history", [
+        "design_final.txt", "design_failed.txt", "design.vtk", "contour.txt",
+        "design_0003.txt", "design_12345.txt"])
+    def test_history_named_like_another_artifact_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, history):
         monkeypatch.setattr("igtop.cli.run", run_not_reached)
         cfg = tiny_config(tmp_path)
-        cfg.write_text(cfg.read_text() + "history = x\n")
+        cfg.write_text(cfg.read_text() + f"history = {history}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "unknown key 'history'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("history", ["", "nosuch/h.csv"])
+    def test_bad_history_name_exits_2_before_running(self, tmp_path, capsys,
+                                                     monkeypatch, history):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text() + f"history = {history}\n")
         assert main(["run", str(cfg)]) == 2
         assert "unknown key 'history'" in capsys.readouterr().err
 
