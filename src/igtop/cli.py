@@ -37,32 +37,21 @@ def _problem_args(parser: argparse.ArgumentParser) -> None:
                         help="run configuration file (INI)")
     parser.add_argument("--problem", metavar="NAME",
                         help="built-in problem name instead of a config file")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="override the iteration budget")
-    parser.add_argument("--move-limit", type=float, default=None,
-                        help="override the per-step design move limit")
 
 
 def _resolve(args) -> RunConfig:
     if (args.config is None) == (args.problem is None):
         raise ConfigError("give either a config file or --problem, not both")
     if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig(problem=get_problem(args.problem),
-                        output=OutputConfig())
-    overrides = {}
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.move_limit is not None:
-        overrides["move_limit"] = args.move_limit
-    if overrides:
-        cfg.problem = cfg.problem.with_overrides(**overrides)
-    return cfg
+        return load_config(args.config)
+    return RunConfig(problem=get_problem(args.problem), output=OutputConfig())
 
 
 def _cmd_run(args) -> int:
     cfg = _resolve(args)
+    overrides = {"budget": args.budget, "move_limit": args.move_limit}
+    cfg.problem = cfg.problem.with_overrides(
+        **{k: v for k, v in overrides.items() if v is not None})
     out = cfg.output
     outdir = Path(args.output_dir) if args.output_dir else out.directory
     try:
@@ -136,22 +125,12 @@ def _cmd_check_gradients(args) -> int:
 def _cmd_export(args) -> int:
     if args.vtk is None and args.contour is None:
         raise ConfigError("nothing to export: pass --vtk and/or --contour")
-    if args.design and args.iteration is not None:
-        raise ConfigError("pass --design or --iteration, not both")
     for target in (args.vtk, args.contour):
         if target and not Path(target).parent.is_dir():
             raise ConfigError(f"cannot write {target}: no directory "
                               f"{Path(target).parent}")
     cfg = _resolve(args)
-    if args.iteration is not None:
-        snap = cfg.output.directory / ARTIFACTS["snapshot"].format(
-            args.iteration)
-        if not snap.exists():
-            raise ConfigError(f"no snapshot {snap} (was the run saved with "
-                              "snapshot_every > 0?)")
-        design = read_design(snap)
-    else:
-        design = read_design(args.design) if args.design else None
+    design = read_design(args.design) if args.design else None
     if design is not None:
         outside = np.flatnonzero((design < S_MIN) | (design > S_MAX))
         if outside.size:
@@ -193,6 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="optimize a problem and write results")
     _problem_args(p_run)
+    p_run.add_argument("--budget", type=int, default=None,
+                       help="override the iteration budget")
+    p_run.add_argument("--move-limit", type=float, default=None,
+                       help="override the per-step design move limit")
     p_run.add_argument("--output-dir", default=None,
                        help="directory for artifacts (overrides config)")
     p_run.set_defaults(func=_cmd_run)
@@ -213,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     _problem_args(p_exp)
     p_exp.add_argument("--design", default=None,
                        help="design file (defaults to the initial design)")
-    p_exp.add_argument("--iteration", type=int, default=None, metavar="K",
-                       help="use snapshot K from the configured output "
-                            "directory")
     p_exp.add_argument("--vtk", default=None, metavar="FILE",
                        help="write the resolved geometry as legacy VTK")
     p_exp.add_argument("--contour", default=None, metavar="FILE",

@@ -5,8 +5,8 @@ and may override its numeric parameters; ``[output]`` sets the artifact
 directory, the snapshot interval and the post-run gradient check. Unknown
 sections, unknown keys, and unparseable values are all collected and
 reported together in one error. A relative output directory resolves
-against IGTOP_OUTPUT_ROOT when that variable is set, else against the config
-file's own directory.
+against the config file's own directory. One file serves every verb of
+``igtop``; only ``run`` reads ``budget`` and ``move_limit``.
 
 Example::
 
@@ -23,7 +23,6 @@ Example::
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,13 +106,9 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
 
     problem = get_problem(name, **prob_kw)
 
-    root = os.environ.get("IGTOP_OUTPUT_ROOT")
     directory = Path(out_kw.pop("directory", OutputConfig.directory))
-    if not directory.is_absolute():
-        if root:
-            directory = Path(root) / directory
-        elif base_dir is not None:
-            directory = base_dir / directory
+    if base_dir is not None and not directory.is_absolute():
+        directory = base_dir / directory
     output = OutputConfig(directory=directory, **out_kw)
     if output.snapshot_every < 0:
         raise ConfigError("[output] snapshot_every must be >= 0")
@@ -124,6 +119,6 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return parse_config(text, base_dir=path.parent)

@@ -216,7 +216,6 @@ class IterationState:
 class RunResult:
     problem: ProblemSpec
     mesh: Mesh
-    grid: RbfGrid
     history: list
     design: np.ndarray
     model: EnrichedModel
@@ -237,6 +236,18 @@ class _Workspace:
         self.fixed = problem.fixed_dofs(self.mesh)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
+
+    def design(self, design: np.ndarray | None = None) -> np.ndarray:
+        """A float copy of ``design``, or of the initial design when None;
+        a design of the wrong length is a ConfigError."""
+        if design is None:
+            return self.field.design.copy()
+        design = np.array(design, dtype=float)
+        if design.shape != (self.grid.n_centers,):
+            raise ConfigError([f"design has shape {design.shape}; problem "
+                               f"{self.problem.name!r} expects "
+                               f"{self.grid.n_centers} values"])
+        return design
 
     def model(self, design: np.ndarray) -> EnrichedModel:
         """Enriched model of one design."""
@@ -274,7 +285,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     budget = problem.budget
 
     ws = _Workspace(problem)
-    s = ws.field.design.copy()
+    s = ws.design()
     opt = MmaOptimizer(ws.grid.n_centers, move_limit=problem.move_limit)
     v_limit = problem.volume_fraction * ws.domain_volume
 
@@ -311,23 +322,14 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
         s = s_new
 
-    return RunResult(problem=problem, mesh=ws.mesh, grid=ws.grid,
-                     history=history, design=s, model=model, u=u,
-                     converged=converged)
+    return RunResult(problem=problem, mesh=ws.mesh, history=history,
+                     design=s, model=model, u=u, converged=converged)
 
 
 def analyze(problem: ProblemSpec, design: np.ndarray | None = None):
     """Single analysis of a problem at a given (or the initial) design."""
     ws = _Workspace(problem)
-    if design is None:
-        design = ws.field.design.copy()
-    design = np.asarray(design, dtype=float)
-    if design.shape != (ws.grid.n_centers,):
-        raise ConfigError([f"design has shape {design.shape}; problem "
-                           f"{problem.name!r} expects {ws.grid.n_centers} "
-                           f"values"])
-    model, u, f, c, vol = ws.analyze(design)
-    return model, u, f, c, vol
+    return ws.analyze(ws.design(design))
 
 
 @dataclass
@@ -368,11 +370,12 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         problems.append(f"step h must be finite and positive, got {h}")
     if n_sample < 1:
         problems.append(f"n_sample must be at least 1, got {n_sample}")
+    if seed < 0:
+        problems.append(f"seed must be at least 0, got {seed}")
     if problems:
         raise ConfigError(problems)
     ws = _Workspace(problem)
-    s0 = ws.field.design.copy() if design is None \
-        else np.asarray(design, dtype=float).copy()
+    s0 = ws.design(design)
     model0, u0, f0, c0, vol0 = ws.analyze(s0)
     dc, dv = ws.gradients(model0, u0)
     grad, ref = (dc, c0) if quantity == "compliance" else (dv, vol0)

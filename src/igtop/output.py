@@ -53,7 +53,7 @@ def read_design(path) -> np.ndarray:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read design {path}: {err}") from None
     if not lines or lines[0].strip() != "design":
         raise ConfigError(f"{path} is not a design file")

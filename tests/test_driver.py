@@ -289,7 +289,10 @@ class TestGradientCheck:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(h=0.0), "step h"), (dict(h=float("nan")), "step h"),
         (dict(n_sample=0), "n_sample"), (dict(quantity="stress"), "quantity"),
-    ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity"])
+        (dict(seed=-1), "seed"),
+        (dict(design=np.zeros(3)), "expects 66 values"),
+    ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity",
+            "negative-seed", "wrong-length-design"])
     def test_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             check_gradients(small_cantilever(), **kwargs)

@@ -2,12 +2,13 @@
 
 import csv
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from igtop.cli import main
+from igtop.cli import build_parser, main
 from igtop.config import load_config, parse_config
 from igtop.driver import HistoryRecord, analyze, cantilever, run
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
@@ -75,14 +76,6 @@ class TestConfig:
                          "volume_fraction = 1.5\n")
         assert "volume_fraction" in str(err.value)
 
-    def test_output_root_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IGTOP_OUTPUT_ROOT", str(tmp_path / "root"))
-        path = tmp_path / "case.cfg"
-        path.write_text("[problem]\nname = cantilever\n"
-                        "[output]\ndirectory = out/x\n")
-        cfg = load_config(path)
-        assert cfg.output.directory == tmp_path / "root" / "out" / "x"
-
     def test_relative_directory_is_anchored_at_config(self, tmp_path):
         path = tmp_path / "case.cfg"
         path.write_text("[problem]\nname = cantilever\n"
@@ -117,6 +110,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "case.cfg"
+        path.write_bytes(b"[problem]\nname = \xff\xfe\n")
+        message = re.escape(f"cannot read config {path}")
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     @pytest.mark.parametrize("name", ["cantilever", "mbb", "heat_sink"])
     def test_shipped_configs_parse(self, name):
         cfg = load_config(REPO_CONFIGS / f"{name}.cfg")
@@ -129,6 +129,14 @@ class TestConfig:
         assert cfg.problem.name == "cantilever"
         assert cfg.problem.move_limit == 0.01
         assert not cfg.output.gradient_check
+
+    def test_readme_commands_parse(self):
+        readme = (REPO / "README.md").read_text()
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                 for line in block.splitlines() if line.startswith("igtop ")]
+        assert len(lines) >= 4
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestHistoryFile:
@@ -164,6 +172,13 @@ class TestDesignFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read design"):
             read_design(tmp_path / "nope.txt")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "design.txt"
+        path.write_bytes(b"design\n\xff\xfe\n")
+        message = re.escape(f"cannot read design {path}")
+        with pytest.raises(ConfigError, match=message):
+            read_design(path)
 
     def test_rejects_non_finite_values(self, tmp_path):
         path = tmp_path / "design.txt"
@@ -297,14 +312,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "within 0.001" in out
 
-    @pytest.mark.parametrize("flags", [["--samples", "0"],
-                                       ["--move-limit", "nan"],
-                                       ["--move-limit", "inf"]])
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--seed", "-1"]])
     def test_check_gradients_rejects_bad_arguments(self, tmp_path, capsys,
                                                    flags):
         rc = main(["check-gradients", str(tiny_config(tmp_path))] + flags)
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_run_rejects_non_finite_move_limit_before_running(
+            self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        rc = main(["run", str(tiny_config(tmp_path)), "--move-limit", value])
+        assert rc == 2
+        assert "move_limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_export_roundtrip(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
@@ -352,20 +374,11 @@ class TestCli:
     def test_export_snapshot_by_iteration(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         assert main(["run", str(cfg)]) == 0
-        rc = main(["export", str(cfg), "--iteration", "1",
+        rc = main(["export", str(cfg),
+                   "--design", str(tmp_path / "out" / "design_0001.txt"),
                    "--contour", str(tmp_path / "it1_contour.txt")])
         assert rc == 0
         assert (tmp_path / "it1_contour.txt").exists()
-
-        rc = main(["export", str(cfg), "--iteration", "7",
-                   "--contour", str(tmp_path / "nope.txt")])
-        assert rc == 2
-        assert "no snapshot" in capsys.readouterr().err
-
-        rc = main(["export", str(cfg), "--iteration", "1",
-                   "--design", str(tmp_path / "out" / "design_final.txt"),
-                   "--contour", str(tmp_path / "nope.txt")])
-        assert rc == 2
 
     def test_export_requires_a_target(self, tmp_path, capsys):
         rc = main(["export", str(tiny_config(tmp_path))])
