@@ -306,7 +306,8 @@ def _banded_cholesky(kss: sparse.csr_matrix):
     i, j = iperm[_entry_rows(kss)], iperm[kss.indices]
     lower = i >= j
     i, j = i[lower], j[lower]
-    band = np.zeros((int((i - j).max()) + 1, perm.size))
+    # Fortran order lets LAPACK factor the band in place, without a copy
+    band = np.zeros((int((i - j).max()) + 1, perm.size), order="F")
     band[i - j, j] = kss.data[lower]
     return (cholesky_banded(band, lower=True, overwrite_ab=True,
                             check_finite=False), perm, iperm)
