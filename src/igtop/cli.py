@@ -48,6 +48,8 @@ def _resolve(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.output_dir == "":
+        raise ConfigError("--output-dir needs a directory, got an empty path")
     cfg = _resolve(args)
     overrides = {"budget": args.budget, "move_limit": args.move_limit}
     cfg.problem = cfg.problem.with_overrides(

@@ -22,7 +22,8 @@ from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
 from .mma import S_MAX, S_MIN, MmaOptimizer
-from .rbf import LevelsetField, RbfGrid, fit_design, hole_lattice_levelset
+from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
+                  hole_lattice_levelset)
 
 STALL_TOL = 1e-6
 STALL_ITERS = 10
@@ -230,10 +231,19 @@ class _Workspace:
         self.problem = problem
         self.mesh = problem.build_mesh()
         self.grid = problem.build_rbf()
-        self.field = LevelsetField(self.grid, self.mesh.nodes,
-                                   problem.initial_design(self.grid))
         self.loads = problem.build_loads(self.mesh)
+        # the design variables whose kernels cover a point load start at
+        # S_MAX and take no optimizer steps, so every load sits on material
+        cover = build_theta(self.grid, self.mesh.nodes[
+            [node for node, _, _ in self.loads.point_loads]])
+        self.passive = np.unique(cover.indices[cover.data > 0.0])
+        design = problem.initial_design(self.grid)
+        design[self.passive] = S_MAX
+        self.field = LevelsetField(self.grid, self.mesh.nodes, design)
         self.fixed = problem.fixed_dofs(self.mesh)
+        self._fixed_components = np.isin(np.arange(
+            problem.pair.field_dim * self.mesh.n_nodes), self.fixed).reshape(
+                self.mesh.n_nodes, -1)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
 
@@ -260,7 +270,12 @@ class _Workspace:
         (model, u, f, compliance, material volume)."""
         model = self.model(design)
         k, f = self.assembler.assemble(model)
-        u = solve_system(k, f, self.fixed).u
+        # an enriched node is fixed in a component when both ends of its edge
+        # are: its enrichment interpolates there, so the whole edge is held;
+        # entry m d + c of the mask is dof d n_nodes + m d + c
+        held = self._fixed_components[model.enr_edges].all(axis=1)
+        u = solve_system(k, f, np.concatenate([
+            self.fixed, self._fixed_components.size + np.flatnonzero(held)])).u
         return model, u, f, compliance(u, f), model.material_volume()
 
     def gradients(self, model, u):
@@ -317,6 +332,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
             break
 
         dc, dv = ws.gradients(model, u)
+        dc[ws.passive] = dv[ws.passive] = 0.0
         fval = vol / v_limit - 1.0
         s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
         stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0

@@ -191,8 +191,8 @@ class EnrichedModel:
         point of integration elements, shape (..., 3). Always sums to 1."""
         x = np.asarray(bary, dtype=float) @ ie.coords
         x0 = self.mesh.nodes[self.mesh.elements[ie.parent, 0]]
-        n = (self.mesh.hat_gradients[ie.parent]
-             @ (x - x0)[..., None])[..., 0]
+        n = np.einsum("...ic,...c->...i", self.mesh.hat_gradients[ie.parent],
+                      x - x0)
         n[..., 0] += 1.0
         return n
 
@@ -221,8 +221,9 @@ class EnrichedModel:
         adj = adj2(jac)
         jinv = adj / det2(jac)[..., None, None]
         slot_matrix = ie.slot_matrix.astype(dtype)
-        parent = cofactor_hat_gradients(
-            mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
+        parent = mesh.hat_gradients[ie.parent] if dtype == np.float64 \
+            else cofactor_hat_gradients(
+                mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         enriched = slot_matrix @ (DL.astype(dtype) @ jinv)
         shape = np.concatenate([self.parent_hats(ie, _CENTROID),
                                 self.enrichment_values(ie, _CENTROID)],

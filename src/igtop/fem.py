@@ -166,11 +166,11 @@ def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
                                   dtype=np.float64) -> np.ndarray:
     """Local stiffness of integration elements over the five parent slots,
     shape (..., 5 field_dim, 5 field_dim)."""
-    d = pair.material.d_unit().astype(dtype) \
-        * pair.modulus_of(ie.material).astype(dtype)[..., None, None]
     b = build_b(model.geometry(ie, dtype).grads, pair.field_dim)
-    return np.asarray(ie.area, dtype=dtype)[..., None, None] \
-        * (np.swapaxes(b, -1, -2) @ d @ b)
+    scale = np.asarray(ie.area, dtype=dtype) \
+        * pair.modulus_of(ie.material).astype(dtype)
+    return scale[..., None, None] \
+        * (np.swapaxes(b, -1, -2) @ (pair.material.d_unit().astype(dtype) @ b))
 
 
 def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
@@ -188,10 +188,12 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
 class Assembler:
     """Reusable assembly context for one mesh / materials / loading triple.
 
-    Unit-modulus element stiffness blocks and their scatter indices are
-    precomputed once; per-design assembly only rescales them by the phase
-    modulus (zero for cut parents) and adds the integration-element
-    contributions of the current enriched model.
+    The sparsity pattern of the original dofs comes once from the mesh's
+    node graph, and one fixed linear map takes the per-element modulus to
+    its entries, summed in ``dtype`` in element order; a cut parent enters
+    with the area-weighted modulus of its integration elements. The rows
+    and columns of the enriched dofs, summed over each parent's three
+    integration elements, are added per model; K stores no zero.
 
     ``dtype`` selects the working precision; the default double suits
     optimization runs, while longdouble pushes interface-exactness studies
@@ -205,20 +207,41 @@ class Assembler:
         self.loads = loads
         self.dtype = dtype
         d = pair.field_dim
+        n, ne = mesh.n_nodes, mesh.n_elements
         b_all = build_b(cofactor_hat_gradients(
             mesh.nodes[mesh.elements].astype(dtype, copy=False)), d)
-        d1 = pair.material.d_unit().astype(dtype)
-        self._k_unit = np.einsum("eia,ij,ejb->eab", b_all, d1, b_all,
-                                 optimize=True) \
+        k_unit = np.einsum("eia,ij,ejb->eab", b_all,
+                           pair.material.d_unit().astype(dtype), b_all,
+                           optimize=True) \
             * mesh.areas.astype(dtype)[:, None, None]
-        dofs = node_dofs(mesh.elements.ravel(), d).reshape(mesh.n_elements, 3 * d)
-        self._rows = np.broadcast_to(dofs[:, :, None],
-                                     self._k_unit.shape).ravel()
-        self._cols = np.broadcast_to(dofs[:, None, :],
-                                     self._k_unit.shape).ravel()
-        self._elem_dofs = dofs
+        self._elem_dofs = node_dofs(mesh.elements.ravel(), d).reshape(ne, 3 * d)
 
-        self._f_base = np.zeros(d * mesh.n_nodes, dtype=dtype)
+        # the node pairs of all elements as a block matrix of d x d blocks;
+        # datum (q, c1, c2) is numbered d^2 q + d c1 + c2 + 1, so its CSR
+        # form tells where each datum went
+        el = mesh.elements
+        pairs, pair_of = np.unique(el[:, :, None] * n + el[:, None, :],
+                                   return_inverse=True)
+        a, b = np.divmod(pairs, n)
+        pattern = sparse.bsr_matrix(
+            (np.arange(1.0, d * d * pairs.size + 1).reshape(-1, d, d), b,
+             np.searchsorted(a, np.arange(n + 1))), shape=(d * n, d * n)
+        ).tocsr()
+        where = np.empty(pattern.nnz, dtype=np.int32)
+        where[pattern.data.astype(np.int64) - 1] = np.arange(pattern.nnz)
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        # column e of the map takes the modulus of element e to the pattern
+        datum = np.repeat(np.repeat(d * d * pair_of.reshape(ne, 3, 3), d,
+                                    axis=2), d, axis=1)
+        comp = np.tile(np.arange(d), 3)
+        nz = np.flatnonzero(k_unit.ravel() != 0.0)
+        self._map = sparse.csc_matrix(
+            (k_unit.ravel()[nz],
+             where[(datum + (d * comp[:, None] + comp)).ravel()[nz]],
+             np.searchsorted(nz, np.arange(0, k_unit.size + 1, 9 * d * d))),
+            shape=(pattern.nnz, ne))
+
+        self._f_base = np.zeros(d * n, dtype=dtype)
         for node, comp, value in loads.point_loads:
             self._f_base[node_dofs(node, d, comp)[0]] += value
         for na, nb, traction in loads.edge_loads:
@@ -242,17 +265,30 @@ class Assembler:
 
         uncut = model.element_state != CUT
         material = model.element_state == MATERIAL
-        factor = np.where(uncut, pair.modulus_of(material), 0.0).astype(dtype)
         tiles = model.tiles
-        dofs = cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)
-        k_cut = integration_element_stiffness(model, tiles, pair, dtype)
-        k = sparse.coo_matrix(
-            (np.concatenate([(self._k_unit * factor[:, None, None]).ravel(),
-                             k_cut.ravel()]),
-             (np.concatenate([self._rows, np.broadcast_to(
-                 dofs[:, :, None], k_cut.shape).ravel()]),
-              np.concatenate([self._cols, np.broadcast_to(
-                  dofs[:, None, :], k_cut.shape).ravel()]))),
+        blocks = integration_element_stiffness(model, tiles, pair, dtype)
+        # a cut parent's block over its own nodes is its unit stiffness times
+        # the area-weighted modulus of its tiles: the parent's hat gradients
+        # are constant over it
+        factor = np.where(uncut, pair.modulus_of(material), 0.0).astype(dtype)
+        weighted = np.asarray(tiles.area, dtype=dtype) \
+            * pair.modulus_of(tiles.material).astype(dtype)
+        factor[model.cut_parents] = weighted.reshape(-1, 3).sum(axis=1) \
+            / mesh.areas[model.cut_parents].astype(dtype)
+        k = sparse.csr_matrix(
+            (self._map @ factor, self._indices, np.pad(
+                self._indptr, (0, ndof + 1 - self._indptr.size), mode="edge")),
+            shape=(ndof, ndof))
+        # the rows and columns of the enriched dofs, summed over the tiles
+        # and the parents; the sum also drops the zeros of the pattern
+        dofs = cut_parent_dofs(model, np.arange(model.n_cut), d)
+        rows, cols = np.nonzero((np.arange(5 * d)[:, None] >= 3 * d)
+                                | (np.arange(5 * d) >= 3 * d))
+        t = blocks[:, rows, cols].reshape(model.n_cut, 3, rows.size)
+        slots = dofs.astype(self._indices.dtype)
+        k = k + sparse.coo_matrix(
+            ((t[:, 0] + t[:, 1] + t[:, 2]).ravel(),
+             (slots[:, rows].ravel(), slots[:, cols].ravel())),
             shape=(ndof, ndof)).tocsr()
 
         f = np.zeros(ndof, dtype=dtype)
@@ -266,7 +302,8 @@ class Assembler:
             np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
         body = loads.body_of(tiles.material, d)
         if body is not None:
-            np.add.at(f, dofs.ravel(), integration_element_force(
+            np.add.at(f, np.repeat(dofs, 3, axis=0).ravel(),
+                      integration_element_force(
                 model, tiles, body, d, dtype).ravel())
         return k, f
 
@@ -275,65 +312,6 @@ class Assembler:
 class SolveResult:
     u: np.ndarray
     residual: float
-
-
-def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-         n: int) -> sparse.csr_matrix:
-    """n x n CSR matrix of entries given in row-major order."""
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
-
-
-def _entry_rows(a: sparse.csr_matrix) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
-                     np.diff(a.indptr))
-
-
-def _banded_cholesky(kss: sparse.csr_matrix):
-    """Cholesky factor of a symmetric positive definite matrix in LAPACK
-    lower band storage, on its reverse Cuthill-McKee ordering.
-
-    Returns (factor, perm, iperm): row i of the ordered matrix is row
-    perm[i] of ``kss``, and iperm inverts perm. The factor is float64
-    whatever the dtype of ``kss``. Raises LinAlgError when a leading minor
-    is not positive definite.
-    """
-    perm = reverse_cuthill_mckee(kss, symmetric_mode=True)
-    iperm = np.empty_like(perm)
-    iperm[perm] = np.arange(perm.size, dtype=perm.dtype)
-    i, j = iperm[_entry_rows(kss)], iperm[kss.indices]
-    lower = i >= j
-    i, j = i[lower], j[lower]
-    # Fortran order lets LAPACK factor the band in place, without a copy
-    band = np.zeros((int((i - j).max()) + 1, perm.size), order="F")
-    band[i - j, j] = kss.data[lower]
-    return (cholesky_banded(band, lower=True, overwrite_ab=True,
-                            check_finite=False), perm, iperm)
-
-
-def _reduce(k: sparse.csr_matrix, free: np.ndarray, scale: np.ndarray):
-    """The Jacobi-scaled free-dof block diag(scale) K_ff diag(scale)
-    of ``k`` as CSR, in one pass over the entries of ``k``.
-
-    Each row keeps the column order of ``k``, so with ``k`` in canonical
-    form a matrix-vector product sums every row in increasing column order.
-    It drops the entries where (scale_i k_ij) or (scale_i k_ij) scale_j is
-    zero, like the sparse product that computes it factor by factor.
-    """
-    is_free = np.zeros(k.shape[0], dtype=bool)
-    is_free[free] = True
-    new = np.cumsum(is_free, dtype=k.indices.dtype) - 1
-    rows = _entry_rows(k)
-    keep = is_free[rows] & is_free[k.indices]
-    rows, cols, data = new[rows[keep]], new[k.indices[keep]], k.data[keep]
-    scaled = scale[rows] * data
-    nz = scaled != 0.0
-    rows, cols = rows[nz], cols[nz]
-    scaled = scaled[nz] * scale[cols]
-    nz = scaled != 0.0
-    return _csr(scaled[nz], rows[nz], cols[nz], free.size)
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray,
@@ -366,9 +344,29 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
             f"nonpositive stiffness diagonal at dof {bad}; "
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
-    kss = _reduce(k, free, scale)
+    # the scaled free block diag(scale) K_ff diag(scale) from one pass over
+    # K, then its float64 lower band on the reverse Cuthill-McKee ordering,
+    # in Fortran order so that LAPACK factors it in place
+    new = np.full(ndof, -1, dtype=k.indices.dtype)
+    new[free] = np.arange(free.size, dtype=new.dtype)
+    i, j = new[np.repeat(np.arange(ndof), np.diff(k.indptr))], new[k.indices]
+    keep = (i >= 0) & (j >= 0)
+    i, j = i[keep], j[keep]
+    kss = sparse.csr_matrix(
+        (scale[i] * k.data[keep] * scale[j], j,
+         np.searchsorted(i, np.arange(free.size + 1))),
+        shape=(free.size, free.size))
+    perm = reverse_cuthill_mckee(kss, symmetric_mode=True)
+    iperm = np.empty_like(perm)
+    iperm[perm] = np.arange(perm.size, dtype=perm.dtype)
+    i, j = iperm[i], iperm[j]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    band = np.zeros((int((i - j).max()) + 1, perm.size), order="F")
+    band[i - j, j] = kss.data[lower]
     try:
-        factor, perm, iperm = _banded_cholesky(kss)
+        factor = cholesky_banded(band, lower=True, overwrite_ab=True,
+                                 check_finite=False)
     except LinAlgError as err:
         raise SolverError(
             f"stiffness factorization failed ({err}); check boundary "
@@ -393,11 +391,14 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     kld = kss.astype(np.longdouble, copy=False)
     fld = fs.astype(np.longdouble)
     y = solve(fs).astype(np.longdouble)
+    last = np.inf
     for _ in range(6 if work_ld else 3):
         r = fld - kld @ y
-        if float(np.linalg.norm(r.astype(np.float64))) <= 1e-16 * fsnorm:
+        rnorm = float(np.linalg.norm(r.astype(np.float64)))
+        # float64 sweeps end at the first that fails to halve the residual
+        if rnorm <= 1e-16 * fsnorm or (not work_ld and rnorm > 0.5 * last):
             break
-        y = y + solve(r)
+        y, last = y + solve(r), rnorm
     if not np.all(np.isfinite(y.astype(np.float64))):
         raise SolverError("solver produced non-finite values; the system is "
                           "singular (free rigid mode?)")

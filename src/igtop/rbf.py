@@ -8,6 +8,7 @@ mesh/grid pairing and reused for both field values and design derivatives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,13 +93,12 @@ def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:
     """
     points = np.asarray(points, dtype=float)
     tree = cKDTree(grid.centers)
-    hits = tree.query_ball_point(points, r=grid.support_radius * _SUPPORT_SLACK)
-    counts = np.fromiter((len(h) for h in hits), dtype=np.int64,
-                         count=len(hits))
+    hits = tree.query_ball_point(points, r=grid.support_radius * _SUPPORT_SLACK,
+                                 return_sorted=True)
+    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.concatenate([np.sort(h) for h in hits]) if counts.sum() else \
-        np.empty(0, dtype=np.int64)
-    indices = indices.astype(np.int64)
+    indices = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64,
+                          count=indptr[-1])
     dists = np.linalg.norm(points[np.repeat(np.arange(len(points)), counts)]
                            - grid.centers[indices], axis=1)
     rnorm = dists / grid.support_radius

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from igtop.driver import cantilever, check_gradients, heat_sink, mbb, run
+from igtop.driver import (ProblemSpec, cantilever, check_gradients,
+                          heat_sink, mbb, run)
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
                        PlaneStressElastic, integration_element_force,
@@ -144,6 +145,25 @@ class TestCriterion3Cantilever:
              c_fine <= 1.02 * c_coarse, f"{c_fine:.3f}"),
             ("runtime", wall < 600.0, f"{wall:.0f}s"),
         ])
+
+
+    def test_band_holds_under_rounding_perturbations(self, monkeypatch):
+        # the initial design scaled by (1 + k 1e-14), k = 0..7: rounding of
+        # this size must not decide the gate
+        t0 = time.perf_counter()
+        initial = ProblemSpec.initial_design
+        checks = []
+        for k in range(8):
+            monkeypatch.setattr(
+                ProblemSpec, "initial_design",
+                lambda self, grid, k=k: initial(self, grid) * (1.0 + k * 1e-14))
+            last = run(cantilever()).history[-1]
+            c, vf = last.compliance, last.volume_fraction
+            checks.append((f"k={k}", abs(c - 56.998) <= 0.10 * 56.998
+                           and vf <= 0.56, f"C {c:.3f} VF {vf:.4f}"))
+        wall = time.perf_counter() - t0
+        checks.append(("runtime", wall < 600.0, f"{wall:.0f}s"))
+        report(3, "cantilever under 1e-14 design perturbations", checks)
 
 
 class TestCriterion4Mbb:

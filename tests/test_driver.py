@@ -1,5 +1,7 @@
 """Driver loop behavior on scaled-down problem instances."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           get_problem, heat_sink, mbb, run)
 from igtop.errors import ConfigError, NumericalError, SolverError
 from igtop.mma import S_MAX, S_MIN
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def small_cantilever(**kw):
@@ -243,6 +247,68 @@ class TestAnalyze:
         assert model.n_cut > 0
         ws.gradients(model, u)
         assert calls == {"tri_jacobian": 1, "parent_hats": 1}
+
+
+class TestSupportsAndLoads:
+    """Essential conditions hold on the enriched dofs of clamped edges, and
+    the design variables around a point load stay passive."""
+
+    def test_compliance_is_continuous_where_the_interface_crosses_the_clamp(
+            self):
+        # two successive late designs of a cantilever run, between which the
+        # levelset at the clamped node (0, 0.1) changes sign; with the
+        # enriched dofs on the clamped edge free, the compliance jumped 2.3%
+        # at the crossing, held it moves 5e-5
+        a, b = np.loadtxt(DATA / "cantilever_clamp_crossing.txt")
+        ws = _Workspace(cantilever())
+        node = ws.mesh.nearest_node((0.0, 0.1))
+        assert node in ws.mesh.boundary["left"]
+        c, phi = [], []
+        for t in np.linspace(0.0, 1.0, 41):
+            model, _, _, value, _ = ws.analyze((1.0 - t) * a + t * b)
+            c.append(value)
+            phi.append(model.phi[node])
+        c, phi = np.array(c), np.array(phi)
+        assert np.count_nonzero(np.diff(np.sign(phi))) == 1
+        assert np.max(np.abs(np.diff(c)) / c[:-1]) < 1e-3
+
+    @pytest.mark.parametrize("problem", [cantilever(), mbb()],
+                             ids=["cantilever", "mbb"])
+    def test_enriched_dofs_on_fixed_edges_are_fixed(self, problem):
+        ws = _Workspace(problem)
+        a, _ = np.loadtxt(DATA / "cantilever_clamp_crossing.txt")
+        design = a if problem.name == "cantilever" else ws.design()
+        model, u, *_ = ws.analyze(design)
+        d = problem.pair.field_dim
+        fixed = np.zeros(d * ws.mesh.n_nodes, dtype=bool)
+        fixed[ws.fixed] = True
+        fixed = fixed.reshape(-1, d)
+        held = fixed[model.enr_edges[:, 0]] & fixed[model.enr_edges[:, 1]]
+        assert held.any()
+        enriched = u[d * ws.mesh.n_nodes:].reshape(-1, d)
+        assert np.all(enriched[held] == 0.0)
+        assert np.all(enriched[~held] != 0.0)
+
+    def test_kernels_covering_a_point_load_stay_at_s_max(self):
+        problem = small_cantilever(budget=12)
+        ws = _Workspace(problem)
+        load = ws.loads.point_loads[0][0]
+        covering = ws.field.theta[load]
+        assert ws.passive.size and np.array_equal(
+            ws.passive, np.sort(covering.indices[covering.data > 0.0]))
+        assert np.all(ws.design()[ws.passive] == S_MAX)
+        assert ws.field.nodal_values[load] > 0.0
+        designs = []
+        run(problem, observer=lambda state: designs.append(state.design))
+        assert np.all(np.array(designs)[:, ws.passive] == S_MAX)
+        # the gradients of the analysis stay exact there
+        model, u, *_ = ws.analyze(ws.design())
+        dc, dv = ws.gradients(model, u)
+        assert np.any(dc[ws.passive] != 0.0) or np.any(dv[ws.passive] != 0.0)
+
+    def test_problems_without_point_loads_have_no_passive_variables(self):
+        assert _Workspace(heat_sink(nx=9, ny=9, rbf_nx=7,
+                                    rbf_ny=7)).passive.size == 0
 
 
 SMALL_PROBLEMS = {

@@ -8,9 +8,11 @@ from scipy.sparse.linalg import splu
 from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, SolverError
-from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
-                       PlaneStressElastic, _reduce, build_b, compliance,
-                       node_dofs, solve_system)
+import igtop.fem
+from igtop.fem import (CUT, MATERIAL, Assembler, Conduction, LoadCase,
+                       MaterialPair, PlaneStressElastic, build_b,
+                       compliance, cut_parent_dofs,
+                       integration_element_stiffness, node_dofs, solve_system)
 from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients, det2,
                         structured_grid, tri_jacobian)
 
@@ -329,20 +331,111 @@ class TestTileGeometry:
                                  for ie in model.integration]))
 
 
-class TestReducedSystem:
+def coo_reference(asm, model, absolute=False):
+    """K as the sum of the same element blocks through scipy's COO path:
+    the unit stiffness of every element times its phase modulus (zero for
+    cut parents) and the stiffness of every integration element; with
+    ``absolute``, the sum of their absolute values."""
+    mesh, pair, dtype = asm.mesh, asm.pair, asm.dtype
+    d = pair.field_dim
+    b = build_b(cofactor_hat_gradients(
+        mesh.nodes[mesh.elements].astype(dtype)), d)
+    k_unit = np.einsum("eia,ij,ejb->eab", b,
+                       pair.material.d_unit().astype(dtype), b) \
+        * mesh.areas.astype(dtype)[:, None, None]
+    factor = np.where(model.element_state == CUT, 0.0, pair.modulus_of(
+        model.element_state == MATERIAL)).astype(dtype)
+    k_cut = integration_element_stiffness(model, model.tiles, pair, dtype)
+    dofs = node_dofs(mesh.elements.ravel(), d).reshape(mesh.n_elements, -1)
+    cut_dofs = cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)
+    blocks = [k_unit * factor[:, None, None], k_cut]
+    if absolute:
+        blocks = [np.abs(x) for x in blocks]
+    ndof = d * (mesh.n_nodes + model.n_enriched)
+    return sparse.coo_matrix(
+        (np.concatenate([x.ravel() for x in blocks]),
+         (np.concatenate([np.broadcast_to(i[:, :, None], x.shape).ravel()
+                          for i, x in zip((dofs, cut_dofs), blocks)]),
+          np.concatenate([np.broadcast_to(i[:, None, :], x.shape).ravel()
+                          for i, x in zip((dofs, cut_dofs), blocks)]))),
+        shape=(ndof, ndof)).tocsr()
+
+
+class TestCachedPattern:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
-    def test_equals_sliced_and_scaled_products(self, problem):
-        # the Jacobi-scaled free-dof block as sparse slicing and products
-        # compute it; kss must hold the same entries in the same row order,
-        # since reverse Cuthill-McKee reads that order
-        k, _, fixed, _ = initial_system(problem())
+    def test_matches_the_coo_sum_of_the_element_blocks(self, problem, dtype):
+        ws = _Workspace(problem())
+        model = build_enriched_model(
+            ws.mesh, snap_nodal_levelset(ws.field.nodal_values))
+        asm = Assembler(ws.mesh, ws.problem.pair, ws.loads, dtype=dtype)
+        k, _ = asm.assemble(model)
+        assert k.dtype == dtype and k.has_canonical_format
+        assert np.count_nonzero(k.data) == k.nnz
+        ref = coo_reference(asm, model)
+        ref.eliminate_zeros()
+        # the same entries, each to rounding of the sum of its terms
+        assert k.nnz == ref.nnz
+        err = abs(k - ref).tocoo()
+        size = coo_reference(asm, model, absolute=True)
+        assert np.all(err.data <= 1e-15 * np.asarray(
+            size[err.row, err.col]).ravel())
+
+
+class TestScaledBand:
+    @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
+    def test_equals_the_band_of_the_sliced_and_scaled_block(
+            self, monkeypatch, problem):
+        # what the solve orders and factors is, bit for bit, the Jacobi-
+        # scaled free-dof block as sparse slicing and products compute it
+        seen = {}
+        rcm, factor = igtop.fem.reverse_cuthill_mckee, \
+            igtop.fem.cholesky_banded
+
+        def ordering(kss, **kw):
+            seen["kss"], seen["perm"] = kss, rcm(kss, **kw)
+            return seen["perm"]
+
+        def factorization(band, **kw):
+            seen["band"] = band.copy(order="A")
+            return factor(band, **kw)
+
+        monkeypatch.setattr(igtop.fem, "reverse_cuthill_mckee", ordering)
+        monkeypatch.setattr(igtop.fem, "cholesky_banded", factorization)
+        k, f, fixed, _ = initial_system(problem())
+        solve_system(k, f, fixed)
         free = np.setdiff1d(np.arange(k.shape[0]), fixed)
         ref_ff = k[free][:, free]
-        scale = 1.0 / np.sqrt(ref_ff.diagonal())
-        dmat = sparse.diags(scale)
-        ref_ss = (dmat @ ref_ff.tocsc() @ dmat).tocsc().tocsr()
-        kss = _reduce(k, free, scale)
-        assert ref_ss.nnz < ref_ff.nnz  # the products drop stored zeros
+        dmat = sparse.diags(1.0 / np.sqrt(ref_ff.diagonal()))
+        ref_ss = (dmat @ ref_ff.tocsc() @ dmat).tocsr()
         for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(kss, part),
+            np.testing.assert_array_equal(getattr(seen["kss"], part),
                                           getattr(ref_ss, part))
+        band, perm = seen["band"], seen["perm"]
+        assert band.flags.f_contiguous
+        ordered = ref_ss[perm][:, perm].toarray()
+        width = band.shape[0]
+        assert not np.tril(ordered, -width).any()
+        for offset in range(width):
+            np.testing.assert_array_equal(
+                band[offset, :free.size - offset],
+                np.diagonal(ordered, -offset))
+
+    @pytest.mark.parametrize("dtype, solves", [(np.float64, 3),
+                                               (np.longdouble, 7)])
+    def test_float64_refinement_stops_when_it_stagnates(
+            self, monkeypatch, dtype, solves):
+        # on the initial MBB design the float64 residuals of the sweeps are
+        # 8.29e-16 and again 8.29e-16: the second sweep ends the refinement;
+        # longdouble keeps all six sweeps
+        ws = _Workspace(mbb())
+        model = build_enriched_model(
+            ws.mesh, snap_nodal_levelset(ws.field.nodal_values))
+        k, f = Assembler(ws.mesh, ws.problem.pair, ws.loads,
+                         dtype=dtype).assemble(model)
+        calls = []
+        solve = igtop.fem.cho_solve_banded
+        monkeypatch.setattr(igtop.fem, "cho_solve_banded",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        assert solve_system(k, f, ws.fixed).residual <= 1e-10
+        assert len(calls) == solves

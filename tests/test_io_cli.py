@@ -450,6 +450,17 @@ class TestCli:
         assert rc == 2
         assert "output directory" in capsys.readouterr().err
 
+    def test_empty_output_dir_flag_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        # an empty path once fell back to the default igtop-out
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--problem", "cantilever", "--budget", "1",
+                   "--output-dir", ""])
+        assert rc == 2
+        assert "--output-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_to_missing_directory_exits_2(self, tmp_path, capsys,
                                                  monkeypatch):
         # the paths are checked before the design is analyzed
