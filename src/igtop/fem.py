@@ -188,12 +188,10 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
 class Assembler:
     """Reusable assembly context for one mesh / materials / loading triple.
 
-    The sparsity pattern of the original dofs comes once from the mesh's
-    node graph, and one fixed linear map takes the per-element modulus to
-    its entries, summed in ``dtype`` in element order; a cut parent enters
-    with the area-weighted modulus of its integration elements. The rows
-    and columns of the enriched dofs, summed over each parent's three
-    integration elements, are added per model; K stores no zero.
+    The pattern of the original dofs comes once from the mesh's node pairs,
+    filled by one fixed linear map of the per-element modulus (summed in
+    ``dtype``); each model adds the rows and columns of its enriched dofs.
+    K is canonical CSR without stored zeros.
 
     ``dtype`` selects the working precision; the default double suits
     optimization runs, while longdouble pushes interface-exactness studies
