@@ -268,7 +268,7 @@ class Assembler:
         # a cut parent's block over its own nodes is its unit stiffness times
         # the area-weighted modulus of its tiles: the parent's hat gradients
         # are constant over it
-        factor = np.where(uncut, pair.modulus_of(material), 0.0).astype(dtype)
+        factor = pair.modulus_of(material).astype(dtype)
         weighted = np.asarray(tiles.area, dtype=dtype) \
             * pair.modulus_of(tiles.material).astype(dtype)
         factor[model.cut_parents] = weighted.reshape(-1, 3).sum(axis=1) \
