@@ -117,15 +117,12 @@ class TileGeometry:
         Five-slot shape gradients: the parent's three hat gradients
         (cofactor form), then the gradients of its two enrichment functions
         (DL J^{-1} form).
-    shape : (..., 5)
-        Parent hats and enrichment values at the element centroid.
     """
 
     jinv: np.ndarray
     ddet: np.ndarray
     slot_matrix: np.ndarray
     grads: np.ndarray
-    shape: np.ndarray
 
 
 @dataclass(eq=False, repr=False)
@@ -208,11 +205,22 @@ class EnrichedModel:
                  dtype=np.float64) -> TileGeometry:
         """Geometry of integration elements ``ie`` in ``dtype``. That of the
         stack ``tiles`` is computed on first use and kept, one per dtype."""
+        return self._kept(self._compute_geometry, ie, dtype)
+
+    def centroid_shape(self, ie: IntegrationElement,
+                       dtype=np.float64) -> np.ndarray:
+        """Parent hats and enrichment values at the centroids of integration
+        elements ``ie``, shape (..., 5) in ``dtype``: the weights of a body
+        load, computed only when one needs them. Those of ``tiles`` are kept
+        as :meth:`geometry` keeps its geometry."""
+        return self._kept(self._compute_centroid_shape, ie, dtype)
+
+    def _kept(self, compute, ie: IntegrationElement, dtype):
         if ie is not self.tiles:
-            return self._compute_geometry(ie, dtype)
-        key = np.dtype(dtype)
+            return compute(ie, dtype)
+        key = (compute.__name__, np.dtype(dtype))
         if key not in self._geometry:
-            self._geometry[key] = self._compute_geometry(ie, dtype)
+            self._geometry[key] = compute(ie, dtype)
         return self._geometry[key]
 
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
@@ -221,18 +229,19 @@ class EnrichedModel:
         adj = adj2(jac)
         jinv = adj / det2(jac)[..., None, None]
         slot_matrix = ie.slot_matrix.astype(dtype)
-        parent = mesh.hat_gradients[ie.parent] if dtype == np.float64 \
-            else cofactor_hat_gradients(
-                mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
+        parent = cofactor_hat_gradients(
+            mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         enriched = slot_matrix @ (DL.astype(dtype) @ jinv)
-        shape = np.concatenate([self.parent_hats(ie, _CENTROID),
-                                self.enrichment_values(ie, _CENTROID)],
-                               axis=-1).astype(dtype)
         return TileGeometry(jinv=jinv,
                             ddet=DL.astype(dtype) @ adj,
                             slot_matrix=slot_matrix,
-                            grads=np.concatenate([parent, enriched], axis=-2),
-                            shape=shape)
+                            grads=np.concatenate([parent, enriched], axis=-2))
+
+    def _compute_centroid_shape(self, ie: IntegrationElement,
+                                dtype) -> np.ndarray:
+        return np.concatenate([self.parent_hats(ie, _CENTROID),
+                               self.enrichment_values(ie, _CENTROID)],
+                              axis=-1).astype(dtype)
 
     def material_volume(self) -> float:
         """Total area of the material phase (uncut material elements plus

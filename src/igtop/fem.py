@@ -162,15 +162,19 @@ def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
 
 
 def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
-                                  pair: MaterialPair,
-                                  dtype=np.float64) -> np.ndarray:
+                                  pair: MaterialPair, dtype=np.float64,
+                                  rows=slice(None),
+                                  cols=slice(None)) -> np.ndarray:
     """Local stiffness of integration elements over the five parent slots,
-    shape (..., 5 field_dim, 5 field_dim)."""
+    shape (..., 5 field_dim, 5 field_dim), or only its block of the local
+    dofs ``rows`` x ``cols`` (equal to that block of the whole)."""
     b = build_b(model.geometry(ie, dtype).grads, pair.field_dim)
     scale = np.asarray(ie.area, dtype=dtype) \
         * pair.modulus_of(ie.material).astype(dtype)
-    return scale[..., None, None] \
-        * (np.swapaxes(b, -1, -2) @ (pair.material.d_unit().astype(dtype) @ b))
+    k = np.swapaxes(b[..., rows], -1, -2) \
+        @ (pair.material.d_unit().astype(dtype) @ b[..., cols])
+    k *= scale[..., None, None]
+    return k
 
 
 def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
@@ -179,7 +183,7 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
     """Consistent body-load vectors of integration elements over the five
     slots, shape (..., 5 field_dim). ``body`` is one source for all
     elements, shape (field_dim,), or one per element."""
-    shape = model.geometry(ie, dtype).shape
+    shape = model.centroid_shape(ie, dtype)
     load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
     return np.asarray(ie.area, dtype=dtype)[..., None] \
         * load.reshape(load.shape[:-2] + (5 * field_dim,))
@@ -264,7 +268,6 @@ class Assembler:
         uncut = model.element_state != CUT
         material = model.element_state == MATERIAL
         tiles = model.tiles
-        blocks = integration_element_stiffness(model, tiles, pair, dtype)
         # a cut parent's block over its own nodes is its unit stiffness times
         # the area-weighted modulus of its tiles: the parent's hat gradients
         # are constant over it
@@ -278,15 +281,27 @@ class Assembler:
                 self._indptr, (0, ndof + 1 - self._indptr.size), mode="edge")),
             shape=(ndof, ndof))
         # the rows and columns of the enriched dofs, summed over the tiles
-        # and the parents; the sum also drops the zeros of the pattern
-        dofs = cut_parent_dofs(model, np.arange(model.n_cut), d)
+        # and the parents; the sum also drops the zeros of the pattern. Of
+        # the tiles' stiffness only those blocks are computed: the enriched
+        # columns of all rows and the own columns of the enriched rows
+        own, enr = slice(None, 3 * d), slice(3 * d, None)
+        right, lower = (t[0::3] + t[1::3] + t[2::3] for t in (
+            integration_element_stiffness(model, tiles, pair, dtype,
+                                          cols=enr),
+            integration_element_stiffness(model, tiles, pair, dtype,
+                                          rows=enr, cols=own)))
+        # the entries of each parent in row-major order, the order in which
+        # the conversion sums duplicates
+        data = np.concatenate([
+            right[:, own].reshape(-1, 6 * d * d),
+            np.concatenate([lower, right[:, enr]], axis=2).reshape(
+                -1, 10 * d * d)], axis=1)
         rows, cols = np.nonzero((np.arange(5 * d)[:, None] >= 3 * d)
                                 | (np.arange(5 * d) >= 3 * d))
-        t = blocks[:, rows, cols].reshape(model.n_cut, 3, rows.size)
-        slots = dofs.astype(self._indices.dtype)
+        slots = cut_parent_dofs(model, np.arange(model.n_cut), d).astype(
+            self._indices.dtype)
         k = k + sparse.coo_matrix(
-            ((t[:, 0] + t[:, 1] + t[:, 2]).ravel(),
-             (slots[:, rows].ravel(), slots[:, cols].ravel())),
+            (data.ravel(), (slots[:, rows].ravel(), slots[:, cols].ravel())),
             shape=(ndof, ndof)).tocsr()
 
         f = np.zeros(ndof, dtype=dtype)
@@ -300,7 +315,7 @@ class Assembler:
             np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
         body = loads.body_of(tiles.material, d)
         if body is not None:
-            np.add.at(f, np.repeat(dofs, 3, axis=0).ravel(),
+            np.add.at(f, np.repeat(slots, 3, axis=0).ravel(),
                       integration_element_force(
                 model, tiles, body, d, dtype).ravel())
         return k, f

@@ -100,7 +100,7 @@ def integration_element_force_derivative(
     djdet = geom.ddet[..., vertex, component]
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
-    rate = 0.5 * djdet[..., None] * geom.shape \
+    rate = 0.5 * djdet[..., None] * model.centroid_shape(ie) \
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
     return load.reshape(load.shape[:-2] + (5 * field_dim,))

@@ -320,15 +320,34 @@ class TestTileGeometry:
                 mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
             tiles.slot_matrix.astype(dtype) @ (dl @ jinv)],
             axis=-2))
+        for field in ("jinv", "ddet", "slot_matrix", "grads"):
+            assert getattr(geom, field).dtype == dtype, field
+        shape = model.centroid_shape(tiles, dtype)
+        assert model.centroid_shape(tiles, dtype) is shape
+        assert shape.dtype == dtype
         centroid = [1 / 3, 1 / 3, 1 / 3]
-        eq(geom.shape, np.concatenate(
+        eq(shape, np.concatenate(
             [model.parent_hats(tiles, centroid),
              model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
-        for field in ("jinv", "ddet", "slot_matrix", "grads", "shape"):
-            assert getattr(geom, field).dtype == dtype, field
         # per-element views are computed fresh and agree with the stack
         eq(geom.grads, np.stack([model.geometry(ie, dtype).grads
                                  for ie in model.integration]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("pair", [
+        MaterialPair(Conduction(1.0), Conduction(1e-3)),
+        MaterialPair(PlaneStressElastic(1.0, 0.3),
+                     PlaneStressElastic(1e-3, 0.3))], ids=["heat", "elastic"])
+    def test_stiffness_blocks_equal_the_blocks_of_the_whole(
+            self, model, pair, dtype):
+        # the assembly computes only the blocks with an enriched dof
+        whole = integration_element_stiffness(model, model.tiles, pair, dtype)
+        own, enr = slice(None, 3 * pair.field_dim), \
+            slice(3 * pair.field_dim, None)
+        for rows, cols in ((slice(None), enr), (enr, own)):
+            np.testing.assert_array_equal(integration_element_stiffness(
+                model, model.tiles, pair, dtype, rows=rows, cols=cols),
+                whole[:, rows, cols])
 
 
 def coo_reference(asm, model, absolute=False):
