@@ -101,6 +101,8 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
     name = prob_kw.pop("name", None)
     if name is None:
         problems.append("[problem] section must set 'name'")
+    if out_kw.get("directory") == "":
+        problems.append("[output] directory needs a path, got an empty one")
     if problems:
         raise ConfigError(problems)
 

@@ -374,6 +374,8 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
 
     ``quantity`` selects the compliance (each probe is a full re-analysis)
     or the material volume (each probe only rebuilds the cut geometry).
+    Compliance probes assemble and solve in longdouble, so that float64
+    rounding does not swamp the quotients; the analytic side stays float64.
     Rows where the perturbation changes the cut's discrete structure (the
     set of cut edges, or the tiling of a cut parent) are flagged as
     topology events: there the objective is only piecewise smooth and the
@@ -396,6 +398,9 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     dc, dv = ws.gradients(model0, u0)
     grad, ref = (dc, c0) if quantity == "compliance" else (dv, vol0)
     topo0 = _cut_topology(model0)
+    if quantity == "compliance":
+        ws.assembler = Assembler(ws.mesh, problem.pair, ws.loads,
+                                 dtype=np.longdouble)
 
     def probe(s):
         if quantity == "compliance":

@@ -114,9 +114,9 @@ class TileGeometry:
     slot_matrix : (..., 2, 3)
         The elements' :attr:`IntegrationElement.slot_matrix`.
     grads : (..., 5, 2)
-        Five-slot shape gradients: the parent's three hat gradients
-        (cofactor form), then the gradients of its two enrichment functions
-        (DL J^{-1} form).
+        Five-slot shape gradients: the parent's three hat gradients, then
+        the gradients of its two enrichment functions (the element's hat
+        gradients at the slots' vertices).
     """
 
     jinv: np.ndarray
@@ -225,13 +225,14 @@ class EnrichedModel:
 
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
         mesh = self.mesh
-        jac = tri_jacobian(ie.coords.astype(dtype))
+        coords = ie.coords.astype(dtype)
+        jac = tri_jacobian(coords)
         adj = adj2(jac)
         jinv = adj / det2(jac)[..., None, None]
         slot_matrix = ie.slot_matrix.astype(dtype)
         parent = cofactor_hat_gradients(
             mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
-        enriched = slot_matrix @ (DL.astype(dtype) @ jinv)
+        enriched = slot_matrix @ cofactor_hat_gradients(coords)
         return TileGeometry(jinv=jinv,
                             ddet=DL.astype(dtype) @ adj,
                             slot_matrix=slot_matrix,

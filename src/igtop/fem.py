@@ -349,7 +349,6 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     k = sparse.csr_matrix(k)
     k.sum_duplicates()
     ff = f[free]
-    work_ld = k.dtype == np.longdouble
     diag = k.diagonal()[free]
     if np.any(diag <= 0.0):
         bad = free[int(np.argmin(diag))]
@@ -405,11 +404,10 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     fld = fs.astype(np.longdouble)
     y = solve(fs).astype(np.longdouble)
     last = np.inf
-    for _ in range(6 if work_ld else 3):
+    for _ in range(6):
         r = fld - kld @ y
         rnorm = float(np.linalg.norm(r.astype(np.float64)))
-        # float64 sweeps end at the first that fails to halve the residual
-        if rnorm <= 1e-16 * fsnorm or (not work_ld and rnorm > 0.5 * last):
+        if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
             break
         y, last = y + solve(r), rnorm
     if not np.all(np.isfinite(y.astype(np.float64))):

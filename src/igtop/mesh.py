@@ -44,11 +44,8 @@ def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
     """Physical hat-function gradients of triangles with vertex coordinates
     (..., 3, 2), in their dtype: row i is the rotated opposite edge
     (y_j - y_k, x_k - x_j) over twice the area, with (i, j, k) cyclic.
-
-    Mesh elements use this form, integration elements the form DL J^{-1}
-    (see :meth:`igtop.enrich.EnrichedModel.geometry`). The two agree up to
-    rounding, but optimization histories amplify rounding differences, so
-    replacing either form would move every optimization result.
+    Mesh elements, cut parents and integration elements all take their hat
+    gradients from here.
     """
     g = np.empty_like(coords)
     for i in range(3):

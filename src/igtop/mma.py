@@ -128,14 +128,10 @@ class MmaOptimizer:
 
         lam = 0.0
         if dual_slope(0.0) > 0.0:
-            hi = 1.0
-            for _ in range(200):
-                if dual_slope(hi) < 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise MmaStepError("dual bracket did not close; constraint "
-                                   "approximation cannot be satisfied")
+            # on [alpha, beta] the slope is at most bound - b - y(lam), so
+            # y(hi) = 1 + max(0, bound - b) makes it negative at hi
+            bound = float(np.sum(p1 / (upp - beta) + q1 / (alpha - low)))
+            hi = _RELAX_C + _RELAX_D * (1.0 + max(0.0, bound - b))
             lo = 0.0
             for _ in range(200):
                 lam = 0.5 * (lo + hi)

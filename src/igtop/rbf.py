@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
+from .fem import solve_system
 
 _SUPPORT_FACTOR = float(np.sqrt(2.0))  # support radius / center spacing
 
@@ -157,7 +157,8 @@ class LevelsetField:
 
 def fit_design(grid: RbfGrid, target_at_centers: np.ndarray) -> np.ndarray:
     """Design vector whose field interpolates ``target_at_centers`` at the
-    kernel centers.
+    kernel centers. The Wendland collocation matrix is symmetric positive
+    definite, so the state solve's banded Cholesky factors it.
 
     Raises
     ------
@@ -165,14 +166,12 @@ def fit_design(grid: RbfGrid, target_at_centers: np.ndarray) -> np.ndarray:
         If the center collocation matrix is singular (e.g. duplicated
         centers).
     """
-    a = build_theta(grid, grid.centers).tocsc()
     try:
-        s = splu(a).solve(np.asarray(target_at_centers, dtype=float))
-    except RuntimeError as err:
-        raise ConfigError(f"center collocation system is singular: {err}") from err
-    if not np.all(np.isfinite(s)):
-        raise ConfigError("center collocation produced non-finite design values")
-    return s
+        return solve_system(build_theta(grid, grid.centers),
+                            np.asarray(target_at_centers, dtype=float), []).u
+    except SolverError as err:
+        raise ConfigError("center collocation system is singular "
+                          "(duplicated centers?)") from err
 
 
 # Relative hole positions of the classic 15-hole seed layout: two columns of

@@ -318,7 +318,8 @@ class TestTileGeometry:
         eq(geom.grads, np.concatenate([
             cofactor_hat_gradients(
                 mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
-            tiles.slot_matrix.astype(dtype) @ (dl @ jinv)],
+            tiles.slot_matrix.astype(dtype) @ cofactor_hat_gradients(
+                tiles.coords.astype(dtype))],
             axis=-2))
         for field in ("jinv", "ddet", "slot_matrix", "grads"):
             assert getattr(geom, field).dtype == dtype, field
@@ -440,12 +441,12 @@ class TestScaledBand:
         np.testing.assert_array_equal(band, expected)
 
     @pytest.mark.parametrize("dtype, solves", [(np.float64, 3),
-                                               (np.longdouble, 7)])
-    def test_float64_refinement_stops_when_it_stagnates(
+                                               (np.longdouble, 3)])
+    def test_refinement_stops_when_it_stagnates(
             self, monkeypatch, dtype, solves):
         # on the initial MBB design the float64 residuals of the sweeps are
         # 8.29e-16 and again 8.29e-16: the second sweep ends the refinement;
-        # longdouble keeps all six sweeps
+        # longdouble ends at its second sweep too
         ws = _Workspace(mbb())
         model = build_enriched_model(
             ws.mesh, snap_nodal_levelset(ws.field.nodal_values))

@@ -461,6 +461,16 @@ class TestCli:
         assert "--output-dir" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_output_directory_key_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch):
+        # an empty key once resolved to the config file's own directory
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(str(tmp_path / "out"), ""))
+        assert main(["run", str(cfg)]) == 2
+        assert "[output] directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.cfg"]
+
     def test_export_to_missing_directory_exits_2(self, tmp_path, capsys,
                                                  monkeypatch):
         # the paths are checked before the design is analyzed

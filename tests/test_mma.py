@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igtop.errors import MmaStepError
-from igtop.mma import MmaOptimizer
+from igtop.mma import S_MAX, S_MIN, MmaOptimizer
 
 
 def quad_obj(x, target):
@@ -65,6 +67,32 @@ class TestConstrainedOptimum:
         x = np.zeros(2)
         x = opt.step(x, np.array([1.0, -1.0]), -0.5, np.ones(2))
         assert opt.lam == 0.0
+
+
+class TestDualBracket:
+    def test_unmeetable_constraint_is_relaxed_inside_the_box(self):
+        # one move limit lowers the constraint by 1e-4, not by 1e3: the
+        # elastic variable y takes the rest, at lambda = c + d y
+        n = 10
+        opt = MmaOptimizer(n)
+        x = np.zeros(n)
+        xnew = opt.step(x, np.ones(n), 1e3, np.full(n, 1e-3))
+        np.testing.assert_allclose(xnew, x - opt.move_limit)
+        assert opt.y > 0.0
+        assert opt.lam == pytest.approx(1010.0, rel=1e-6)
+        assert opt.y == pytest.approx(1000.0, rel=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        *[st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)] * 3)),
+        st.floats(-1.0, 1.0))
+    def test_order_one_steps_stay_in_box_and_move_limit(self, vectors, fval):
+        x, df0dx, dfdx = map(np.array, vectors)
+        opt = MmaOptimizer(x.size)
+        xnew = opt.step(x, df0dx, fval, dfdx)
+        assert np.all((xnew >= S_MIN) & (xnew <= S_MAX))
+        assert np.all(np.abs(xnew - x) <= opt.move_limit + 1e-12)
+        assert opt.lam >= 0.0 and opt.y >= 0.0
 
 
 class TestAsymptotes:

@@ -50,3 +50,19 @@ def test_every_definition_is_named_elsewhere():
             if not any(word.search(t) for t in ["\n".join(lines)] + rest):
                 unnamed.append(f"{module}: {node.name}")
     assert not unnamed, f"definitions nothing else names: {unnamed}"
+
+
+def test_no_module_imports_sparse_linalg():
+    # the banded Cholesky of fem.solve_system is the one sparse factorization
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("scipy.sparse.linalg")]
+    assert not found, f"imports from scipy.sparse.linalg: {found}"
