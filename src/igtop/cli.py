@@ -64,10 +64,10 @@ def _cmd_run(args) -> int:
     every = out.snapshot_every
 
     def observer(state):
-        if state.u is None:
+        if state.failure is not None:
             failed = outdir / ARTIFACTS["failed"]
             write_design(failed, state.design)
-            print(f"solver failed at iteration {state.iteration}; "
+            print(f"{state.failure} failed at iteration {state.iteration}; "
                   f"design saved to {failed}", file=sys.stderr)
             return
         if every and state.iteration % every == 0:

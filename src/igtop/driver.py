@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sensitivity
 from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, MmaStepError, SolverError
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
@@ -203,14 +203,18 @@ class HistoryRecord:
 
 @dataclass
 class IterationState:
-    """Snapshot handed to the observer after each analysis."""
+    """Snapshot handed to the observer after each analysis, and once more
+    with the design of an iteration whose state solve or MMA step failed:
+    then ``failure`` names the failed stage, ``model`` and ``u`` are None
+    and the compliance and volume fraction are NaN."""
 
     iteration: int
     design: np.ndarray
-    model: EnrichedModel
+    model: EnrichedModel | None
     u: np.ndarray | None
     compliance: float
     volume_fraction: float
+    failure: str | None = None
 
 
 @dataclass
@@ -285,6 +289,13 @@ class _Workspace:
         return dc, dv
 
 
+def _report_failure(observer, iteration: int, design: np.ndarray,
+                    stage: str) -> None:
+    if observer is not None:
+        observer(IterationState(iteration, design.copy(), None, None,
+                                math.nan, math.nan, failure=stage))
+
+
 def run(problem: ProblemSpec, *, budget: int | None = None,
         observer=None) -> RunResult:
     """Optimize a problem; returns the final design and iteration history.
@@ -292,8 +303,9 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     The history holds one record per analysis, starting with the initial
     design at iteration 0, at most ``budget`` records in total. The loop
     stops early once the design update stays below 1e-6 in the max norm for
-    ten consecutive iterations. If the state solve fails, the offending
-    design is handed to the observer before the error propagates.
+    ten consecutive iterations. If the state solve or the MMA step fails,
+    the design of that iteration is handed to the observer before the
+    error propagates.
     """
     problem = problem.with_overrides(
         budget=problem.budget if budget is None else int(budget))
@@ -313,9 +325,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         try:
             model, u, f, c, vol = ws.analyze(s)
         except SolverError:
-            if observer is not None:
-                observer(IterationState(it, s.copy(), None, None,
-                                        math.nan, math.nan))
+            _report_failure(observer, it, s, "state solve")
             raise
         vf = vol / ws.domain_volume
         history.append(HistoryRecord(it, c, vf,
@@ -334,7 +344,11 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         dc, dv = ws.gradients(model, u)
         dc[ws.passive] = dv[ws.passive] = 0.0
         fval = vol / v_limit - 1.0
-        s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
+        try:
+            s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
+        except MmaStepError:
+            _report_failure(observer, it, s, "MMA step")
+            raise
         stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
         s = s_new
 

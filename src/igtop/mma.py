@@ -14,6 +14,8 @@ the constraint binds exactly. Intended for objectives scaled to order one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import MmaStepError
@@ -34,6 +36,12 @@ S_MIN, S_MAX = -1.0, 1.0
 _RANGE = S_MAX - S_MIN
 
 
+def _kkt_residual(lam: float, slope: float) -> float:
+    """Complementarity and feasibility of the convex subproblem at a
+    multiplier ``lam`` with dual slope ``slope``."""
+    return max(abs(lam * slope) / (1.0 + lam), max(0.0, slope))
+
+
 class MmaOptimizer:
     """Stateful MMA update for minimization over the box
     [S_MIN, S_MAX]^n with one constraint.
@@ -48,8 +56,9 @@ class MmaOptimizer:
 
     def __init__(self, n: int, move_limit: float = 0.01):
         self.n = int(n)
-        if not move_limit > 0.0:
-            raise ValueError("move_limit must be positive")
+        if not (math.isfinite(move_limit) and move_limit > 0.0):
+            raise ValueError("move_limit must be finite and positive, got "
+                             f"{move_limit}")
         self.move_limit = float(move_limit)
         self.low = None
         self.upp = None
@@ -65,15 +74,16 @@ class MmaOptimizer:
             self.upp = x + _ASY_INIT * _RANGE
             return
         trend = (x - self.xold1) * (self.xold1 - self.xold2)
-        factor = np.ones(self.n)
-        factor[trend < 0.0] = _ASY_SHRINK
-        factor[trend > 0.0] = _ASY_GROW
-        low = x - factor * (self.xold1 - self.low)
-        upp = x + factor * (self.upp - self.xold1)
-        self.low = np.clip(low, x - _ASY_MAX * _RANGE,
-                           x - _ASY_MIN * _RANGE)
-        self.upp = np.clip(upp, x + _ASY_MIN * _RANGE,
-                           x + _ASY_MAX * _RANGE)
+        factor = np.where(trend < 0.0, _ASY_SHRINK,
+                          np.where(trend > 0.0, _ASY_GROW, 1.0))
+        # clamping the distance to x clamps the asymptote to the same bits,
+        # since rounding is monotone; np.minimum(np.maximum(...)) is
+        # np.clip for finite values, at a third of the cost
+        lo_min, lo_max = _ASY_MIN * _RANGE, _ASY_MAX * _RANGE
+        self.low = x - np.minimum(np.maximum(
+            factor * (self.xold1 - self.low), lo_min), lo_max)
+        self.upp = x + np.minimum(np.maximum(
+            factor * (self.upp - self.xold1), lo_min), lo_max)
 
     def step(self, x, df0dx, fval: float, dfdx) -> np.ndarray:
         """One design update.
@@ -88,9 +98,9 @@ class MmaOptimizer:
             if arr.shape != (self.n,):
                 raise ValueError(f"{name} has shape {arr.shape}, "
                                  f"expected ({self.n},)")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        if not np.isfinite(fval):
+        if not math.isfinite(fval):
             raise ValueError("fval is not finite")
 
         self._update_asymptotes(x)
@@ -103,54 +113,79 @@ class MmaOptimizer:
 
         ux = upp - x
         xl = x - low
+        ux2 = ux * ux
+        xl2 = xl * xl
+        damp = 0.001 * np.abs(df0dx)
         base = _RAA0 / _RANGE
-        p0 = ux ** 2 * (np.maximum(df0dx, 0.0)
-                        + 0.001 * np.abs(df0dx) + base)
-        q0 = xl ** 2 * (np.maximum(-df0dx, 0.0)
-                        + 0.001 * np.abs(df0dx) + base)
-        p1 = ux ** 2 * np.maximum(dfdx, 0.0)
-        q1 = xl ** 2 * np.maximum(-dfdx, 0.0)
+        p0 = ux2 * (np.maximum(df0dx, 0.0) + damp + base)
+        q0 = xl2 * (np.maximum(-df0dx, 0.0) + damp + base)
+        p1 = ux2 * np.maximum(dfdx, 0.0)
+        q1 = xl2 * np.maximum(-dfdx, 0.0)
         # rhs that makes the approximation interpolate fval at x
-        b = float(np.sum(p1 / ux + q1 / xl)) - fval
+        b = float((p1 / ux + q1 / xl).sum()) - fval
+        # Inside (alpha, beta) the primal x(lam) solves
+        # plam/(U-x)^2 = qlam/(x-L)^2, so dx/dlam = -a/h with
+        # a = p1/(U-x)^2 - q1/(x-L)^2 and h = 2 (plam/(U-x)^3 + qlam/(x-L)^3),
+        # and the slope's derivative is -sum(a^2/h). Substituting
+        # U-x = (U-L) sp/(sp+sq) and x-L = (U-L) sq/(sp+sq) reduces each
+        # term to curv / (sp sq)^3 with a constant numerator:
+        curv = (p1 * q0 - q1 * p0) ** 2 / (2.0 * (upp - low))
 
-        def primal(lam: float) -> np.ndarray:
-            plam = p0 + lam * p1
-            qlam = q0 + lam * q1
-            sp = np.sqrt(plam)
-            sq = np.sqrt(qlam)
+        def evaluate(lam: float):
+            """Primal minimizer at ``lam``, the dual slope there and the
+            slope's derivative (clipped variables do not move)."""
+            sp = np.sqrt(p0 + lam * p1)
+            sq = np.sqrt(q0 + lam * q1)
             xs = (sp * low + sq * upp) / (sp + sq)
-            return np.clip(xs, alpha, beta)
-
-        def dual_slope(lam: float) -> float:
-            xs = primal(lam)
+            xc = np.minimum(np.maximum(xs, alpha), beta)
             y = max(0.0, (lam - _RELAX_C) / _RELAX_D)
-            return float(np.sum(p1 / (upp - xs) + q1 / (xs - low))) - b - y
+            slope = float((p1 / (upp - xc) + q1 / (xc - low)).sum()) - b - y
+            spq = sp * sq
+            dslope = -float((curv / (spq * spq * spq)).sum(
+                where=(xs > alpha) & (xs < beta)))
+            if lam > _RELAX_C:
+                dslope -= 1.0 / _RELAX_D
+            return xc, slope, dslope
 
-        lam = 0.0
-        if dual_slope(0.0) > 0.0:
-            # on [alpha, beta] the slope is at most bound - b - y(lam), so
-            # y(hi) = 1 + max(0, bound - b) makes it negative at hi
-            bound = float(np.sum(p1 / (upp - beta) + q1 / (alpha - low)))
-            hi = _RELAX_C + _RELAX_D * (1.0 + max(0.0, bound - b))
-            lo = 0.0
-            for _ in range(200):
-                lam = 0.5 * (lo + hi)
-                if dual_slope(lam) > 0.0:
-                    lo = lam
-                else:
-                    hi = lam
-                if hi - lo <= 1e-14 * max(1.0, hi):
+        # on [alpha, beta] the slope is at most bound - b - y(lam), so
+        # y(hi) = 1 + max(0, bound - b) makes it negative at hi
+        bound = float((p1 / (upp - beta) + q1 / (alpha - low)).sum())
+        lo = 0.0
+        hi = _RELAX_C + _RELAX_D * (1.0 + max(0.0, bound - b))
+        # safeguarded Newton from the last step's multiplier: a step that
+        # leaves the bracket is replaced by bisection, except that the first
+        # step to fall at or below zero tries lam = 0, the inactive case; the
+        # search ends where the next step would be within the tolerance and
+        # the KKT residual already meets its own
+        lam = min(max(self.lam, lo), hi)
+        xnew, slope, dslope = evaluate(lam)
+        zero_tried = lam == 0.0
+        for _ in range(200):
+            if slope > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            tol = 1e-14 * max(1.0, hi)
+            if hi - lo <= tol or slope == 0.0:
+                break
+            nxt = lo  # no Newton step where the slope is flat
+            if dslope < 0.0:
+                nxt = lam - slope / dslope
+                if (abs(nxt - lam) <= tol
+                        and _kkt_residual(lam, slope) <= _DUAL_TOL):
                     break
-            lam = 0.5 * (lo + hi)
+            if nxt <= 0.0 and not zero_tried:
+                nxt, zero_tried = 0.0, True
+            elif not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            lam = nxt
+            xnew, slope, dslope = evaluate(lam)
 
-        slope = dual_slope(lam)
-        # complementarity and feasibility of the convex subproblem
-        residual = max(abs(lam * slope) / (1.0 + lam), max(0.0, slope))
+        residual = _kkt_residual(lam, slope)
         if residual > _DUAL_TOL:
             raise MmaStepError(
                 f"dual solve left KKT residual {residual:.3e} > {_DUAL_TOL}")
 
-        xnew = primal(lam)
         self.lam = lam
         self.y = max(0.0, (lam - _RELAX_C) / _RELAX_D)
         self.xold2 = self.xold1

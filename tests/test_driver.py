@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           _Workspace, analyze, cantilever, check_gradients,
                           get_problem, heat_sink, mbb, run)
-from igtop.errors import ConfigError, NumericalError, SolverError
-from igtop.mma import S_MAX, S_MIN
+from igtop.errors import ConfigError, MmaStepError, NumericalError, SolverError
+from igtop.mma import S_MAX, S_MIN, MmaOptimizer
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -176,9 +176,24 @@ class TestRunLoop:
             run(p, observer=seen.append)
         assert len(seen) == 1
         assert seen[0].iteration == 0
+        assert seen[0].failure == "state solve"
         assert seen[0].u is None
         assert np.isnan(seen[0].compliance)
         assert seen[0].design.shape == (p.rbf_nx * p.rbf_ny,)
+
+    def test_mma_failure_hands_design_to_observer(self, monkeypatch):
+        def boom(self, *args):
+            raise MmaStepError("forced failure")
+
+        monkeypatch.setattr(MmaOptimizer, "step", boom)
+        seen = []
+        with pytest.raises(MmaStepError, match="forced failure"):
+            run(small_cantilever(), observer=seen.append)
+        assert [(state.iteration, state.failure) for state in seen] \
+            == [(0, None), (0, "MMA step")]
+        assert seen[1].u is None and seen[1].model is None
+        assert np.isnan(seen[1].compliance)
+        assert np.array_equal(seen[1].design, seen[0].design)
 
     def test_stall_converges_after_one_more_analysis(self):
         # steps below the stall tolerance: ten of them stop the loop, and
@@ -349,6 +364,21 @@ class TestGradientCheck:
         assert clean, "all sampled variables hit topology events"
         for r in clean:
             assert r.rel_err <= 1e-3, (r.index, r.analytic, r.fd, r.rel_err)
+
+    @pytest.mark.parametrize("quantity", ["compliance", "volume"])
+    def test_every_variable_of_a_mid_run_design(self, quantity):
+        # a late cantilever design whose cut crosses the clamp: every one of
+        # its 231 rows, the passive variables and the enriched dofs held on
+        # the clamped edge included, at criterion 2's bar
+        a, _ = np.loadtxt(DATA / "cantilever_clamp_crossing.txt")
+        problem = cantilever()
+        rows = check_gradients(problem, design=a, n_sample=a.size,
+                               quantity=quantity)
+        assert [r.index for r in rows] == list(range(a.size))
+        assert list(_Workspace(problem).passive) == [104, 124, 125, 146]
+        clean = [r for r in rows if not r.topology_event]
+        good = sum(r.rel_err <= 1e-3 for r in clean)
+        assert good >= 0.95 * len(clean), (good, len(clean))
 
     def test_sample_capped_by_design_size(self):
         p = small_cantilever()

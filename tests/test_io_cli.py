@@ -12,8 +12,9 @@ from igtop.cli import build_parser, main
 from igtop.config import load_config, parse_config
 from igtop.driver import HistoryRecord, analyze, cantilever, run
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
-from igtop.errors import ConfigError
+from igtop.errors import ConfigError, MmaStepError
 from igtop.mesh import structured_grid
+from igtop.mma import MmaOptimizer
 from igtop.output import (read_design, write_contour, write_design,
                           write_history, write_vtk)
 
@@ -370,6 +371,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "index 7 " in err and "[-1, 1]" in err
         assert not (tmp_path / "c.txt").exists()
+
+    def test_mma_failure_exits_3_and_saves_that_iterations_design(
+            self, tmp_path, capsys, monkeypatch):
+        step = MmaOptimizer.step
+
+        def fail_second_step(self, *args):
+            if self.iteration == 1:
+                raise MmaStepError("forced failure")
+            return step(self, *args)
+
+        monkeypatch.setattr(MmaOptimizer, "step", fail_second_step)
+        rc = main(["run", str(tiny_config(tmp_path))])
+        err = capsys.readouterr().err
+        outdir = tmp_path / "out"
+        assert rc == 3
+        assert "MMA step failed at iteration 1" in err
+        assert "forced failure" in err
+        assert np.array_equal(read_design(outdir / "design_failed.txt"),
+                              read_design(outdir / "design_0001.txt"))
+        assert not (outdir / "history.csv").exists()
 
     def test_export_snapshot_by_iteration(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -95,6 +95,94 @@ class TestDualBracket:
         assert opt.lam >= 0.0 and opt.y >= 0.0
 
 
+def reference_dual(x, df0dx, fval, dfdx, move_limit):
+    """The subproblem of a step taken while the asymptotes are still at
+    x -+ 1 (the first two steps): its dual slope g(lam), and the multiplier
+    found by plain doubling and bisection on g."""
+    low, upp = x - 1.0, x + 1.0
+    alpha = np.maximum.reduce([np.full_like(x, S_MIN), low + 0.1 * (x - low),
+                               x - move_limit])
+    beta = np.minimum.reduce([np.full_like(x, S_MAX), upp - 0.1 * (upp - x),
+                              x + move_limit])
+    ux, xl = upp - x, x - low
+    p0 = ux ** 2 * (np.maximum(df0dx, 0) + 0.001 * np.abs(df0dx) + 5e-6)
+    q0 = xl ** 2 * (np.maximum(-df0dx, 0) + 0.001 * np.abs(df0dx) + 5e-6)
+    p1 = ux ** 2 * np.maximum(dfdx, 0)
+    q1 = xl ** 2 * np.maximum(-dfdx, 0)
+    b = np.sum(p1 / ux + q1 / xl) - fval
+
+    def slope(lam):
+        sp, sq = np.sqrt(p0 + lam * p1), np.sqrt(q0 + lam * q1)
+        xs = np.clip((sp * low + sq * upp) / (sp + sq), alpha, beta)
+        return np.sum(p1 / (upp - xs) + q1 / (xs - low)) - b \
+            - max(0.0, lam - 10.0)
+
+    if slope(0.0) <= 0.0:
+        return 0.0, slope
+    lo, hi = 0.0, 1.0
+    while slope(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi), slope
+
+
+# (df0dx, fval, dfdx) ranges that put the multiplier in one branch of the
+# dual: zero (feasible by more than one move can use), interior (the
+# objective pushes x up, a constraint met within the move limit pushes it
+# down), and relaxed (the elastic variable y > 0 takes what one move cannot)
+DUAL_BRANCHES = {
+    "zero": ((-1.0, 1.0), (-1.0, -0.5), (-1.0, 1.0)),
+    "interior": ((-1.0, -0.1), (0.0, 1e-3), (0.2, 1.0)),
+    "relaxed": ((-1.0, 1.0), (10.0, 1e3), (1e-3, 1e-2)),
+}
+
+
+@st.composite
+def subproblem(draw, n, branch):
+    (g_lo, g_hi), (f_lo, f_hi), (d_lo, d_hi) = DUAL_BRANCHES[branch]
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                      max_size=n)))
+
+    # x stays off the box: at x = S_MAX with fval = 0 and x pushed up, the
+    # slope is zero on a whole interval of multipliers, every one of them
+    # exact, and bisection and Newton may pick different ones
+    return (vector(-0.95, 0.95), vector(g_lo, g_hi),
+            draw(st.floats(f_lo, f_hi)), vector(d_lo, d_hi))
+
+
+class TestDualSolve:
+    @pytest.mark.parametrize("branch", sorted(DUAL_BRANCHES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_multiplier_meets_kkt_and_matches_bisection(self, branch, data):
+        # a first step of any branch leaves the multiplier the Newton
+        # search of the second step starts from
+        n = data.draw(st.integers(1, 12))
+        opt = MmaOptimizer(n)
+        opt.step(*data.draw(subproblem(
+            n, data.draw(st.sampled_from(sorted(DUAL_BRANCHES))))))
+        problem = data.draw(subproblem(n, branch))
+        opt.step(*problem)
+
+        ref, slope = reference_dual(*problem, opt.move_limit)
+        lam = opt.lam
+        g = slope(lam)
+        assert max(abs(lam * g) / (1.0 + lam), g) <= 1e-9
+        assert abs(lam - ref) <= 1e-12 * ref
+        if branch == "zero":
+            assert lam == 0.0
+        elif branch == "interior":
+            assert 0.0 < lam <= 10.0 and opt.y == 0.0
+        else:
+            assert opt.y > 0.0 and opt.y == pytest.approx(lam - 10.0)
+
+
 class TestAsymptotes:
     def test_initialization_is_half_range(self):
         opt = MmaOptimizer(2)
@@ -146,6 +234,11 @@ class TestValidation:
         opt = MmaOptimizer(3)
         with pytest.raises(ValueError, match="shape"):
             opt.step(np.zeros(2), np.zeros(3), 0.0, np.zeros(3))
+
+    @pytest.mark.parametrize("move", [np.inf, np.nan, 0.0, -0.01])
+    def test_rejects_move_limit_not_finite_and_positive(self, move):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MmaOptimizer(2, move_limit=move)
 
     def test_error_type_is_numerical(self):
         from igtop.errors import NumericalError

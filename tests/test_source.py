@@ -52,8 +52,9 @@ def test_every_definition_is_named_elsewhere():
     assert not unnamed, f"definitions nothing else names: {unnamed}"
 
 
-def test_no_module_imports_sparse_linalg():
-    # the banded Cholesky of fem.solve_system is the one sparse factorization
+def imports_from(package):
+    """Every import in the package source of ``package`` or its
+    submodules, as "file:line name"."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -64,5 +65,18 @@ def test_no_module_imports_sparse_linalg():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.startswith("scipy.sparse.linalg")]
+                      if name.startswith(package)]
+    return found
+
+
+def test_no_module_imports_sparse_linalg():
+    # the banded Cholesky of fem.solve_system is the one sparse factorization
+    found = imports_from("scipy.sparse.linalg")
     assert not found, f"imports from scipy.sparse.linalg: {found}"
+
+
+def test_no_module_imports_scipy_optimize():
+    # the MMA dual is solved in numpy: importing scipy.optimize alone adds
+    # about 10 MB to a run's peak resident memory
+    found = imports_from("scipy.optimize")
+    assert not found, f"imports from scipy.optimize: {found}"
