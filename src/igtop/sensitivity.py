@@ -135,33 +135,32 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     """d(compliance)/d(phi_j) for every mesh node.
 
     Nonzero only at endpoints of cut edges. ``u`` is the equilibrium solution
-    for the same model, materials, and loads. Per integration-element vertex
-    motion, -u^T dK u is contracted from the factors of
-    :func:`integration_element_stiffness_derivative` without forming dK.
+    for the same model, materials, and loads. Tile entry (l, c) is -u^T
+    (:func:`integration_element_stiffness_derivative`) u + 2 u^T
+    (:func:`integration_element_force_derivative`), all six in closed form:
+    moving vertex l along axis c changes enrichment gradient s by the rank
+    one -ge[s, c] g[l] (g = ``hats``, ge = ``grads[3:]``), so no dB is built.
     """
     tiles = model.tiles
     geom = model.geometry(tiles)
     d = pair.field_dim
-    ue = u[cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)]
+    ue = u[cut_parent_dofs(model, np.arange(model.n_cut), d)].repeat(3, axis=0)
     dmat = pair.material.d_unit() \
         * pair.modulus_of(tiles.material)[:, None, None]
     strain = (build_b(geom.grads, d) @ ue[..., None])[..., 0]
     stress = (dmat @ strain[..., None])[..., 0]
-    energy = _dot(strain, stress)
-    area2 = 2.0 * tiles.area
+    ue = ue.reshape(-1, 5, d)
+    # the stress as the 2 x d tensor that pairs with the displacement gradient
+    sigma = stress[:, [[0], [1]] if d == 1 else [[0, 2], [2, 1]]]
+    h_enr = np.swapaxes(ue[:, 3:], -1, -2) @ geom.grads[:, 3:]
+    area2 = (2.0 * tiles.area)[:, None, None]
+    dx = -(0.5 * _dot(strain, stress)[:, None, None] * geom.ddet
+           - area2 * (geom.hats @ sigma @ h_enr))
     body = loads.body_of(tiles.material, d)
-    dx = np.zeros((3 * model.n_cut, 3, 2))
-    for l in range(3):
-        for c in range(2):
-            djdet = geom.ddet[:, l, c]
-            db = build_b(_enrichment_gradient_derivative(geom, l, c), d)
-            dstrain = (db @ ue[..., None])[..., 0]
-            dx[:, l, c] = -(0.5 * djdet * energy
-                            + area2 * _dot(dstrain, stress))
-            if body is not None:
-                df = integration_element_force_derivative(
-                    model, tiles, body, d, l, c)
-                dx[:, l, c] += 2.0 * _dot(ue, df)
+    if body is not None:
+        w = (ue @ body[..., None])[..., 0]
+        dx += _dot(model.centroid_shape(tiles), w)[:, None, None] * geom.ddet \
+            + area2 / 3.0 * (w[:, None, :3] @ geom.grads[:, :3])
     return _to_nodes(model, dx)
 
 

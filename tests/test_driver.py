@@ -380,6 +380,17 @@ class TestGradientCheck:
         good = sum(r.rel_err <= 1e-3 for r in clean)
         assert good >= 0.95 * len(clean), (good, len(clean))
 
+    @pytest.mark.parametrize("quantity", ["compliance", "volume"])
+    def test_mid_run_heat_sink_design(self, quantity):
+        # the heat sink carries a body load in both phases, the only builtin
+        # problem on the body-load term of the compliance gradient
+        s = np.loadtxt(DATA / "heat_sink_iter40.txt")
+        rows = check_gradients(heat_sink(), design=s, n_sample=50, seed=0,
+                               quantity=quantity)
+        clean = [r for r in rows if not r.topology_event]
+        good = sum(r.rel_err <= 1e-3 for r in clean)
+        assert good >= 0.95 * len(clean), (good, len(clean))
+
     def test_sample_capped_by_design_size(self):
         p = small_cantilever()
         rows = check_gradients(p, n_sample=10_000, seed=0)

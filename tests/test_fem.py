@@ -315,13 +315,14 @@ class TestTileGeometry:
         eq(geom.jinv, jinv)
         eq(geom.ddet, dl @ adj2(jac))
         eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
+        eq(geom.hats, cofactor_hat_gradients(tiles.coords.astype(dtype)))
         eq(geom.grads, np.concatenate([
             cofactor_hat_gradients(
                 mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
             tiles.slot_matrix.astype(dtype) @ cofactor_hat_gradients(
                 tiles.coords.astype(dtype))],
             axis=-2))
-        for field in ("jinv", "ddet", "slot_matrix", "grads"):
+        for field in ("jinv", "ddet", "slot_matrix", "hats", "grads"):
             assert getattr(geom, field).dtype == dtype, field
         shape = model.centroid_shape(tiles, dtype)
         assert model.centroid_shape(tiles, dtype) is shape

@@ -333,28 +333,48 @@ class TestNodalGradients:
         # interface length (here the domain height, exactly).
         assert grad.sum() == pytest.approx(1.0, rel=1e-12)
 
-    def test_fused_loop_matches_element_operator_assembly(self):
-        # The production gradient contracts the stiffness-derivative factors
-        # with u on the stacked tiles; rebuild the same quantity element by
-        # element from the full dK.
-        mesh, phi, loads, fixed = build_heat_problem(interface=0.53)
-        model, u, f, _ = solve_compliance(mesh, phi, HEAT, loads, fixed)
-        fast = nodal_compliance_gradient(model, HEAT, loads, u)
+    @pytest.mark.parametrize("case", ["heat-point", "heat-body",
+                                      "elastic-body"])
+    def test_closed_form_matches_element_operator_oracles(self, case):
+        # The production gradient takes all six vertex directions of every
+        # tile in one closed form; rebuild the same quantity element by
+        # element from the full dK and dF of the per-direction operators.
+        if case == "elastic-body":
+            mesh = structured_grid(1.5, 1.0, 7, 5)
+            r = np.hypot(mesh.nodes[:, 0] - 0.75, mesh.nodes[:, 1] - 0.5)
+            phi = snap_nodal_levelset(r - 0.28)
+            loads = LoadCase(point_loads=[
+                (mesh.nearest_node((1.5, 0.5)), 1, -1.0)],
+                body_material=[0.5, -1.2])
+            fixed = node_dofs(mesh.boundary["left"], 2)
+            pair = ELASTIC
+        else:
+            mesh, phi, loads, fixed = build_heat_problem(interface=0.53)
+            if case == "heat-body":
+                loads = LoadCase(body_material=[1.0], body_void=[0.3])
+            pair = HEAT
+        d = pair.field_dim
+        model, u, f, _ = solve_compliance(mesh, phi, pair, loads, fixed)
+        fast = nodal_compliance_gradient(model, pair, loads, u)
 
         slow = np.zeros(mesh.n_nodes)
         for row in range(model.n_cut):
-            dofs = cut_parent_dofs(model, row, 1)
-            ue = u[dofs]
+            ue = u[cut_parent_dofs(model, row, d)]
             dc_dx = np.zeros((2, 2))
             for ie in model.integration[3 * row: 3 * row + 3]:
+                body = loads.body_of(ie.material, d)
                 for l in range(3):
                     s = ie.enr_slots[l]
                     if s < 0:
                         continue
                     for c in range(2):
                         dk = integration_element_stiffness_derivative(
-                            model, ie, HEAT, l, c)
+                            model, ie, pair, l, c)
                         dc_dx[s, c] += -float(ue @ dk @ ue)
+                        if body is not None:
+                            df = integration_element_force_derivative(
+                                model, ie, body, d, l, c)
+                            dc_dx[s, c] += 2.0 * float(ue @ df)
             for s in range(2):
                 j, k = model.enr_edges[model.parent_slots[row][s]]
                 vj = design_velocity(mesh.nodes[j], mesh.nodes[k],
@@ -363,6 +383,7 @@ class TestNodalGradients:
                                      phi[k], phi[j])
                 slow[j] += dc_dx[s] @ vj
                 slow[k] += dc_dx[s] @ vk
+        assert np.count_nonzero(slow) > 0
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
 
@@ -402,6 +423,7 @@ class TestStackedOperators:
             "ddet": lambda ie: model.geometry(ie).ddet,
             "build_b": lambda ie: build_b(model.geometry(ie).grads, d),
             "gradients": lambda ie: model.geometry(ie).grads,
+            "hats": lambda ie: model.geometry(ie).hats,
             "stiffness": lambda ie: integration_element_stiffness(
                 model, ie, pair),
             "force": lambda ie: integration_element_force(
