@@ -85,7 +85,9 @@ def _parse_section(cp, section, schema, problems):
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty default section, so a [DEFAULT] section
+    # is reported like any other unknown one instead of merged into both
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as err:

@@ -111,19 +111,17 @@ class TileGeometry:
     ddet : (..., 3, 2)
         DL adj(J): entry (l, c) is d(det J)/d(x_l[c]), twice the rate of
         change of the area as vertex l moves along axis c.
-    slot_matrix : (..., 2, 3)
-        The elements' :attr:`IntegrationElement.slot_matrix`.
     hats : (..., 3, 2)
         The elements' own hat gradients, ``DL J^-1`` in cofactor form.
     grads : (..., 5, 2)
         Five-slot shape gradients: the parent's three hat gradients, then
-        the gradients of its two enrichment functions, ``slot_matrix @
-        hats`` (the element's hat gradients at the slots' vertices).
+        the gradients of its two enrichment functions, the elements'
+        :attr:`IntegrationElement.slot_matrix` times ``hats`` (the element's
+        hat gradients at the slots' vertices).
     """
 
     jinv: np.ndarray
     ddet: np.ndarray
-    slot_matrix: np.ndarray
     hats: np.ndarray
     grads: np.ndarray
 
@@ -232,13 +230,13 @@ class EnrichedModel:
         jac = tri_jacobian(coords)
         adj = adj2(jac)
         jinv = adj / det2(jac)[..., None, None]
-        slot_matrix = ie.slot_matrix.astype(dtype)
         parent = cofactor_hat_gradients(
             mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         hats = cofactor_hat_gradients(coords)
-        grads = np.concatenate([parent, slot_matrix @ hats], axis=-2)
-        return TileGeometry(jinv=jinv, ddet=DL.astype(dtype) @ adj,
-                            slot_matrix=slot_matrix, hats=hats, grads=grads)
+        grads = np.concatenate([parent, ie.slot_matrix.astype(dtype) @ hats],
+                               axis=-2)
+        return TileGeometry(jinv=jinv, ddet=DL.astype(dtype) @ adj, hats=hats,
+                            grads=grads)
 
     def _compute_centroid_shape(self, ie: IntegrationElement,
                                 dtype) -> np.ndarray:

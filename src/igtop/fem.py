@@ -144,14 +144,13 @@ def build_b(grads: np.ndarray, field_dim: int) -> np.ndarray:
     return b
 
 
-def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
-    """Global dofs of the five slots (3 nodes + 2 enriched) of one cut parent
-    row or an array of rows, shape (..., 5 field_dim)."""
-    slots = np.concatenate([model.mesh.elements[model.cut_parents[rows]],
-                            model.mesh.n_nodes + model.parent_slots[rows]],
-                           axis=-1)
-    return node_dofs(slots.ravel(), field_dim).reshape(
-        slots.shape[:-1] + (5 * field_dim,))
+def cut_parent_dofs(model: EnrichedModel, field_dim: int) -> np.ndarray:
+    """Global dofs of the five slots (3 nodes + 2 enriched) of every cut
+    parent, shape (n_cut, 5 field_dim)."""
+    slots = np.concatenate([model.mesh.elements[model.cut_parents],
+                            model.mesh.n_nodes + model.parent_slots], axis=1)
+    return node_dofs(slots.ravel(), field_dim).reshape(model.n_cut,
+                                                       5 * field_dim)
 
 
 # Element operators act on one IntegrationElement or on a stack of them
@@ -162,23 +161,20 @@ def cut_parent_dofs(model: EnrichedModel, rows, field_dim: int) -> np.ndarray:
 
 
 def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
-                                  pair: MaterialPair, dtype=np.float64,
-                                  rows=slice(None),
-                                  cols=slice(None)) -> np.ndarray:
+                                  pair: MaterialPair,
+                                  dtype=np.float64) -> np.ndarray:
     """Local stiffness of integration elements over the five parent slots,
-    shape (..., 5 field_dim, 5 field_dim), or only its block of the local
-    dofs ``rows`` x ``cols`` (equal to that block of the whole)."""
+    shape (..., 5 field_dim, 5 field_dim)."""
     b = build_b(model.geometry(ie, dtype).grads, pair.field_dim)
     scale = np.asarray(ie.area, dtype=dtype) \
         * pair.modulus_of(ie.material).astype(dtype)
-    k = np.swapaxes(b[..., rows], -1, -2) \
-        @ (pair.material.d_unit().astype(dtype) @ b[..., cols])
+    k = np.swapaxes(b, -1, -2) @ (pair.material.d_unit().astype(dtype) @ b)
     k *= scale[..., None, None]
     return k
 
 
 def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
-                              body: np.ndarray, field_dim: int,
+                              body: np.ndarray,
                               dtype=np.float64) -> np.ndarray:
     """Consistent body-load vectors of integration elements over the five
     slots, shape (..., 5 field_dim). ``body`` is one source for all
@@ -186,7 +182,7 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
     shape = model.centroid_shape(ie, dtype)
     load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
     return np.asarray(ie.area, dtype=dtype)[..., None] \
-        * load.reshape(load.shape[:-2] + (5 * field_dim,))
+        * load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
 
 
 class Assembler:
@@ -281,27 +277,17 @@ class Assembler:
                 self._indptr, (0, ndof + 1 - self._indptr.size), mode="edge")),
             shape=(ndof, ndof))
         # the rows and columns of the enriched dofs, summed over the tiles
-        # and the parents; the sum also drops the zeros of the pattern. Of
-        # the tiles' stiffness only those blocks are computed: the enriched
-        # columns of all rows and the own columns of the enriched rows
-        own, enr = slice(None, 3 * d), slice(3 * d, None)
-        right, lower = (t[0::3] + t[1::3] + t[2::3] for t in (
-            integration_element_stiffness(model, tiles, pair, dtype,
-                                          cols=enr),
-            integration_element_stiffness(model, tiles, pair, dtype,
-                                          rows=enr, cols=own)))
-        # the entries of each parent in row-major order, the order in which
-        # the conversion sums duplicates
-        data = np.concatenate([
-            right[:, own].reshape(-1, 6 * d * d),
-            np.concatenate([lower, right[:, enr]], axis=2).reshape(
-                -1, 10 * d * d)], axis=1)
+        # and the parents, each parent's entries in row-major order, the
+        # order in which the conversion sums duplicates; the sum also drops
+        # the zeros of the pattern
+        w = integration_element_stiffness(model, tiles, pair, dtype)
+        w = w[0::3] + w[1::3] + w[2::3]
         rows, cols = np.nonzero((np.arange(5 * d)[:, None] >= 3 * d)
                                 | (np.arange(5 * d) >= 3 * d))
-        slots = cut_parent_dofs(model, np.arange(model.n_cut), d).astype(
-            self._indices.dtype)
+        slots = cut_parent_dofs(model, d).astype(self._indices.dtype)
         k = k + sparse.coo_matrix(
-            (data.ravel(), (slots[:, rows].ravel(), slots[:, cols].ravel())),
+            (w[:, rows, cols].ravel(),
+             (slots[:, rows].ravel(), slots[:, cols].ravel())),
             shape=(ndof, ndof)).tocsr()
 
         f = np.zeros(ndof, dtype=dtype)
@@ -317,7 +303,7 @@ class Assembler:
         if body is not None:
             np.add.at(f, np.repeat(slots, 3, axis=0).ravel(),
                       integration_element_force(
-                model, tiles, body, d, dtype).ravel())
+                model, tiles, body, dtype).ravel())
         return k, f
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enrich import (EnrichedModel, IntegrationElement, TileGeometry,
-                     cut_values)
+from .enrich import EnrichedModel, IntegrationElement, cut_values
 from .fem import LoadCase, MaterialPair, build_b, cut_parent_dofs
 from .mesh import DL
 
@@ -52,16 +51,6 @@ def inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
     return -(jinv @ (djac @ jinv))
 
 
-def _enrichment_gradient_derivative(geom: TileGeometry, vertex: int,
-                                    component: int) -> np.ndarray:
-    """Five-slot gradient perturbation of moving local ``vertex`` along
-    ``component``, shape (..., 5, 2): only the enriched rows respond."""
-    dge = DL @ inv_derivative(geom.jinv,
-                              jacobian_derivative(vertex, component))
-    rows = geom.slot_matrix @ dge
-    return np.concatenate([np.zeros_like(dge), rows], axis=-2)
-
-
 def integration_element_stiffness_derivative(
         model: EnrichedModel, ie: IntegrationElement, pair: MaterialPair,
         vertex: int, component: int) -> np.ndarray:
@@ -75,8 +64,10 @@ def integration_element_stiffness_derivative(
     d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
     djdet = geom.ddet[..., vertex, component]
-    db = build_b(_enrichment_gradient_derivative(geom, vertex, component),
-                 pair.field_dim)
+    dge = DL @ inv_derivative(geom.jinv,
+                              jacobian_derivative(vertex, component))
+    db = build_b(np.concatenate([np.zeros_like(dge), ie.slot_matrix @ dge],
+                                axis=-2), pair.field_dim)
     cross = np.swapaxes(db, -1, -2) @ d @ b
     return 0.5 * djdet[..., None, None] * (np.swapaxes(b, -1, -2) @ d @ b) \
         + np.asarray(ie.area)[..., None, None] \
@@ -84,8 +75,8 @@ def integration_element_stiffness_derivative(
 
 
 def integration_element_force_derivative(
-        model: EnrichedModel, ie: IntegrationElement, body, field_dim: int,
-        vertex: int, component: int) -> np.ndarray:
+        model: EnrichedModel, ie: IntegrationElement, body, vertex: int,
+        component: int) -> np.ndarray:
     """Derivative of integration elements' body-load vectors with respect
     to moving local ``vertex`` along ``component``, shape (..., 5 field_dim).
 
@@ -103,7 +94,7 @@ def integration_element_force_derivative(
     rate = 0.5 * djdet[..., None] * model.centroid_shape(ie) \
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
-    return load.reshape(load.shape[:-2] + (5 * field_dim,))
+    return load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,8 +107,7 @@ def _to_nodes(model: EnrichedModel, dx: np.ndarray) -> np.ndarray:
     ``model.tiles``, shape (3 n_cut, 3, 2), through the enriched-node
     positions to the nodal levelset values; original vertices do not move.
     """
-    slots = model.geometry(model.tiles).slot_matrix
-    per_tile = (slots @ dx).reshape(-1, 3, 2, 2)
+    per_tile = (model.tiles.slot_matrix @ dx).reshape(-1, 3, 2, 2)
     per_slot = per_tile[:, 0] + per_tile[:, 1] + per_tile[:, 2]
     edges = model.enr_edges[model.parent_slots]  # (n_cut, slot, end)
     j, k = edges[..., 0], edges[..., 1]
@@ -144,7 +134,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     tiles = model.tiles
     geom = model.geometry(tiles)
     d = pair.field_dim
-    ue = u[cut_parent_dofs(model, np.arange(model.n_cut), d)].repeat(3, axis=0)
+    ue = u[cut_parent_dofs(model, d)].repeat(3, axis=0)
     dmat = pair.material.d_unit() \
         * pair.modulus_of(tiles.material)[:, None, None]
     strain = (build_b(geom.grads, d) @ ue[..., None])[..., 0]

@@ -352,13 +352,13 @@ class TestCriterion7ElementDerivatives:
                                       model, dn, pair)) / (2 * h)
                             track("stiffness", dk, fd)
 
-                        for body, dim in (([0.7], 1), ([0.3, -0.4], 2)):
+                        for body in ([0.7], [0.3, -0.4]):
                             b = np.array(body)
                             df = integration_element_force_derivative(
-                                model, ie, b, dim, l, c)
-                            fd = (integration_element_force(model, up, b, dim)
+                                model, ie, b, l, c)
+                            fd = (integration_element_force(model, up, b)
                                   - integration_element_force(
-                                      model, dn, b, dim)) / (2 * h)
+                                      model, dn, b)) / (2 * h)
                             track("force", df, fd)
 
         wall = time.perf_counter() - t0

@@ -383,13 +383,16 @@ class TestGradientCheck:
     @pytest.mark.parametrize("quantity", ["compliance", "volume"])
     def test_mid_run_heat_sink_design(self, quantity):
         # the heat sink carries a body load in both phases, the only builtin
-        # problem on the body-load term of the compliance gradient
-        s = np.loadtxt(DATA / "heat_sink_iter40.txt")
-        rows = check_gradients(heat_sink(), design=s, n_sample=50, seed=0,
-                               quantity=quantity)
-        clean = [r for r in rows if not r.topology_event]
-        good = sum(r.rel_err <= 1e-3 for r in clean)
-        assert good >= 0.95 * len(clean), (good, len(clean))
+        # problem on the body-load term of the compliance gradient; the
+        # cantilever design of iteration 80 is one of a run that never settles
+        for problem, name in ((heat_sink(), "heat_sink_iter40.txt"),
+                              (cantilever(), "cantilever_iter80.txt")):
+            s = np.loadtxt(DATA / name)
+            rows = check_gradients(problem, design=s, n_sample=50, seed=0,
+                                   quantity=quantity)
+            clean = [r for r in rows if not r.topology_event]
+            good = sum(r.rel_err <= 1e-3 for r in clean)
+            assert good >= 0.95 * len(clean), (name, good, len(clean))
 
     def test_sample_capped_by_design_size(self):
         p = small_cantilever()

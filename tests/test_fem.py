@@ -314,7 +314,6 @@ class TestTileGeometry:
         eq = np.testing.assert_array_equal
         eq(geom.jinv, jinv)
         eq(geom.ddet, dl @ adj2(jac))
-        eq(geom.slot_matrix, tiles.slot_matrix.astype(dtype))
         eq(geom.hats, cofactor_hat_gradients(tiles.coords.astype(dtype)))
         eq(geom.grads, np.concatenate([
             cofactor_hat_gradients(
@@ -322,7 +321,7 @@ class TestTileGeometry:
             tiles.slot_matrix.astype(dtype) @ cofactor_hat_gradients(
                 tiles.coords.astype(dtype))],
             axis=-2))
-        for field in ("jinv", "ddet", "slot_matrix", "hats", "grads"):
+        for field in ("jinv", "ddet", "hats", "grads"):
             assert getattr(geom, field).dtype == dtype, field
         shape = model.centroid_shape(tiles, dtype)
         assert model.centroid_shape(tiles, dtype) is shape
@@ -334,22 +333,6 @@ class TestTileGeometry:
         # per-element views are computed fresh and agree with the stack
         eq(geom.grads, np.stack([model.geometry(ie, dtype).grads
                                  for ie in model.integration]))
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("pair", [
-        MaterialPair(Conduction(1.0), Conduction(1e-3)),
-        MaterialPair(PlaneStressElastic(1.0, 0.3),
-                     PlaneStressElastic(1e-3, 0.3))], ids=["heat", "elastic"])
-    def test_stiffness_blocks_equal_the_blocks_of_the_whole(
-            self, model, pair, dtype):
-        # the assembly computes only the blocks with an enriched dof
-        whole = integration_element_stiffness(model, model.tiles, pair, dtype)
-        own, enr = slice(None, 3 * pair.field_dim), \
-            slice(3 * pair.field_dim, None)
-        for rows, cols in ((slice(None), enr), (enr, own)):
-            np.testing.assert_array_equal(integration_element_stiffness(
-                model, model.tiles, pair, dtype, rows=rows, cols=cols),
-                whole[:, rows, cols])
 
 
 def coo_reference(asm, model, absolute=False):
@@ -368,7 +351,7 @@ def coo_reference(asm, model, absolute=False):
         model.element_state == MATERIAL)).astype(dtype)
     k_cut = integration_element_stiffness(model, model.tiles, pair, dtype)
     dofs = node_dofs(mesh.elements.ravel(), d).reshape(mesh.n_elements, -1)
-    cut_dofs = cut_parent_dofs(model, np.arange(3 * model.n_cut) // 3, d)
+    cut_dofs = cut_parent_dofs(model, d).repeat(3, axis=0)
     blocks = [k_unit * factor[:, None, None], k_cut]
     if absolute:
         blocks = [np.abs(x) for x in blocks]

@@ -86,7 +86,8 @@ class TestConfig:
 
     def test_errors_are_aggregated(self):
         bad = ("[problem]\nname = cantilever\nnx = many\nwidth = 3\n"
-               "[output]\ngradient_check = maybe\n[extra]\nk = v\n")
+               "[output]\ngradient_check = maybe\n[extra]\nk = v\n"
+               "[DEFAULT]\nbudget = 5\n")
         with pytest.raises(ConfigError) as exc:
             parse_config(bad)
         msg = str(exc.value)
@@ -94,6 +95,8 @@ class TestConfig:
         assert "width" in msg  # not an overridable problem key
         assert "gradient_check" in msg
         assert "[extra]" in msg
+        assert "unknown section [DEFAULT]" in msg
+        assert "key 'budget'" not in msg  # not merged into another section
 
     def test_unknown_problem_name(self):
         with pytest.raises(ConfigError, match="unknown problem"):

@@ -6,8 +6,10 @@ Each workload of ``benchmarks/workloads.py`` runs one round at seed 0 on an
 uncalibrated clock, with BLAS pinned to one thread as in
 ``benchmarks/run.py``; the line printed per workload is the digest of the
 round's fingerprint (histories, designs and final state, or gradient-check
-rows). Two checkouts that print the same digests computed the same bits.
-The benchmark is imported, not changed.
+rows). A last line digests the rows of a compliance gradient check on the
+cantilever, whose difference quotients come from the longdouble assembly
+and solve that no workload runs. Two checkouts that print the same digests
+computed the same bits. The benchmark is imported, not changed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ def main() -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = run.BLAS_THREADS
     run.use_checkout_sources()
+    import igtop
+    import numpy as np
     from clock import Clock
     from workloads import workloads
 
@@ -36,6 +40,11 @@ def main() -> int:
             print(f"CHECK FAILED: {problem}", file=sys.stderr)
         status |= bool(rnd.problems or rnd.failed)
         print(f"{name} {hashlib.sha256(rnd.fingerprint).hexdigest()}")
+    rows = igtop.check_gradients(igtop.cantilever(), quantity="compliance",
+                                 n_sample=10, seed=0)
+    rows = np.array([(r.index, r.analytic, r.fd, r.rel_err, r.topology_event)
+                     for r in rows])
+    print(f"compliance_check {hashlib.sha256(rows.tobytes()).hexdigest()}")
     return status
 
 
