@@ -313,19 +313,46 @@ class SolveResult:
     residual: float
 
 
-def solve_system(k: sparse.csr_matrix, f: np.ndarray,
-                 fixed_dofs) -> SolveResult:
+def _scaled_band(k: sparse.csr_matrix, scale: np.ndarray, pos: np.ndarray,
+                 size: int) -> np.ndarray:
+    """The float64 lower band of diag(scale) K diag(scale) over the dofs
+    with a band position ``pos`` >= 0, each entry ``scale[r] * k_rc *
+    scale[c]``, filled from K in one pass and in Fortran order so that
+    LAPACK factors it in place."""
+    counts = np.diff(k.indptr)
+    i, j = np.repeat(pos, counts), pos[k.indices]
+    lower = np.flatnonzero((j >= 0) & (i >= j))
+    col = j[lower]
+    offset = i[lower] - col
+    band = np.zeros((int(offset.max()) + 1, size), order="F")
+    band[offset, col] = np.repeat(scale, counts)[lower] * k.data[lower] \
+        * scale[k.indices[lower]]
+    return band
+
+
+def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
+                 order=None) -> SolveResult:
     """Direct solve with homogeneous essential conditions on ``fixed_dofs``.
 
-    The reduced system is symmetrically Jacobi-scaled, ordered by reverse
-    Cuthill-McKee and factored by banded Cholesky. Raises SolverError on
-    singular or indefinite systems (typically an unconstrained rigid mode)
-    or when the relative residual exceeds 1e-6.
+    The reduced system is symmetrically Jacobi-scaled and factored by banded
+    Cholesky. ``order``, a permutation of all dofs, gives the free dofs
+    their band positions (the fixed ones are skipped); without it they are
+    ordered by reverse Cuthill-McKee of the free block. Raises SolverError
+    on singular or indefinite systems (typically an unconstrained rigid
+    mode) or when the relative residual exceeds 1e-6.
     """
     ndof = f.size
     fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
     if fixed.size and (fixed.min() < 0 or fixed.max() >= ndof):
         raise ValueError("fixed dof index out of range")
+    if order is not None:
+        order = np.asarray(order)
+        seen = np.zeros(ndof, dtype=bool)
+        if order.shape == (ndof,) and order.dtype.kind in "iu" \
+                and np.all((order >= 0) & (order < ndof)):
+            seen[order] = True
+        if not seen.all():
+            raise ValueError("order is not a permutation of the dofs")
     free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=True)
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
@@ -334,36 +361,30 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     # scatter and the order of the row sums rely on it
     k = sparse.csr_matrix(k)
     k.sum_duplicates()
-    ff = f[free]
     diag = k.diagonal()[free]
     if np.any(diag <= 0.0):
         bad = free[int(np.argmin(diag))]
         raise SolverError(
             f"nonpositive stiffness diagonal at dof {bad}; "
             f"the system has an unconstrained or degenerate mode")
-    scale = 1.0 / np.sqrt(diag)
-    # the scaled free block diag(scale) K_ff diag(scale) from one pass over
-    # K, then its float64 lower band on the reverse Cuthill-McKee ordering,
-    # in Fortran order so that LAPACK factors it in place
-    new = np.full(ndof, -1, dtype=k.indices.dtype)
-    new[free] = np.arange(free.size, dtype=new.dtype)
-    i, j = new[np.repeat(np.arange(ndof), np.diff(k.indptr))], new[k.indices]
-    keep = (i >= 0) & (j >= 0)
-    i, j = i[keep], j[keep]
-    kss = sparse.csr_matrix(
-        (scale[i] * k.data[keep] * scale[j], j,
-         np.searchsorted(i, np.arange(free.size + 1))),
-        shape=(free.size, free.size))
-    perm = reverse_cuthill_mckee(kss, symmetric_mode=True)
-    iperm = np.empty_like(perm)
-    iperm[perm] = np.arange(perm.size, dtype=perm.dtype)
-    i, j = iperm[i], iperm[j]
-    lower = i >= j
-    i, j = i[lower], j[lower]
-    band = np.zeros((int((i - j).max()) + 1, perm.size), order="F")
-    band[i - j, j] = kss.data[lower]
+    scale = np.zeros(ndof, dtype=diag.dtype)
+    scale[free] = 1.0 / np.sqrt(diag)
+    # the band position of each free dof, -1 at the fixed ones
+    pos = np.full(ndof, -1, dtype=k.indices.dtype)
+    pos[free] = np.arange(free.size, dtype=pos.dtype)
+    if order is None:
+        i, j = np.repeat(pos, np.diff(k.indptr)), pos[k.indices]
+        keep = (i >= 0) & (j >= 0)
+        at = free[reverse_cuthill_mckee(sparse.csr_matrix(
+            (np.ones(np.count_nonzero(keep), dtype=bool), j[keep],
+             np.searchsorted(i[keep], np.arange(free.size + 1))),
+            shape=(free.size, free.size)), symmetric_mode=True)]
+    else:
+        at = order[pos[order] >= 0]
+    pos[at] = np.arange(free.size, dtype=pos.dtype)
     try:
-        factor = cholesky_banded(band, lower=True, overwrite_ab=True,
+        factor = cholesky_banded(_scaled_band(k, scale, pos, free.size),
+                                 lower=True, overwrite_ab=True,
                                  check_finite=False)
     except LinAlgError as err:
         raise SolverError(
@@ -378,32 +399,37 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray,
     # a plain closure: a factor held in a reference cycle would outlive the
     # solve until the seldom-run cyclic collector frees it
     def solve(b):
-        return cho_solve_banded((factor, True), b.astype(np.float64)[perm],
-                                check_finite=False)[iperm]
+        return cho_solve_banded((factor, True), b.astype(np.float64),
+                                check_finite=False)
 
-    fs = ff * scale
-    # refinement with extended-precision residuals recovers the accuracy
-    # lost to the material-contrast conditioning; with longdouble assembly
-    # the refinement target itself carries the extra digits
+    # refinement with extended-precision residuals f - K u recovers the
+    # accuracy lost to the material-contrast conditioning; with longdouble
+    # assembly the refinement target itself carries the extra digits. The
+    # residual is taken on K with its fixed columns zeroed, so that it reads
+    # only the free block, and its Jacobi-scaled norm decides the stop
+    kld = k.data.astype(np.longdouble)
+    kld[pos[k.indices] < 0] = 0.0
+    kld = sparse.csr_matrix((kld, k.indices, k.indptr), shape=k.shape)
+    s, fb = scale[at], f[at]
+    fs = fb * s
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
-    kld = kss.astype(np.longdouble, copy=False)
-    fld = fs.astype(np.longdouble)
-    y = solve(fs).astype(np.longdouble)
+    x = np.zeros(ndof, dtype=np.longdouble)
+    x[at] = s * solve(fs)
     last = np.inf
     for _ in range(6):
-        r = fld - kld @ y
-        rnorm = float(np.linalg.norm(r.astype(np.float64)))
+        rs = s * (fb - (kld @ x)[at])
+        rnorm = float(np.linalg.norm(rs.astype(np.float64)))
         if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
             break
-        y, last = y + solve(r), rnorm
-    if not np.all(np.isfinite(y.astype(np.float64))):
+        x[at] += s * solve(rs)
+        last = rnorm
+    u = x.astype(np.float64)
+    if not np.all(np.isfinite(u)):
         raise SolverError("solver produced non-finite values; the system is "
                           "singular (free rigid mode?)")
-    u = np.zeros(ndof)
-    u[free] = (y * scale).astype(np.float64)
-    # fixed columns multiply exact zeros, so the free rows of K u sum the
-    # same terms in the same order as the free block would
-    fnorm = float(np.linalg.norm(ff.astype(np.float64)))
+    # the residual over K reads fixed columns too: they multiply exact
+    # zeros, so a non-finite entry there cannot pass as a converged solve
+    fnorm = float(np.linalg.norm(f[free].astype(np.float64)))
     residual = float(np.linalg.norm((k @ u - f)[free].astype(np.float64))) \
         / (fnorm if fnorm else 1.0)
     if not residual <= 1e-6:

@@ -1,8 +1,10 @@
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from igtop.driver import _Workspace, cantilever, heat_sink, mbb
@@ -16,6 +18,7 @@ from igtop.fem import (CUT, MATERIAL, Assembler, Conduction, LoadCase,
 from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients, det2,
                         structured_grid, tri_jacobian)
 
+DATA = Path(__file__).resolve().parent / "data"
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
@@ -216,13 +219,32 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_system(k, f, fixed_dofs=[10_000])
 
+    @pytest.mark.parametrize("order", [
+        "short", "repeated", "negative", "too large", "float"])
+    def test_order_that_is_not_a_permutation(self, order):
+        _, model, pair, loads, fixed = heat_bar()
+        k, f = Assembler(model.mesh, pair, loads).assemble(model)
+        n = f.size
+        order = {"short": np.arange(n - 1),
+                 "repeated": np.r_[0, np.arange(n - 1)],
+                 "negative": np.r_[-1, np.arange(1, n)],
+                 "too large": np.r_[np.arange(n - 1), n],
+                 "float": np.arange(n, dtype=float)}[order]
+        with pytest.raises(ValueError, match="permutation"):
+            solve_system(k, f, fixed, order)
 
-def initial_system(problem):
-    """Stiffness, load, fixed dofs and mesh of a problem's initial design."""
+
+def initial_analysis(problem):
+    """Workspace, model, stiffness and load of a problem's initial design."""
     ws = _Workspace(problem)
     model = build_enriched_model(
         ws.mesh, snap_nodal_levelset(ws.field.nodal_values))
-    k, f = ws.assembler.assemble(model)
+    return (ws, model) + ws.assembler.assemble(model)
+
+
+def initial_system(problem):
+    """Stiffness, load, fixed dofs and mesh of a problem's initial design."""
+    ws, _, k, f = initial_analysis(problem)
     return k, f, ws.fixed, ws.mesh
 
 
@@ -255,6 +277,21 @@ class TestBandedCholesky:
         k, f, fixed, _ = initial_system(problem())
         res = solve_system(k, f, fixed)
         ref = superlu_reference(k, f, fixed)
+        assert np.max(np.abs(res.u - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert res.residual <= 1e-10
+
+    @pytest.mark.parametrize("problem, design", [
+        (cantilever, None), (mbb, None), (heat_sink, None),
+        (cantilever, "cantilever_iter80.txt"),
+        (heat_sink, "heat_sink_iter40.txt")])
+    def test_workspace_order_matches_reverse_cuthill_mckee(self, problem,
+                                                           design):
+        ws = _Workspace(problem())
+        model = ws.model(ws.design(
+            None if design is None else np.loadtxt(DATA / design)))
+        k, f = ws.assembler.assemble(model)
+        ref = solve_system(k, f, ws.fixed).u
+        res = solve_system(k, f, ws.fixed, ws.dof_order(model))
         assert np.max(np.abs(res.u - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert res.residual <= 1e-10
 
@@ -390,39 +427,39 @@ class TestScaledBand:
     @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
     def test_equals_the_band_of_the_sliced_and_scaled_block(
             self, monkeypatch, problem):
-        # what the solve orders and factors is, bit for bit, the Jacobi-
-        # scaled free-dof block as sparse slicing and products compute it
-        seen = {}
-        rcm, factor = igtop.fem.reverse_cuthill_mckee, \
-            igtop.fem.cholesky_banded
-
-        def ordering(kss, **kw):
-            seen["kss"], seen["perm"] = kss, rcm(kss, **kw)
-            return seen["perm"]
+        # what the solve factors is, bit for bit, the Jacobi-scaled free-dof
+        # block as sparse slicing and products compute it, permuted by
+        # reverse Cuthill-McKee of that block when the solve is given no
+        # order, and else by the order it is given
+        bands = []
+        factor = igtop.fem.cholesky_banded
 
         def factorization(band, **kw):
-            seen["band"] = band.copy(order="A")
+            bands.append(band.copy(order="A"))
             return factor(band, **kw)
 
-        monkeypatch.setattr(igtop.fem, "reverse_cuthill_mckee", ordering)
+        ws, model, k, f = initial_analysis(problem())
         monkeypatch.setattr(igtop.fem, "cholesky_banded", factorization)
-        k, f, fixed, _ = initial_system(problem())
-        solve_system(k, f, fixed)
-        free = np.setdiff1d(np.arange(k.shape[0]), fixed)
+        free = np.setdiff1d(np.arange(k.shape[0]), ws.fixed)
         ref_ff = k[free][:, free]
         dmat = sparse.diags(1.0 / np.sqrt(ref_ff.diagonal()))
         ref_ss = (dmat @ ref_ff.tocsc() @ dmat).tocsr()
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(seen["kss"], part),
-                                          getattr(ref_ss, part))
-        band, perm = seen["band"], seen["perm"]
-        assert band.flags.f_contiguous
-        ordered = ref_ss[perm][:, perm].tocoo()
-        offset = ordered.row - ordered.col
-        lower = offset >= 0
-        expected = np.zeros((offset.max() + 1, free.size))
-        expected[offset[lower], ordered.col[lower]] = ordered.data[lower]
-        np.testing.assert_array_equal(band, expected)
+        order = ws.dof_order(model)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        solve_system(k, f, ws.fixed)
+        solve_system(k, f, ws.fixed, order)
+        assert len(bands) == 2
+        for band, perm in zip(bands, (
+                reverse_cuthill_mckee(ref_ss, symmetric_mode=True),
+                np.argsort(rank[free]))):
+            assert band.flags.f_contiguous
+            ordered = ref_ss[perm][:, perm].tocoo()
+            offset = ordered.row - ordered.col
+            lower = offset >= 0
+            expected = np.zeros((offset.max() + 1, free.size))
+            expected[offset[lower], ordered.col[lower]] = ordered.data[lower]
+            np.testing.assert_array_equal(band, expected)
 
     @pytest.mark.parametrize("dtype, solves", [(np.float64, 3),
                                                (np.longdouble, 3)])
