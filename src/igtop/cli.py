@@ -127,7 +127,9 @@ def _cmd_check_gradients(args) -> int:
 def _cmd_export(args) -> int:
     if args.vtk is None and args.contour is None:
         raise ConfigError("nothing to export: pass --vtk and/or --contour")
-    for target in (args.vtk, args.contour):
+    for flag, target in (("--vtk", args.vtk), ("--contour", args.contour)):
+        if target == "":
+            raise ConfigError(f"{flag} needs a file, got an empty path")
         if target and not Path(target).parent.is_dir():
             raise ConfigError(f"cannot write {target}: no directory "
                               f"{Path(target).parent}")

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2, det2,
+from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2,
                    tri_jacobian)
 
 VOID, MATERIAL, CUT = 0, 1, 2
@@ -106,8 +106,6 @@ class TileGeometry:
     """Geometry of integration elements in one dtype, with the leading axes
     of the elements: what the element operators and their derivatives read.
 
-    jinv : (..., 2, 2)
-        Inverses of the Jacobians of the master-to-physical maps.
     ddet : (..., 3, 2)
         DL adj(J): entry (l, c) is d(det J)/d(x_l[c]), twice the rate of
         change of the area as vertex l moves along axis c.
@@ -120,7 +118,6 @@ class TileGeometry:
         hat gradients at the slots' vertices).
     """
 
-    jinv: np.ndarray
     ddet: np.ndarray
     hats: np.ndarray
     grads: np.ndarray
@@ -227,16 +224,13 @@ class EnrichedModel:
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
         mesh = self.mesh
         coords = ie.coords.astype(dtype)
-        jac = tri_jacobian(coords)
-        adj = adj2(jac)
-        jinv = adj / det2(jac)[..., None, None]
         parent = cofactor_hat_gradients(
             mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         hats = cofactor_hat_gradients(coords)
         grads = np.concatenate([parent, ie.slot_matrix.astype(dtype) @ hats],
                                axis=-2)
-        return TileGeometry(jinv=jinv, ddet=DL.astype(dtype) @ adj, hats=hats,
-                            grads=grads)
+        return TileGeometry(ddet=DL.astype(dtype) @ adj2(tri_jacobian(coords)),
+                            hats=hats, grads=grads)
 
     def _compute_centroid_shape(self, ie: IntegrationElement,
                                 dtype) -> np.ndarray:

@@ -19,11 +19,6 @@ def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of 2x2 matrices, shape (...)."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
 def adj2(m: np.ndarray) -> np.ndarray:
     """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
     out = np.empty_like(m)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .enrich import EnrichedModel, IntegrationElement, cut_values
+from .enrich import EnrichedModel, cut_values
 from .fem import LoadCase, MaterialPair, build_b, cut_parent_dofs
-from .mesh import DL
 
 
 def design_velocity(xj, xk, phij, phik) -> np.ndarray:
@@ -34,67 +33,6 @@ def design_velocity(xj, xk, phij, phik) -> np.ndarray:
     xj = np.asarray(xj, dtype=float)
     xk = np.asarray(xk, dtype=float)
     return (-phik / np.float_power(phij - phik, 2))[..., None] * (xk - xj)
-
-
-def jacobian_derivative(vertex: int, component: int) -> np.ndarray:
-    """d(J)/d(x_vertex[component]) for J = coords^T DL: one nonzero row."""
-    dj = np.zeros((2, 2))
-    dj[component] = DL[vertex]
-    return dj
-
-
-def inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
-    """Directional derivative of J^{-1} from ``jinv`` = J^{-1}:
-    -J^{-1} dJ J^{-1}."""
-    # dJ J^{-1} first: for the one-row dJ of a moving vertex this is the
-    # rank-one update -J^{-1}[:, c] (DL[l] J^{-1}) to the last bit
-    return -(jinv @ (djac @ jinv))
-
-
-def integration_element_stiffness_derivative(
-        model: EnrichedModel, ie: IntegrationElement, pair: MaterialPair,
-        vertex: int, component: int) -> np.ndarray:
-    """Derivative of integration-element stiffnesses with respect to moving
-    local ``vertex`` along ``component``, shape (..., 5 d, 5 d).
-
-    Only the determinant and the enrichment-gradient rows respond; the parent
-    hat gradients are unaffected by interface motion.
-    """
-    geom = model.geometry(ie)
-    d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
-    b = build_b(geom.grads, pair.field_dim)
-    djdet = geom.ddet[..., vertex, component]
-    dge = DL @ inv_derivative(geom.jinv,
-                              jacobian_derivative(vertex, component))
-    db = build_b(np.concatenate([np.zeros_like(dge), ie.slot_matrix @ dge],
-                                axis=-2), pair.field_dim)
-    cross = np.swapaxes(db, -1, -2) @ d @ b
-    return 0.5 * djdet[..., None, None] * (np.swapaxes(b, -1, -2) @ d @ b) \
-        + np.asarray(ie.area)[..., None, None] \
-        * (cross + np.swapaxes(cross, -1, -2))
-
-
-def integration_element_force_derivative(
-        model: EnrichedModel, ie: IntegrationElement, body, vertex: int,
-        component: int) -> np.ndarray:
-    """Derivative of integration elements' body-load vectors with respect
-    to moving local ``vertex`` along ``component``, shape (..., 5 field_dim).
-
-    The first term scales the load with the area change; the second moves the
-    centroid through the parent hat functions. The enrichment block of the
-    second term is identically zero: enrichment values at the centroid are
-    fixed barycentric weights. ``body`` is one source for all elements or
-    one per element, as in :func:`igtop.fem.integration_element_force`.
-    """
-    bvec = np.atleast_1d(np.asarray(body, dtype=float))
-    geom = model.geometry(ie)
-    djdet = geom.ddet[..., vertex, component]
-    dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
-    dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
-    rate = 0.5 * djdet[..., None] * model.centroid_shape(ie) \
-        + np.asarray(ie.area)[..., None] * dshape
-    load = rate[..., :, None] * bvec[..., None, :]
-    return load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,11 +63,14 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     """d(compliance)/d(phi_j) for every mesh node.
 
     Nonzero only at endpoints of cut edges. ``u`` is the equilibrium solution
-    for the same model, materials, and loads. Tile entry (l, c) is -u^T
-    (:func:`integration_element_stiffness_derivative`) u + 2 u^T
-    (:func:`integration_element_force_derivative`), all six in closed form:
-    moving vertex l along axis c changes enrichment gradient s by the rank
-    one -ge[s, c] g[l] (g = ``hats``, ge = ``grads[3:]``), so no dB is built.
+    for the same model, materials, and loads. Moving tile vertex l along c
+    changes det J by ``ddet[l, c]`` and enrichment gradient s by the rank one
+    -ge[s, c] g[l] (g = ``hats``, ge = ``grads[3:]``), so all six entries
+    -u^T dK u + 2 u^T dF take one closed form and no dB is built:
+    -ddet (eps . sig) / 2 + 2 A g[l] T H[:, c] + ddet (N . w)
+    + (2 A / 3) w[:3] . grads[:3, c], with strain eps, stress sig and its
+    2 x d tensor T, H = U_enr^T ge, centroid shape values N and w = U b.
+    The per-direction operators in ``tests/oracles.py`` are its reference.
     """
     tiles = model.tiles
     geom = model.geometry(tiles)

@@ -21,9 +21,9 @@ from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
                        integration_element_stiffness, node_dofs,
                        solve_system)
 from igtop.mesh import Mesh, cross2, structured_grid, tri_jacobian
-from igtop.sensitivity import (integration_element_force_derivative,
-                               integration_element_stiffness_derivative,
-                               inv_derivative, jacobian_derivative)
+from oracles import (integration_element_force_derivative,
+                     integration_element_stiffness_derivative,
+                     inv_derivative, jacobian_derivative, jacobian_inverse)
 
 
 def report(num, name, checks):
@@ -193,6 +193,25 @@ class TestCriterion5HeatSink:
             ("runtime", wall < 600.0, f"{wall:.0f}s"),
         ])
 
+    def test_band_holds_under_rounding_perturbations(self, monkeypatch):
+        # as for the cantilever: the initial design scaled by
+        # (1 + k 1e-14), k = 0..7, must not leave the gate's bands
+        t0 = time.perf_counter()
+        initial = ProblemSpec.initial_design
+        checks = []
+        for k in range(8):
+            monkeypatch.setattr(
+                ProblemSpec, "initial_design",
+                lambda self, grid, k=k: initial(self, grid) * (1.0 + k * 1e-14))
+            last = run(heat_sink()).history[-1]
+            c, vf = last.compliance, last.volume_fraction
+            checks.append((f"k={k}", abs(c - 3.240) <= 0.15 * 3.240
+                           and abs(vf - 0.45) <= 0.01,
+                           f"C {c:.4f} VF {vf:.4f}"))
+        wall = time.perf_counter() - t0
+        checks.append(("runtime", wall < 600.0, f"{wall:.0f}s"))
+        report(5, "heat sink under 1e-14 design perturbations", checks)
+
 
 class TestCriterion6EnrichmentInvariants:
     def homogeneous_enriched_dofs(self):
@@ -325,6 +344,7 @@ class TestCriterion7ElementDerivatives:
             model = self.random_cut_model(rng)
             for ie in model.integration:
                 geom = model.geometry(ie)
+                jinv = jacobian_inverse(ie)
                 enriched = [l for l in range(3) if ie.enr_slots[l] >= 0]
                 for l in enriched:
                     for c in range(2):
@@ -339,7 +359,7 @@ class TestCriterion7ElementDerivatives:
                         track("det", geom.ddet[l, c],
                               (np.linalg.det(jp) - np.linalg.det(jm))
                               / (2 * h))
-                        track("inv", inv_derivative(geom.jinv, dj),
+                        track("inv", inv_derivative(jinv, dj),
                               (np.linalg.inv(jp) - np.linalg.inv(jm))
                               / (2 * h))
 

@@ -506,6 +506,18 @@ class TestCli:
             assert rc == 2
             assert f"cannot write {target}" in capsys.readouterr().err
 
+    def test_export_to_empty_path_exits_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        # an empty path is a bad target, not a target left out
+        monkeypatch.setattr("igtop.cli.analyze", analyze_not_reached)
+        monkeypatch.chdir(tmp_path)
+        for flag in ("--vtk", "--contour"):
+            rc = main(["export", "--problem", "cantilever", flag, ""])
+            assert rc == 2
+            assert f"{flag} needs a file, got an empty path" \
+                in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

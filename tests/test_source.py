@@ -1,7 +1,6 @@
 """Static checks on the package source."""
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -34,20 +33,36 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def referenced_names(nodes):
+    """Names that code among ``nodes`` refers to: every ast.Name, the
+    attribute of every ast.Attribute and every imported name. Docstrings
+    and comments refer to nothing."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                found.update(alias.name for alias in sub.names)
+    return found
+
+
 def test_every_definition_is_named_elsewhere():
-    # a module-level function or class that no other line of the package
-    # names has no caller; an import in __init__.py counts as a use
-    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    # a module-level function or class that no other code of the package
+    # refers to has no caller; an import in __init__.py counts as a use
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name)
+             for p in sorted(SRC.glob("*.py"))}
     unnamed = []
-    for module, text in texts.items():
-        for node in ast.parse(text, filename=module).body:
+    for module, tree in trees.items():
+        elsewhere = set().union(*(referenced_names(t.body)
+                                  for m, t in trees.items() if m != module))
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            lines = text.splitlines()
-            del lines[node.lineno - 1:node.end_lineno]
-            rest = [t for m, t in texts.items() if m != module]
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(t) for t in ["\n".join(lines)] + rest):
+            rest = referenced_names(n for n in tree.body if n is not node)
+            if node.name not in rest | elsewhere:
                 unnamed.append(f"{module}: {node.name}")
     assert not unnamed, f"definitions nothing else names: {unnamed}"
 
