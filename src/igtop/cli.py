@@ -133,6 +133,8 @@ def _cmd_export(args) -> int:
         if target and not Path(target).parent.is_dir():
             raise ConfigError(f"cannot write {target}: no directory "
                               f"{Path(target).parent}")
+    if args.design == "":
+        raise ConfigError("--design needs a file, got an empty path")
     cfg = _resolve(args)
     design = read_design(args.design) if args.design else None
     if design is not None:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import sensitivity
 from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
@@ -247,21 +245,8 @@ class _Workspace:
         design[self.passive] = S_MAX
         self.field = LevelsetField(self.grid, self.mesh.nodes, design)
         self.fixed = problem.fixed_dofs(self.mesh)
-        self._fixed_components = np.isin(np.arange(
-            problem.pair.field_dim * self.mesh.n_nodes), self.fixed).reshape(
-                self.mesh.n_nodes, -1)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
-        # the mesh, and so a banded order of its nodes, stays for the whole
-        # run: rank the nodes once by reverse Cuthill-McKee of the element
-        # node graph
-        el, n = self.mesh.elements, self.mesh.n_nodes
-        graph = sparse.csr_matrix(
-            (np.ones(3 * el.size), (np.repeat(el, 3, axis=1).ravel(),
-                                    np.tile(el, 3).ravel())), shape=(n, n))
-        self._node_rank = np.empty(n)
-        self._node_rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] \
-            = np.arange(n)
 
     def design(self, design: np.ndarray | None = None) -> np.ndarray:
         """A float copy of ``design``, or of the initial design when None;
@@ -281,28 +266,13 @@ class _Workspace:
         phi = snap_nodal_levelset(self.field.nodal_values)
         return build_enriched_model(self.mesh, phi)
 
-    def dof_order(self, model: EnrichedModel) -> np.ndarray:
-        """The dofs of a model in band order: the mesh nodes by their rank,
-        each enriched node at the mean rank of its edge's ends plus 0.5
-        (ties keep node order), the components of each node together."""
-        rank = self._node_rank
-        nodes = np.argsort(np.concatenate(
-            [rank, rank[model.enr_edges].mean(axis=1) + 0.5]), kind="stable")
-        d = self.problem.pair.field_dim
-        return (d * nodes[:, None] + np.arange(d)).ravel()
-
     def analyze(self, design: np.ndarray):
         """Solve the state problem for one design. Returns
         (model, u, f, compliance, material volume)."""
         model = self.model(design)
         k, f = self.assembler.assemble(model)
-        # an enriched node is fixed in a component when both ends of its edge
-        # are: its enrichment interpolates there, so the whole edge is held;
-        # entry m d + c of the mask is dof d n_nodes + m d + c
-        held = self._fixed_components[model.enr_edges].all(axis=1)
-        u = solve_system(k, f, np.concatenate([
-            self.fixed, self._fixed_components.size + np.flatnonzero(held)]),
-            self.dof_order(model)).u
+        u = solve_system(k, f, self.assembler.fixed_dofs(model, self.fixed),
+                         self.assembler.band_key(model)).u
         return model, u, f, compliance(u, f), model.material_volume()
 
     def gradients(self, model, u):

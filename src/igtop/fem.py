@@ -221,10 +221,16 @@ class Assembler:
         pairs, pair_of = np.unique(el[:, :, None] * n + el[:, None, :],
                                    return_inverse=True)
         a, b = np.divmod(pairs, n)
+        start = np.searchsorted(a, np.arange(n + 1))
         pattern = sparse.bsr_matrix(
             (np.arange(1.0, d * d * pairs.size + 1).reshape(-1, d, d), b,
-             np.searchsorted(a, np.arange(n + 1))), shape=(d * n, d * n)
-        ).tocsr()
+             start), shape=(d * n, d * n)).tocsr()
+        # the mesh, and so a banded order of its nodes, stays for the whole
+        # run: rank the nodes once by reverse Cuthill-McKee of the node pairs
+        self._node_rank = np.empty(n)
+        self._node_rank[reverse_cuthill_mckee(sparse.csr_matrix(
+            (np.ones(b.size, dtype=bool), b, start), shape=(n, n)),
+            symmetric_mode=True)] = np.arange(n)
         where = np.empty(pattern.nnz, dtype=np.int32)
         where[pattern.data.astype(np.int64) - 1] = np.arange(pattern.nnz)
         self._indices, self._indptr = pattern.indices, pattern.indptr
@@ -248,6 +254,26 @@ class Assembler:
             t = np.atleast_1d(np.asarray(traction)).astype(dtype)
             for node in (na, nb):
                 self._f_base[node_dofs(node, d)] += 0.5 * length * t
+
+    def fixed_dofs(self, model: EnrichedModel, fixed) -> np.ndarray:
+        """The original dofs ``fixed`` and the enriched dofs they hold: an
+        enriched node is fixed in a component when both ends of its edge
+        are, since its enrichment interpolates there, so the whole edge is
+        held."""
+        d, n = self.pair.field_dim, self.mesh.n_nodes
+        mask = np.zeros(d * n, dtype=bool)
+        mask[fixed] = True
+        held = mask.reshape(n, d)[model.enr_edges].all(axis=1)
+        return np.concatenate([fixed, d * n + np.flatnonzero(held)])
+
+    def band_key(self, model: EnrichedModel) -> np.ndarray:
+        """The band key of every dof of a model for ``solve_system``: the
+        rank of its node, and for an enriched node the mean rank of its
+        edge's ends plus 0.5; the components of a node share its key."""
+        rank = self._node_rank
+        return np.repeat(np.concatenate(
+            [rank, rank[model.enr_edges].mean(axis=1) + 0.5]),
+            self.pair.field_dim)
 
     def assemble(self, model: EnrichedModel):
         """Stiffness matrix and load vector for one enriched model."""
@@ -331,28 +357,22 @@ def _scaled_band(k: sparse.csr_matrix, scale: np.ndarray, pos: np.ndarray,
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
-                 order=None) -> SolveResult:
+                 key=None) -> SolveResult:
     """Direct solve with homogeneous essential conditions on ``fixed_dofs``.
 
     The reduced system is symmetrically Jacobi-scaled and factored by banded
-    Cholesky. ``order``, a permutation of all dofs, gives the free dofs
-    their band positions (the fixed ones are skipped); without it they are
-    ordered by reverse Cuthill-McKee of the free block. Raises SolverError
-    on singular or indefinite systems (typically an unconstrained rigid
-    mode) or when the relative residual exceeds 1e-6.
+    Cholesky. The free dofs take their band positions in ascending ``key``,
+    one value per dof, ties by dof index; without a key they are ordered by
+    reverse Cuthill-McKee of the free block. Raises SolverError on singular
+    or indefinite systems (typically an unconstrained rigid mode) or when
+    the relative residual exceeds 1e-6.
     """
     ndof = f.size
     fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
     if fixed.size and (fixed.min() < 0 or fixed.max() >= ndof):
         raise ValueError("fixed dof index out of range")
-    if order is not None:
-        order = np.asarray(order)
-        seen = np.zeros(ndof, dtype=bool)
-        if order.shape == (ndof,) and order.dtype.kind in "iu" \
-                and np.all((order >= 0) & (order < ndof)):
-            seen[order] = True
-        if not seen.all():
-            raise ValueError("order is not a permutation of the dofs")
+    if key is not None and np.shape(key) != (ndof,):
+        raise ValueError(f"key has shape {np.shape(key)}, not ({ndof},)")
     free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=True)
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
@@ -372,7 +392,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # the band position of each free dof, -1 at the fixed ones
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[free] = np.arange(free.size, dtype=pos.dtype)
-    if order is None:
+    if key is None:
         i, j = np.repeat(pos, np.diff(k.indptr)), pos[k.indices]
         keep = (i >= 0) & (j >= 0)
         at = free[reverse_cuthill_mckee(sparse.csr_matrix(
@@ -380,7 +400,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
              np.searchsorted(i[keep], np.arange(free.size + 1))),
             shape=(free.size, free.size)), symmetric_mode=True)]
     else:
-        at = order[pos[order] >= 0]
+        at = free[np.argsort(np.asarray(key)[free], kind="stable")]
     pos[at] = np.arange(free.size, dtype=pos.dtype)
     try:
         factor = cholesky_banded(_scaled_band(k, scale, pos, free.size),

@@ -219,19 +219,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_system(k, f, fixed_dofs=[10_000])
 
-    @pytest.mark.parametrize("order", [
-        "short", "repeated", "negative", "too large", "float"])
-    def test_order_that_is_not_a_permutation(self, order):
+    @pytest.mark.parametrize("key", ["short", "long", "2-D"])
+    def test_key_of_the_wrong_shape(self, key):
         _, model, pair, loads, fixed = heat_bar()
         k, f = Assembler(model.mesh, pair, loads).assemble(model)
         n = f.size
-        order = {"short": np.arange(n - 1),
-                 "repeated": np.r_[0, np.arange(n - 1)],
-                 "negative": np.r_[-1, np.arange(1, n)],
-                 "too large": np.r_[np.arange(n - 1), n],
-                 "float": np.arange(n, dtype=float)}[order]
-        with pytest.raises(ValueError, match="permutation"):
-            solve_system(k, f, fixed, order)
+        key = {"short": np.arange(n - 1.0),
+               "long": np.arange(n + 1.0),
+               "2-D": np.arange(float(n)).reshape(1, n)}[key]
+        with pytest.raises(ValueError, match="key has shape"):
+            solve_system(k, f, fixed, key)
 
 
 def initial_analysis(problem):
@@ -291,7 +288,7 @@ class TestBandedCholesky:
             None if design is None else np.loadtxt(DATA / design)))
         k, f = ws.assembler.assemble(model)
         ref = solve_system(k, f, ws.fixed).u
-        res = solve_system(k, f, ws.fixed, ws.dof_order(model))
+        res = solve_system(k, f, ws.fixed, ws.assembler.band_key(model))
         assert np.max(np.abs(res.u - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert res.residual <= 1e-10
 
@@ -421,6 +418,22 @@ class TestCachedPattern:
             size[err.row, err.col]).ravel())
 
 
+def reference_band_order(mesh, model, field_dim):
+    """The dofs of a model in band order, built apart from the package: the
+    mesh nodes ranked by reverse Cuthill-McKee of the element node graph,
+    each enriched node at the mean rank of its edge's ends plus 0.5 (ties
+    keep node order), the components of each node together."""
+    el, n = mesh.elements, mesh.n_nodes
+    graph = sparse.csr_matrix(
+        (np.ones(3 * el.size), (np.repeat(el, 3, axis=1).ravel(),
+                                np.tile(el, 3).ravel())), shape=(n, n))
+    rank = np.empty(n)
+    rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n)
+    nodes = np.argsort(np.concatenate(
+        [rank, rank[model.enr_edges].mean(axis=1) + 0.5]), kind="stable")
+    return (field_dim * nodes[:, None] + np.arange(field_dim)).ravel()
+
+
 class TestScaledBand:
     @pytest.mark.parametrize("problem", [cantilever, mbb, heat_sink])
     def test_equals_the_band_of_the_sliced_and_scaled_block(
@@ -428,7 +441,7 @@ class TestScaledBand:
         # what the solve factors is, bit for bit, the Jacobi-scaled free-dof
         # block as sparse slicing and products compute it, permuted by
         # reverse Cuthill-McKee of that block when the solve is given no
-        # order, and else by the order it is given
+        # key, and else by the band order of the nodes
         bands = []
         factor = igtop.fem.cholesky_banded
 
@@ -442,11 +455,12 @@ class TestScaledBand:
         ref_ff = k[free][:, free]
         dmat = sparse.diags(1.0 / np.sqrt(ref_ff.diagonal()))
         ref_ss = (dmat @ ref_ff.tocsc() @ dmat).tocsr()
-        order = ws.dof_order(model)
+        order = reference_band_order(ws.mesh, model,
+                                     ws.problem.pair.field_dim)
         rank = np.empty(order.size, dtype=np.int64)
         rank[order] = np.arange(order.size)
         solve_system(k, f, ws.fixed)
-        solve_system(k, f, ws.fixed, order)
+        solve_system(k, f, ws.fixed, ws.assembler.band_key(model))
         assert len(bands) == 2
         for band, perm in zip(bands, (
                 reverse_cuthill_mckee(ref_ss, symmetric_mode=True),

@@ -508,13 +508,14 @@ class TestCli:
 
     def test_export_to_empty_path_exits_2(self, tmp_path, capsys,
                                           monkeypatch):
-        # an empty path is a bad target, not a target left out
+        # an empty path is a bad file, not a file left out
         monkeypatch.setattr("igtop.cli.analyze", analyze_not_reached)
         monkeypatch.chdir(tmp_path)
-        for flag in ("--vtk", "--contour"):
-            rc = main(["export", "--problem", "cantilever", flag, ""])
+        for args in (["--vtk", ""], ["--contour", ""],
+                     ["--design", "", "--contour", "x.txt"]):
+            rc = main(["export", "--problem", "cantilever", *args])
             assert rc == 2
-            assert f"{flag} needs a file, got an empty path" \
+            assert f"{args[0]} needs a file, got an empty path" \
                 in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

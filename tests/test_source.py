@@ -95,3 +95,15 @@ def test_no_module_imports_scipy_optimize():
     # about 10 MB to a run's peak resident memory
     found = imports_from("scipy.optimize")
     assert not found, f"imports from scipy.optimize: {found}"
+
+
+def test_only_fem_orders_the_dofs():
+    # the dof layout and the band order of the enriched system live in fem:
+    # no other module builds a graph to order by, and the driver, which
+    # only hands the assembler's fixed dofs and band key to the solve,
+    # imports nothing from scipy
+    found = [hit for hit in imports_from("scipy.sparse.csgraph")
+             if not hit.startswith("fem.py:")]
+    found += [hit for hit in imports_from("scipy")
+              if hit.startswith("driver.py:")]
+    assert not found, f"imports outside fem's dof layout: {found}"
