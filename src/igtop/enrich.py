@@ -93,12 +93,15 @@ class IntegrationElement:
     material: bool
     area: float
 
-    @property
+    @cached_property
     def slot_matrix(self) -> np.ndarray:
         """0/1 map from the vertices to the parent's two enriched slots,
-        shape (..., 2, 3): entry (s, l) is 1 where vertex l holds slot s."""
+        shape (..., 2, 3), kept read-only: entry (s, l) is 1 where vertex l
+        holds slot s."""
         slots = np.asarray(self.enr_slots)[..., None, :]
-        return (slots == np.arange(2)[:, None]).astype(float)
+        matrix = (slots == np.arange(2)[:, None]).astype(float)
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +227,9 @@ class EnrichedModel:
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
         mesh = self.mesh
         coords = ie.coords.astype(dtype)
-        parent = cofactor_hat_gradients(
-            mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
+        parent = mesh.hat_gradients[ie.parent] if dtype == np.float64 \
+            else cofactor_hat_gradients(
+                mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         hats = cofactor_hat_gradients(coords)
         grads = np.concatenate([parent, ie.slot_matrix.astype(dtype) @ hats],
                                axis=-2)

@@ -339,21 +339,28 @@ class SolveResult:
     residual: float
 
 
-def _scaled_band(k: sparse.csr_matrix, scale: np.ndarray, pos: np.ndarray,
-                 size: int) -> np.ndarray:
+def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
+                 at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float64 lower band of diag(scale) K diag(scale) over the dofs
-    with a band position ``pos`` >= 0, each entry ``scale[r] * k_rc *
-    scale[c]``, filled from K in one pass and in Fortran order so that
-    LAPACK factors it in place."""
-    counts = np.diff(k.indptr)
-    i, j = np.repeat(pos, counts), pos[k.indices]
+    ``at`` at band positions ``pos`` (-1 when fixed), filled from K in one
+    pass and in Fortran order so that LAPACK factors it in place, and
+    ``scale``: the inverse square roots of the dofs' diagonal entries."""
+    i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
     lower = np.flatnonzero((j >= 0) & (i >= j))
-    col = j[lower]
-    offset = i[lower] - col
-    band = np.zeros((int(offset.max()) + 1, size), order="F")
-    band[offset, col] = np.repeat(scale, counts)[lower] * k.data[lower] \
-        * scale[k.indices[lower]]
-    return band
+    row, col, data = i[lower], j[lower], k.data[lower]
+    offset = row - col
+    on = np.flatnonzero(offset == 0)
+    diag = np.zeros(at.size, dtype=data.dtype)
+    diag[col[on]] = data[on]
+    if np.any(diag <= 0.0):
+        raise SolverError(
+            f"nonpositive stiffness diagonal at dof {at[np.argmin(diag)]}; "
+            f"the system has an unconstrained or degenerate mode")
+    scale = 1.0 / np.sqrt(diag)
+    rows = int(offset.max()) + 1
+    band = np.zeros(rows * at.size)
+    band[offset + rows * col] = scale[row] * data * scale[col]
+    return band.reshape((rows, at.size), order="F"), scale
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
@@ -363,17 +370,22 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     The reduced system is symmetrically Jacobi-scaled and factored by banded
     Cholesky. The free dofs take their band positions in ascending ``key``,
     one value per dof, ties by dof index; without a key they are ordered by
-    reverse Cuthill-McKee of the free block. Raises SolverError on singular
-    or indefinite systems (typically an unconstrained rigid mode) or when
-    the relative residual exceeds 1e-6.
+    reverse Cuthill-McKee of the free block. Raises ValueError on malformed
+    input, SolverError on singular or indefinite systems (typically an
+    unconstrained rigid mode) or when the relative residual exceeds 1e-6.
     """
-    ndof = f.size
-    fixed = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+    ndof = k.shape[0]
+    if np.shape(f) != (ndof,):
+        raise ValueError(f"f has shape {np.shape(f)}, not ({ndof},)")
+    fixed = np.asarray(fixed_dofs, dtype=np.int64).ravel()
     if fixed.size and (fixed.min() < 0 or fixed.max() >= ndof):
         raise ValueError("fixed dof index out of range")
     if key is not None and np.shape(key) != (ndof,):
         raise ValueError(f"key has shape {np.shape(key)}, not ({ndof},)")
-    free = np.setdiff1d(np.arange(ndof), fixed, assume_unique=True)
+    free = np.flatnonzero(np.bincount(fixed, minlength=ndof) == 0)
+    bad = free[~np.isfinite(f[free])]
+    if bad.size:
+        raise ValueError(f"f is not finite at free dof {bad[0]}")
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
@@ -381,14 +393,6 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # scatter and the order of the row sums rely on it
     k = sparse.csr_matrix(k)
     k.sum_duplicates()
-    diag = k.diagonal()[free]
-    if np.any(diag <= 0.0):
-        bad = free[int(np.argmin(diag))]
-        raise SolverError(
-            f"nonpositive stiffness diagonal at dof {bad}; "
-            f"the system has an unconstrained or degenerate mode")
-    scale = np.zeros(ndof, dtype=diag.dtype)
-    scale[free] = 1.0 / np.sqrt(diag)
     # the band position of each free dof, -1 at the fixed ones
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[free] = np.arange(free.size, dtype=pos.dtype)
@@ -402,9 +406,9 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     else:
         at = free[np.argsort(np.asarray(key)[free], kind="stable")]
     pos[at] = np.arange(free.size, dtype=pos.dtype)
+    band, s = _scaled_band(k, pos, at)
     try:
-        factor = cholesky_banded(_scaled_band(k, scale, pos, free.size),
-                                 lower=True, overwrite_ab=True,
+        factor = cholesky_banded(band, lower=True, overwrite_ab=True,
                                  check_finite=False)
     except LinAlgError as err:
         raise SolverError(
@@ -425,30 +429,34 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # refinement with extended-precision residuals f - K u recovers the
     # accuracy lost to the material-contrast conditioning; with longdouble
     # assembly the refinement target itself carries the extra digits. The
-    # residual is taken on K with its fixed columns zeroed, so that it reads
-    # only the free block, and its Jacobi-scaled norm decides the stop
-    kld = k.data.astype(np.longdouble)
-    kld[pos[k.indices] < 0] = 0.0
-    kld = sparse.csr_matrix((kld, k.indices, k.indptr), shape=k.shape)
-    s, fb = scale[at], f[at]
+    # residual reads only the free block, as x is exactly zero at the fixed
+    # dofs, and its Jacobi-scaled norm decides the stop; so does the next
+    # correction, predicted from the last two as |dy|^2 / |dy_prev|
+    # (max-norm), once below an ulp of the scaled solution y
+    kld = sparse.csr_matrix((k.data.astype(np.longdouble), k.indices,
+                             k.indptr), shape=k.shape)
+    fb = f[at]
     fs = fb * s
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
     x = np.zeros(ndof, dtype=np.longdouble)
-    x[at] = s * solve(fs)
+    dy = y = solve(fs)
+    x[at] = s * y
     last = np.inf
     for _ in range(6):
         rs = s * (fb - (kld @ x)[at])
         rnorm = float(np.linalg.norm(rs.astype(np.float64)))
         if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
             break
-        x[at] += s * solve(rs)
+        prev, dy = np.abs(dy).max(), solve(rs)
+        x[at] += s * dy
+        y = y + dy
         last = rnorm
+        if np.abs(dy).max() ** 2 \
+                <= np.finfo(np.float64).eps * prev * np.abs(y).max():
+            break
     u = x.astype(np.float64)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("solver produced non-finite values; the system is "
-                          "singular (free rigid mode?)")
-    # the residual over K reads fixed columns too: they multiply exact
-    # zeros, so a non-finite entry there cannot pass as a converged solve
+    # a non-finite u fails the residual, and so does a non-finite entry in a
+    # fixed column: the residual over K reads those columns, at exact zeros
     fnorm = float(np.linalg.norm(f[free].astype(np.float64)))
     residual = float(np.linalg.norm((k @ u - f)[free].astype(np.float64))) \
         / (fnorm if fnorm else 1.0)
