@@ -32,7 +32,23 @@ _SNAP_REL = 1e-10
 _TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
                    [[0, 3, 4], [3, 1, 2], [3, 2, 4]]])
 
+# Tables by sign code p0 + 2 p1 + 4 p2 (p_l: phi > 0 at local vertex l):
+# the state and, for a cut element, a b c, its (ac, ab) edge-order flip and
+# its tiles' phases; _SLOTS gives the tiles' enriched slots by flip, diagonal.
+_STATE = np.array([VOID, CUT, CUT, CUT, CUT, CUT, CUT, MATERIAL], dtype=np.int8)
+_LONE = np.array([0, 0, 1, 2, 2, 1, 0, 0])
+_ABC = (_LONE[:, None] + np.arange(3)) % 3
+_FLIP = (_LONE != 0).astype(np.intp)
+_MATERIAL = ((np.arange(8) >> _LONE) & 1 == 1)[:, None] != [False, True, True]
+_SLOTS = np.array([[-1, -1, -1, 0, 1], [-1, -1, -1, 1, 0]])[:, _TILES]
+
 _CENTROID = np.array([1 / 3, 1 / 3, 1 / 3])
+
+
+def _check_finite(phi: np.ndarray) -> None:
+    if not np.isfinite(phi).all():
+        raise ValueError(f"nodal levelset is not finite at node "
+                         f"{np.flatnonzero(~np.isfinite(phi))[0]}")
 
 
 def snap_nodal_levelset(phi: np.ndarray) -> np.ndarray:
@@ -41,9 +57,11 @@ def snap_nodal_levelset(phi: np.ndarray) -> np.ndarray:
     Guarantees no entry satisfies ``|phi| < eps`` with
     ``eps = 1e-10 * max(|phi|)`` (scale floored for the all-zero vector), so
     every element classifies cleanly as material, void, or cut and edge
-    intersections stay strictly inside their edges.
+    intersections stay strictly inside their edges. Raises ValueError if an
+    entry is not finite.
     """
     phi = np.asarray(phi, dtype=float)
+    _check_finite(phi)
     scale = max(float(np.max(np.abs(phi))) if phi.size else 0.0, 1e-30)
     eps = _SNAP_REL * scale
     out = phi.copy()
@@ -254,70 +272,63 @@ class EnrichedModel:
 def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
     """Classify elements against a snapped nodal levelset and tile cut ones.
 
-    ``phi`` must contain no exact zeros (run :func:`snap_nodal_levelset`
-    first). The construction is deterministic: identical inputs produce
-    bitwise-identical models.
+    ``phi`` must be finite and contain no exact zeros (run
+    :func:`snap_nodal_levelset` first). The construction is deterministic:
+    identical inputs produce bitwise-identical models.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (mesh.n_nodes,):
         raise ValueError(f"levelset has shape {phi.shape}, "
                          f"expected ({mesh.n_nodes},)")
-    if np.any(phi == 0.0):
+    _check_finite(phi)
+    if (phi == 0.0).any():
         raise ValueError("nodal levelset contains exact zeros; "
                          "apply snap_nodal_levelset first")
 
-    pos = phi > 0.0
-    elem_pos = pos[mesh.elements]
-    n_pos = elem_pos.sum(axis=1)
-    state = np.full(mesh.n_elements, CUT, dtype=np.int8)
-    state[n_pos == 3] = MATERIAL
-    state[n_pos == 0] = VOID
+    n = mesh.n_nodes
+    pos = (phi > 0.0).view(np.uint8).take(mesh.elements.T)
+    code = pos[0] + 2 * pos[1] + 4 * pos[2]
+    state = _STATE[code]
     cut_ids = np.flatnonzero(state == CUT)
-    n_cut = cut_ids.size
+    code = code[cut_ids]
 
-    # vertex with the lone sign; its two incident edges are the cut ones
-    lpos = elem_pos[cut_ids]
-    lone = np.where(lpos[:, 0] == lpos[:, 1], 2,
-                    np.where(lpos[:, 0] == lpos[:, 2], 1, 0))
-    abc = np.take_along_axis(mesh.elements[cut_ids],
-                             (lone[:, None] + np.arange(3)) % 3, axis=1)
+    # a, b, c as global nodes; ab and ac are the cut edges
+    abc = mesh.elements.take(3 * cut_ids[:, None] + _ABC[code])
+    ends = abc[:, 1:]
+    pair_keys = np.minimum(abc[:, :1], ends) * n + np.maximum(abc[:, :1], ends)
 
-    # unique cut edges in lexicographic order become the enriched nodes
-    # (the keys j * n_nodes + k of edges j < k sort like the pairs)
-    pairs = np.sort(abc[:, [[0, 1], [0, 2]]], axis=2)  # edges ab, ac
-    pair_keys = pairs[..., 0] * mesh.n_nodes + pairs[..., 1]
-    keys = np.unique(pair_keys)
-    edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
-    ej, ek = edges[:, 0], edges[:, 1]
-    enr_coords, t = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
-                                   phi[ej], phi[ek])
+    # unique cut edges in lexicographic order become the enriched nodes; the
+    # keys j * n + k of edges j < k sort like the pairs, one kept per run
+    keys = np.sort(pair_keys, axis=None)
+    keys = keys[keys != np.append(keys[1:], -1)]
     enr = np.searchsorted(keys, pair_keys)
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    enr_coords, t = intersect_edge(*mesh.nodes.take(edges.T, axis=0),
+                                   *phi[edges.T])
 
     # canonical edge order puts ab first only when a is local vertex 0
-    flip = lone != 0
+    flip = _FLIP[code]
     parent_slots = np.where(flip[:, None], enr[:, ::-1], enr)
-    ids = np.concatenate([abc, mesh.n_nodes + enr], axis=1)
-    slots = np.concatenate([np.full((n_cut, 3), -1),
-                            np.stack([flip, ~flip], axis=1)], axis=1)
-    points = np.concatenate([mesh.nodes[abc], enr_coords[enr]], axis=1)
+    ids = np.concatenate([abc, n + enr], axis=1)
+    points = np.concatenate([mesh.nodes, enr_coords]).take(ids, axis=0)
 
     # split the quad along its shorter diagonal; ties go to the diagonal
     # touching the lower node index
     d1 = np.hypot(*(points[:, 2] - points[:, 3]).T)
     d2 = np.hypot(*(points[:, 4] - points[:, 1]).T)
     tie = np.abs(d1 - d2) <= _DIAG_TIE_REL * np.maximum(d1, d2)
-    use_d1 = np.where(tie, abc[:, 2] < abc[:, 1], d1 < d2)
-    local = _TILES[use_d1.astype(np.int64)]
-    rows = np.arange(n_cut)[:, None, None]
-    coords = points[rows, local].reshape(-1, 3, 2)
-    area = 0.5 * cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    diag = np.where(tie, abc[:, 2] < abc[:, 1], d1 < d2).astype(np.intp)
+    at = (5 * np.arange(code.size)[:, None, None]
+          + _TILES[diag]).reshape(-1, 3)
+    coords = points.reshape(-1, 2).take(at, axis=0)
+    edge = coords[:, 1:] - coords[:, :1]
+    area = 0.5 * cross2(edge[:, 0], edge[:, 1])
     assert np.all(area > 0.0), \
         "integration element lost counterclockwise orientation"
-    mat_a = lpos[np.arange(n_cut), lone]
     tiles = IntegrationElement(
-        parent=np.repeat(cut_ids, 3), vertex_ids=ids[rows, local].reshape(-1, 3),
-        enr_slots=slots[rows, local].reshape(-1, 3), coords=coords,
-        material=np.stack([mat_a, ~mat_a, ~mat_a], axis=1).ravel(), area=area)
+        parent=np.repeat(cut_ids, 3), vertex_ids=ids.take(at),
+        enr_slots=_SLOTS[flip, diag].reshape(-1, 3), coords=coords,
+        material=_MATERIAL[code].ravel(), area=area)
 
     return EnrichedModel(mesh=mesh, phi=phi, element_state=state,
                          enr_edges=edges, enr_t=t, enr_coords=enr_coords,

@@ -315,6 +315,7 @@ class Assembler:
             (w[:, rows, cols].ravel(),
              (slots[:, rows].ravel(), slots[:, cols].ravel())),
             shape=(ndof, ndof)).tocsr()
+        k.has_canonical_format = True  # a sum of canonical matrices
 
         f = np.zeros(ndof, dtype=dtype)
         f[:self._f_base.size] = self._f_base
@@ -389,10 +390,11 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
-    # one entry per position, columns ascending in each row: the band
-    # scatter and the order of the row sums rely on it
-    k = sparse.csr_matrix(k)
-    k.sum_duplicates()
+    # one entry per position, columns ascending in each row, as the band
+    # scatter and the row sums need; any other K is summed in a copy
+    if not (isinstance(k, sparse.csr_matrix) and k.has_canonical_format):
+        k = sparse.csr_matrix(k, copy=True)
+        k.sum_duplicates()
     # the band position of each free dof, -1 at the fixed ones
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[free] = np.arange(free.size, dtype=pos.dtype)

@@ -1,16 +1,27 @@
-"""Per-direction derivatives of the integration-element operators.
+"""Independent references for the tests.
 
 The package computes the compliance gradient in one closed form
 (:func:`igtop.sensitivity.nodal_compliance_gradient`). The operators here
 build the same derivatives one vertex direction at a time, from the chain
 rule through the Jacobian inverse, and serve the tests as its independent
 reference.
+
+:func:`build_enriched_model` is the cut band's earlier construction, with a
+three-way ``where`` for the lone vertex, ``take_along_axis`` for its
+rotation and ``np.unique`` for the cut edges; the package's table-driven
+construction must give the same model bit for bit.
 """
 
 import numpy as np
 
+from igtop.enrich import (CUT, MATERIAL, VOID, EnrichedModel,
+                          IntegrationElement, intersect_edge)
 from igtop.fem import build_b
-from igtop.mesh import DL, adj2, tri_jacobian
+from igtop.mesh import DL, adj2, cross2, tri_jacobian
+
+_DIAG_TIE_REL = 1e-12
+_TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
+                   [[0, 3, 4], [3, 1, 2], [3, 2, 4]]])
 
 
 def jacobian_derivative(vertex: int, component: int) -> np.ndarray:
@@ -77,3 +88,73 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
     return load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
+
+
+def build_enriched_model(mesh, phi: np.ndarray) -> EnrichedModel:
+    """Classify elements against a snapped nodal levelset and tile cut ones,
+    as the package did before its sign-code tables."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (mesh.n_nodes,):
+        raise ValueError(f"levelset has shape {phi.shape}, "
+                         f"expected ({mesh.n_nodes},)")
+    if np.any(phi == 0.0):
+        raise ValueError("nodal levelset contains exact zeros; "
+                         "apply snap_nodal_levelset first")
+
+    pos = phi > 0.0
+    elem_pos = pos[mesh.elements]
+    n_pos = elem_pos.sum(axis=1)
+    state = np.full(mesh.n_elements, CUT, dtype=np.int8)
+    state[n_pos == 3] = MATERIAL
+    state[n_pos == 0] = VOID
+    cut_ids = np.flatnonzero(state == CUT)
+    n_cut = cut_ids.size
+
+    # vertex with the lone sign; its two incident edges are the cut ones
+    lpos = elem_pos[cut_ids]
+    lone = np.where(lpos[:, 0] == lpos[:, 1], 2,
+                    np.where(lpos[:, 0] == lpos[:, 2], 1, 0))
+    abc = np.take_along_axis(mesh.elements[cut_ids],
+                             (lone[:, None] + np.arange(3)) % 3, axis=1)
+
+    # unique cut edges in lexicographic order become the enriched nodes
+    # (the keys j * n_nodes + k of edges j < k sort like the pairs)
+    pairs = np.sort(abc[:, [[0, 1], [0, 2]]], axis=2)  # edges ab, ac
+    pair_keys = pairs[..., 0] * mesh.n_nodes + pairs[..., 1]
+    keys = np.unique(pair_keys)
+    edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
+    ej, ek = edges[:, 0], edges[:, 1]
+    enr_coords, t = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
+                                   phi[ej], phi[ek])
+    enr = np.searchsorted(keys, pair_keys)
+
+    # canonical edge order puts ab first only when a is local vertex 0
+    flip = lone != 0
+    parent_slots = np.where(flip[:, None], enr[:, ::-1], enr)
+    ids = np.concatenate([abc, mesh.n_nodes + enr], axis=1)
+    slots = np.concatenate([np.full((n_cut, 3), -1),
+                            np.stack([flip, ~flip], axis=1)], axis=1)
+    points = np.concatenate([mesh.nodes[abc], enr_coords[enr]], axis=1)
+
+    # split the quad along its shorter diagonal; ties go to the diagonal
+    # touching the lower node index
+    d1 = np.hypot(*(points[:, 2] - points[:, 3]).T)
+    d2 = np.hypot(*(points[:, 4] - points[:, 1]).T)
+    tie = np.abs(d1 - d2) <= _DIAG_TIE_REL * np.maximum(d1, d2)
+    use_d1 = np.where(tie, abc[:, 2] < abc[:, 1], d1 < d2)
+    local = _TILES[use_d1.astype(np.int64)]
+    rows = np.arange(n_cut)[:, None, None]
+    coords = points[rows, local].reshape(-1, 3, 2)
+    area = 0.5 * cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    assert np.all(area > 0.0), \
+        "integration element lost counterclockwise orientation"
+    mat_a = lpos[np.arange(n_cut), lone]
+    tiles = IntegrationElement(
+        parent=np.repeat(cut_ids, 3), vertex_ids=ids[rows, local].reshape(-1, 3),
+        enr_slots=slots[rows, local].reshape(-1, 3), coords=coords,
+        material=np.stack([mat_a, ~mat_a, ~mat_a], axis=1).ravel(), area=area)
+
+    return EnrichedModel(mesh=mesh, phi=phi, element_state=state,
+                         enr_edges=edges, enr_t=t, enr_coords=enr_coords,
+                         cut_parents=cut_ids, parent_slots=parent_slots,
+                         tiles=tiles)

@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import (CUT, MATERIAL, VOID, build_enriched_model,
                           intersect_edge, snap_nodal_levelset)
 from igtop.mesh import Mesh, structured_grid
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def single_triangle():
@@ -35,6 +41,13 @@ class TestSnap:
         phi[::7] = 0.0
         once = snap_nodal_levelset(phi)
         np.testing.assert_array_equal(snap_nodal_levelset(once), once)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, value):
+        # an infinite scale used to snap every entry to +inf
+        phi = np.r_[-np.ones(3), value, -np.ones(11)]
+        with pytest.raises(ValueError, match="not finite at node 3$"):
+            snap_nodal_levelset(phi)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
@@ -98,6 +111,16 @@ class TestClassification:
         phi = np.ones(mesh.n_nodes)
         phi[5] = 0.0
         with pytest.raises(ValueError, match="snap"):
+            build_enriched_model(mesh, phi)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, value):
+        # it used to fail the orientation assertion, or pass silently wrong
+        # without assertions
+        mesh = structured_grid(2.0, 1.0, 5, 3)
+        phi = mesh.nodes[:, 0] - 0.7
+        phi[6] = value
+        with pytest.raises(ValueError, match="not finite at node 6$"):
             build_enriched_model(mesh, phi)
 
 
@@ -248,3 +271,68 @@ def test_single_element_tiling_property(mags, lone_vertex, lone_negative):
     assert mats.count(lone_mat) == 1 and mats.count(not lone_mat) == 2
     expected_vol = sum(ie.area for ie in model.integration if ie.material)
     assert model.material_volume() == pytest.approx(expected_vol)
+
+
+TILE_FIELDS = ("parent", "vertex_ids", "enr_slots", "coords", "material",
+               "area")
+MODEL_FIELDS = ("phi", "element_state", "enr_edges", "enr_t", "enr_coords",
+                "cut_parents", "parent_slots")
+
+
+def assert_matches_oracle(mesh, phi):
+    """The package's model equals the oracle's in every field's dtype,
+    shape and bytes."""
+    new = build_enriched_model(mesh, phi)
+    ref = oracles.build_enriched_model(mesh, phi)
+    pairs = [(f, getattr(new, f), getattr(ref, f)) for f in MODEL_FIELDS]
+    pairs += [("tiles." + f, getattr(new.tiles, f), getattr(ref.tiles, f))
+              for f in TILE_FIELDS]
+    for name, a, b in pairs:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    return new
+
+
+def benchmark_levelset(problem, design=None):
+    ws = _Workspace(problem)
+    ws.field.update_design(ws.design(design))
+    return ws.mesh, snap_nodal_levelset(ws.field.nodal_values)
+
+
+class TestMatchesOracle:
+    """The table-driven construction against the earlier one in
+    ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("problem, design", [
+        (cantilever, None), (mbb, None), (heat_sink, None),
+        (cantilever, "cantilever_iter80.txt"),
+        (cantilever, "cantilever_clamp_crossing.txt"),
+        (heat_sink, "heat_sink_iter40.txt")])
+    def test_benchmark_designs(self, problem, design):
+        designs = [None] if design is None \
+            else np.atleast_2d(np.loadtxt(DATA / design))
+        for s in designs:
+            model = assert_matches_oracle(*benchmark_levelset(problem(), s))
+            assert model.n_cut > 0
+
+    @pytest.mark.parametrize("mags", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.7)])
+    @pytest.mark.parametrize("code", range(1, 7))
+    def test_every_cut_sign_code(self, code, mags):
+        # code p0 + 2 p1 + 4 p2 with p_l = (phi > 0) at local vertex l;
+        # equal magnitudes make the quad's diagonals tie
+        signs = np.where((code >> np.arange(3)) & 1, 1.0, -1.0)
+        model = assert_matches_oracle(single_triangle(), signs * mags)
+        assert model.n_cut == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+                | st.floats(min_value=0.01, max_value=3.0)
+                | st.floats(min_value=-3.0, max_value=-0.01),
+                min_size=20, max_size=20))
+@example([1.0] * 20)
+@example([-0.5] * 20)
+def test_matches_oracle_on_small_grids(values):
+    # repeated magnitudes put enriched nodes at equal fractions along their
+    # edges, so the quads' diagonals tie exactly
+    assert_matches_oracle(structured_grid(1.5, 1.0, 5, 4), np.array(values))

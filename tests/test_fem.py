@@ -230,6 +230,29 @@ class TestSolve:
         with pytest.raises(ValueError, match="key has shape"):
             solve_system(k, f, fixed, key)
 
+    def test_assembled_k_is_flagged_canonical(self):
+        # the flag is set by the assembly, not found by a scan, so the solve
+        # takes K as it is
+        _, model, pair, loads, _ = heat_bar(interface=0.4)
+        k, _ = Assembler(model.mesh, pair, loads).assemble(model)
+        assert vars(k).get("_has_canonical_format") is True
+        assert sparse.csr_matrix((k.data, k.indices, k.indptr),
+                                 shape=k.shape).has_canonical_format
+
+    def test_non_canonical_k_is_left_as_it_was(self):
+        # row 0 holds entry (0, 0) twice; summing it in place used to
+        # shorten the caller's indptr to [0 2 5 7] but not its other arrays
+        data = np.array([1.0, 1.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0])
+        indices = np.array([0, 0, 1, 0, 1, 2, 1, 2], dtype=np.int32)
+        indptr = np.array([0, 3, 6, 8], dtype=np.int32)
+        k = sparse.csr_matrix((data.copy(), indices.copy(), indptr.copy()),
+                              shape=(3, 3))
+        u = solve_system(k, np.array([1.0, 0.0, 0.0]), []).u
+        np.testing.assert_allclose(u, [0.75, 0.5, 0.25], rtol=1e-14)
+        for got, was in ((k.data, data), (k.indices, indices),
+                         (k.indptr, indptr)):
+            np.testing.assert_array_equal(got, was)
+
     @pytest.mark.parametrize("load", ["nan-at-free-dof", "short", "long"])
     def test_malformed_load(self, load):
         # each used to fail far from its cause: as a singular system, or
