@@ -245,8 +245,8 @@ class EnrichedModel:
     def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
         mesh = self.mesh
         coords = ie.coords.astype(dtype)
-        parent = mesh.hat_gradients[ie.parent] if dtype == np.float64 \
-            else cofactor_hat_gradients(
+        parent = mesh.hat_gradients.take(ie.parent, axis=0) \
+            if dtype == np.float64 else cofactor_hat_gradients(
                 mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
         hats = cofactor_hat_gradients(coords)
         grads = np.concatenate([parent, ie.slot_matrix.astype(dtype) @ hats],

@@ -94,15 +94,11 @@ class LoadCase:
 
     point_loads : list of (node, component, value)
         Concentrated loads on original mesh nodes.
-    edge_loads : list of (node_a, node_b, traction)
-        Uniform traction per unit length on an uncut boundary edge;
-        ``traction`` has one entry per field component.
     body_material, body_void : array or None
         Uniform body source per phase, one entry per field component.
     """
 
     point_loads: list = field(default_factory=list)
-    edge_loads: list = field(default_factory=list)
     body_material: np.ndarray | None = None
     body_void: np.ndarray | None = None
 
@@ -248,12 +244,6 @@ class Assembler:
         self._f_base = np.zeros(d * n, dtype=dtype)
         for node, comp, value in loads.point_loads:
             self._f_base[node_dofs(node, d, comp)[0]] += value
-        for na, nb, traction in loads.edge_loads:
-            length = np.sqrt(np.sum(
-                (mesh.nodes[nb] - mesh.nodes[na]).astype(dtype) ** 2))
-            t = np.atleast_1d(np.asarray(traction)).astype(dtype)
-            for node in (na, nb):
-                self._f_base[node_dofs(node, d)] += 0.5 * length * t
 
     def fixed_dofs(self, model: EnrichedModel, fixed) -> np.ndarray:
         """The original dofs ``fixed`` and the enriched dofs they hold: an
@@ -281,11 +271,6 @@ class Assembler:
         d = pair.field_dim
         dtype = self.dtype
         ndof = d * (mesh.n_nodes + model.n_enriched)
-
-        for na, nb, _ in loads.edge_loads:
-            if (model.phi[na] > 0.0) != (model.phi[nb] > 0.0):
-                raise ConfigError(
-                    f"edge load on cut edge ({na}, {nb}) is not supported")
 
         uncut = model.element_state != CUT
         material = model.element_state == MATERIAL

@@ -101,11 +101,6 @@ class Mesh:
         d2 = np.sum((self.nodes - p) ** 2, axis=1)
         return int(np.argmin(d2))
 
-    def boundary_edges(self, side: str) -> np.ndarray:
-        """Consecutive node pairs along one side, shape (n_segments, 2)."""
-        ids = self.boundary[side]
-        return np.column_stack([ids[:-1], ids[1:]])
-
 
 def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     """Build a structured right-triangle mesh of ``[0, width] x [0, height]``.

@@ -41,20 +41,16 @@ def wendland(r):
 
 @dataclass(frozen=True)
 class RbfGrid:
-    """Kernel centers with their common spacing and support radius.
+    """Kernel centers with their common support radius.
 
     Attributes
     ----------
     centers : ndarray, shape (n_centers, 2)
-    spacing : float
-        Center spacing used to size kernel supports (x-spacing for
-        structured grids).
     support_radius : float
         Kernels vanish at and beyond this distance from their center.
     """
 
     centers: np.ndarray
-    spacing: float
     support_radius: float
 
     @property
@@ -80,8 +76,7 @@ class RbfGrid:
         gx, gy = np.meshgrid(xs, ys)
         centers = np.column_stack([gx.ravel(), gy.ravel()])
         spacing = width / (nx - 1)
-        return cls(centers=centers, spacing=spacing,
-                   support_radius=_SUPPORT_FACTOR * spacing)
+        return cls(centers=centers, support_radius=_SUPPORT_FACTOR * spacing)
 
 
 def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:

@@ -47,9 +47,10 @@ def _to_nodes(model: EnrichedModel, dx: np.ndarray) -> np.ndarray:
     """
     per_tile = (model.tiles.slot_matrix @ dx).reshape(-1, 3, 2, 2)
     per_slot = per_tile[:, 0] + per_tile[:, 1] + per_tile[:, 2]
-    edges = model.enr_edges[model.parent_slots]  # (n_cut, slot, end)
+    # (n_cut, slot, end)
+    edges = model.enr_edges.take(model.parent_slots, axis=0)
     j, k = edges[..., 0], edges[..., 1]
-    xj, xk = model.mesh.nodes[j], model.mesh.nodes[k]
+    xj, xk = (model.mesh.nodes.take(e, axis=0) for e in (j, k))
     pj, pk = model.phi[j], model.phi[k]
     wj = _dot(per_slot, design_velocity(xj, xk, pj, pk))
     wk = _dot(per_slot, design_velocity(xk, xj, pk, pj))

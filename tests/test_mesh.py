@@ -51,12 +51,6 @@ def test_boundary_sets(grid_21x11):
     assert np.all(np.diff(grid_21x11.nodes[b["left"], 1]) > 0)
 
 
-def test_boundary_edges(grid_21x11):
-    edges = grid_21x11.boundary_edges("left")
-    assert edges.shape == (10, 2)
-    np.testing.assert_array_equal(edges[0], [0, 21])
-
-
 def test_nearest_node_exact_and_tie(grid_21x11):
     assert grid_21x11.nearest_node((0.3, 0.2)) == 2 * 21 + 3
     # midpoint of the first bottom edge: tie between nodes 0 and 1 -> lowest

@@ -41,7 +41,8 @@ class TestRbfGrid:
     def test_structured_layout(self):
         g = RbfGrid.structured(2.0, 1.0, 21, 11)
         assert g.n_centers == 231
-        assert g.spacing == pytest.approx(0.1)
+        np.testing.assert_allclose(np.diff(g.centers[:21, 0]),
+                                   2.0 / (21 - 1))
         assert g.support_radius == pytest.approx(0.1 * np.sqrt(2.0))
         np.testing.assert_allclose(g.centers[0], [0.0, 0.0])
         np.testing.assert_allclose(g.centers[-1], [2.0, 1.0])
@@ -85,7 +86,7 @@ class TestTheta:
         on_boundary = np.isclose(dists, grid.support_radius)
         assert on_boundary.sum() == 4
         np.testing.assert_array_equal(row.data[on_boundary], 0.0)
-        cardinal = np.isclose(dists, grid.spacing)
+        cardinal = np.isclose(dists, 2.0 / (21 - 1))
         expected = (1.0 - 1.0 / np.sqrt(2.0)) ** 4 * (4.0 / np.sqrt(2.0) + 1.0)
         np.testing.assert_allclose(row.data[cardinal], expected, rtol=1e-13)
 
@@ -151,8 +152,8 @@ class TestLevelsetField:
     def test_uncovered_points_rejected(self):
         mesh = structured_grid(2.0, 1.0, 21, 11)
         coarse = RbfGrid.structured(2.0, 1.0, 3, 2)
-        grid = RbfGrid(centers=coarse.centers, spacing=coarse.spacing,
-                       support_radius=0.3 * coarse.spacing)
+        spacing = 2.0 / (3 - 1)
+        grid = RbfGrid(centers=coarse.centers, support_radius=0.3 * spacing)
         with pytest.raises(ConfigError, match="outside every kernel support"):
             LevelsetField(grid, mesh.nodes, np.zeros(grid.n_centers))
 
@@ -170,8 +171,7 @@ class TestFit:
         base = RbfGrid.structured(1.0, 1.0, 3, 3)
         centers = base.centers.copy()
         centers[4] = centers[0]
-        bad = RbfGrid(centers=centers, spacing=base.spacing,
-                      support_radius=base.support_radius)
+        bad = RbfGrid(centers=centers, support_radius=base.support_radius)
         with pytest.raises(ConfigError, match="singular"):
             fit_design(bad, np.ones(centers.shape[0]))
 
@@ -194,7 +194,7 @@ class TestFit:
                     lo = mid
                 else:
                     hi = mid
-            assert abs(0.5 * (lo + hi) - 0.25) <= grid.spacing
+            assert abs(0.5 * (lo + hi) - 0.25) <= 1.0 / (21 - 1)
 
 
 class TestInitialLevelsets:

@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "igtop"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "igtop"
 
 
 def imported_names(tree):
@@ -34,16 +36,16 @@ def test_every_import_is_used(path):
 
 
 def referenced_names(nodes):
-    """Names that code among ``nodes`` refers to: every ast.Name, the
-    attribute of every ast.Attribute and every imported name. Docstrings
-    and comments refer to nothing."""
-    found = set()
+    """Names that code among ``nodes`` refers to, with how often: every
+    ast.Name, the attribute of every ast.Attribute and every imported
+    name. Docstrings and comments refer to nothing."""
+    found = Counter()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                found.add(sub.id)
+                found[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
+                found[sub.attr] += 1
             elif isinstance(sub, (ast.Import, ast.ImportFrom)):
                 found.update(alias.name for alias in sub.names)
     return found
@@ -62,9 +64,34 @@ def test_every_definition_is_named_elsewhere():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             rest = referenced_names(n for n in tree.body if n is not node)
-            if node.name not in rest | elsewhere:
+            if node.name not in rest and node.name not in elsewhere:
                 unnamed.append(f"{module}: {node.name}")
     assert not unnamed, f"definitions nothing else names: {unnamed}"
+
+
+def test_every_method_has_a_user():
+    # a method or property of a package class has a user when code names
+    # it: the package outside the method's own definition, the benchmark
+    # or the tools (read here, never edited); dunder methods are called by
+    # the language
+    trees = [ast.parse(p.read_text(), filename=p.name)
+             for p in sorted(SRC.glob("*.py"))]
+    package = referenced_names(trees)
+    outside = referenced_names(
+        ast.parse(p.read_text(), filename=str(p))
+        for folder in ("benchmarks", "tools")
+        for p in sorted((ROOT / folder).glob("*.py")))
+    unused = []
+    for tree in trees:
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) \
+                        or node.name.startswith("__"):
+                    continue
+                own = referenced_names([node])[node.name]
+                if package[node.name] == own and node.name not in outside:
+                    unused.append(f"{cls.name}.{node.name}")
+    assert not unused, f"methods and properties nothing names: {unused}"
 
 
 def imports_from(package):
