@@ -20,7 +20,7 @@ from . import __version__
 from .config import OutputConfig, RunConfig, load_config
 from .driver import (BUILTIN_PROBLEMS, S_MAX, S_MIN, analyze, check_gradients,
                      get_problem, run)
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, MmaStepError, NumericalError
 from .output import (read_design, write_contour, write_design, write_history,
                      write_vtk)
 
@@ -64,12 +64,6 @@ def _cmd_run(args) -> int:
     every = out.snapshot_every
 
     def observer(state):
-        if state.failure is not None:
-            failed = outdir / ARTIFACTS["failed"]
-            write_design(failed, state.design)
-            print(f"{state.failure} failed at iteration {state.iteration}; "
-                  f"design saved to {failed}", file=sys.stderr)
-            return
         if every and state.iteration % every == 0:
             write_design(outdir / ARTIFACTS["snapshot"].format(
                 state.iteration), state.design)
@@ -78,7 +72,15 @@ def _cmd_run(args) -> int:
                   f"{state.compliance:14.6g}  volume fraction "
                   f"{state.volume_fraction:.4f}")
 
-    result = run(cfg.problem, observer=observer)
+    try:
+        result = run(cfg.problem, observer=observer)
+    except NumericalError as err:
+        failed = outdir / ARTIFACTS["failed"]
+        write_design(failed, err.design)
+        stage = "MMA step" if isinstance(err, MmaStepError) else "state solve"
+        print(f"{stage} failed at iteration {err.iteration}; design saved to "
+              f"{failed}", file=sys.stderr)
+        raise
 
     write_history(outdir / ARTIFACTS["history"], result.history)
     write_design(outdir / ARTIFACTS["final"], result.design)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sensitivity
 from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
-from .errors import ConfigError, MmaStepError, SolverError
+from .errors import ConfigError, NumericalError, SolverError
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
@@ -91,6 +91,27 @@ class ProblemSpec:
         if not (math.isfinite(self.move_limit) and self.move_limit > 0.0):
             problems.append("move_limit must be finite and positive, got "
                             f"{self.move_limit}")
+        d = self.pair.field_dim
+        for rule in self.dirichlet:
+            if rule.component is not None and rule.component not in range(d):
+                problems.append(f"support component must lie in [0, {d}), "
+                                f"got {rule.component}")
+            if rule.point is not None and not np.all(np.isfinite(rule.point)):
+                problems.append(f"support point must be finite, got "
+                                f"{rule.point}")
+        for point, component, value in self.point_loads:
+            if component not in range(d):
+                problems.append(f"load component must lie in [0, {d}), got "
+                                f"{component}")
+            if not (np.all(np.isfinite(point)) and np.isfinite(value)):
+                problems.append(f"point load needs a finite point and value, "
+                                f"got {point} and {value}")
+        for label, body in (("body_material", self.body_material),
+                            ("body_void", self.body_void)):
+            if body is not None and (np.atleast_1d(body).shape != (d,)
+                                     or not np.all(np.isfinite(body))):
+                problems.append(f"{label} must be {d} finite value(s), got "
+                                f"{body}")
         if problems:
             raise ConfigError(problems)
 
@@ -203,18 +224,14 @@ class HistoryRecord:
 
 @dataclass
 class IterationState:
-    """Snapshot handed to the observer after each analysis, and once more
-    with the design of an iteration whose state solve or MMA step failed:
-    then ``failure`` names the failed stage, ``model`` and ``u`` are None
-    and the compliance and volume fraction are NaN."""
+    """Snapshot handed to the observer after each analysis."""
 
     iteration: int
     design: np.ndarray
-    model: EnrichedModel | None
-    u: np.ndarray | None
+    model: EnrichedModel
+    u: np.ndarray
     compliance: float
     volume_fraction: float
-    failure: str | None = None
 
 
 @dataclass
@@ -282,13 +299,6 @@ class _Workspace:
         return dc, dv
 
 
-def _report_failure(observer, iteration: int, design: np.ndarray,
-                    stage: str) -> None:
-    if observer is not None:
-        observer(IterationState(iteration, design.copy(), None, None,
-                                math.nan, math.nan, failure=stage))
-
-
 def run(problem: ProblemSpec, *, budget: int | None = None,
         observer=None) -> RunResult:
     """Optimize a problem; returns the final design and iteration history.
@@ -296,9 +306,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     The history holds one record per analysis, starting with the initial
     design at iteration 0, at most ``budget`` records in total. The loop
     stops early once the design update stays below 1e-6 in the max norm for
-    ten consecutive iterations. If the state solve or the MMA step fails,
-    the design of that iteration is handed to the observer before the
-    error propagates.
+    ten consecutive iterations. A NumericalError from the loop leaves with
+    the iteration and a copy of the design it failed at.
     """
     problem = problem.with_overrides(
         budget=problem.budget if budget is None else int(budget))
@@ -312,38 +321,34 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     history = []
     c_ref = None
     stall = 0
-    for it in range(budget):
-        # free the last analysis, with its model's cached geometry, first
-        model = u = f = None
-        try:
+    try:
+        for it in range(budget):
+            # free the last analysis, with its model's cached geometry, first
+            model = u = f = None
             model, u, f, c, vol = ws.analyze(s)
-        except SolverError:
-            _report_failure(observer, it, s, "state solve")
-            raise
-        vf = vol / ws.domain_volume
-        history.append(HistoryRecord(it, c, vf,
-                                     problem.pair.field_dim * model.n_enriched))
-        if observer is not None:
-            observer(IterationState(it, s.copy(), model, u, c, vf))
-        if c_ref is None:
-            if not c > 0.0:
-                raise SolverError(f"initial compliance {c} is not positive; "
-                                  "cannot normalize the objective")
-            c_ref = c
-        converged = stall >= STALL_ITERS
-        if converged or it == budget - 1:
-            break
+            vf = vol / ws.domain_volume
+            history.append(HistoryRecord(
+                it, c, vf, problem.pair.field_dim * model.n_enriched))
+            if observer is not None:
+                observer(IterationState(it, s.copy(), model, u, c, vf))
+            if c_ref is None:
+                if not c > 0.0:
+                    raise SolverError(f"initial compliance {c} is not positive"
+                                      "; cannot normalize the objective")
+                c_ref = c
+            converged = stall >= STALL_ITERS
+            if converged or it == budget - 1:
+                break
 
-        dc, dv = ws.gradients(model, u)
-        dc[ws.passive] = dv[ws.passive] = 0.0
-        fval = vol / v_limit - 1.0
-        try:
+            dc, dv = ws.gradients(model, u)
+            dc[ws.passive] = dv[ws.passive] = 0.0
+            fval = vol / v_limit - 1.0
             s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
-        except MmaStepError:
-            _report_failure(observer, it, s, "MMA step")
-            raise
-        stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
-        s = s_new
+            stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
+            s = s_new
+    except NumericalError as err:
+        err.iteration, err.design = it, s.copy()
+        raise
 
     return RunResult(problem=problem, mesh=ws.mesh, history=history,
                      design=s, model=model, u=u, converged=converged)

@@ -21,7 +21,11 @@ class ConfigError(IgtopError):
 
 
 class NumericalError(IgtopError):
-    """Numerical failure at runtime (singular systems, non-converged steps)."""
+    """Numerical failure at runtime (singular systems, non-converged steps).
+    From the optimization loop it carries its ``iteration`` and ``design``."""
+
+    iteration = None
+    design = None
 
 
 class SolverError(NumericalError):

@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigError, SolverError
 from .fem import solve_system
+from .mesh import structured_grid
 
 _SUPPORT_FACTOR = float(np.sqrt(2.0))  # support radius / center spacing
 
@@ -62,21 +63,11 @@ class RbfGrid:
                    ny: int) -> "RbfGrid":
         """Regular nx-by-ny center grid over [0, width] x [0, height].
 
-        The support radius is sqrt(2) times the x-spacing.
+        The centers are the nodes of ``structured_grid(width, height, nx,
+        ny)``; the support radius is sqrt(2) times the x-spacing.
         """
-        problems = []
-        if not (width > 0.0 and height > 0.0):
-            problems.append(f"extents must be positive, got {width} x {height}")
-        if nx < 2 or ny < 2:
-            problems.append(f"need at least 2 centers per direction, got {nx} x {ny}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        xs = np.linspace(0.0, width, nx)
-        ys = np.linspace(0.0, height, ny)
-        gx, gy = np.meshgrid(xs, ys)
-        centers = np.column_stack([gx.ravel(), gy.ravel()])
-        spacing = width / (nx - 1)
-        return cls(centers=centers, support_radius=_SUPPORT_FACTOR * spacing)
+        return cls(centers=structured_grid(width, height, nx, ny).nodes,
+                   support_radius=_SUPPORT_FACTOR * (width / (nx - 1)))
 
 
 def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:

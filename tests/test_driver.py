@@ -82,6 +82,36 @@ class TestProblemSpecs:
         with pytest.raises(ConfigError, match="at least 2"):
             cantilever(nx=1)
 
+    @pytest.mark.parametrize("factory, overrides, fragment", [
+        (cantilever, dict(dirichlet=(DirichletRule(side="left",
+                                                   component=2),)),
+         "support component"),
+        (cantilever, dict(dirichlet=(DirichletRule(point=(np.inf, 0.0)),)),
+         "support point"),
+        (cantilever, dict(point_loads=(((2.0, 0.5), -1, -1.0),)),
+         "load component"),
+        (cantilever, dict(point_loads=(((2.0, 0.5), 3, -1.0),)),
+         "load component"),
+        (cantilever, dict(point_loads=(((np.nan, 0.5), 1, -1.0),)),
+         "finite point and value"),
+        (cantilever, dict(point_loads=(((2.0, 0.5), 1, np.nan),)),
+         "finite point and value"),
+        (heat_sink, dict(body_material=np.array([1.0, 2.0])),
+         "body_material"),
+        (heat_sink, dict(body_void=[np.inf]), "body_void"),
+        (heat_sink, dict(body_void=np.array([[1.0]])), "body_void"),
+    ], ids=["support-component-2", "support-point-inf", "load-component--1",
+            "load-component-3", "load-point-nan", "load-value-nan",
+            "body-two-values", "body-inf", "body-2d"])
+    def test_supports_and_loads_are_validated(self, factory, overrides,
+                                              fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            factory(**overrides)
+
+    def test_scalar_heat_source_is_valid(self):
+        assert heat_sink(body_material=2.0, body_void=None).body_material \
+            == 2.0
+
     def test_dirichlet_rule_validation(self):
         mesh = small_cantilever().build_mesh()
         with pytest.raises(ConfigError):
@@ -162,38 +192,62 @@ class TestRunLoop:
         assert [h.compliance for h in r1.history] \
             == [h.compliance for h in r2.history]
 
-    def test_solver_failure_hands_design_to_observer(self, monkeypatch):
+    def test_solver_failure_carries_iteration_and_design(self, monkeypatch):
         # the soft phase keeps every design solvable, so force the failure
+        # in the state solve of iteration 2
         import igtop.driver as drv
 
-        def boom(*args, **kwargs):
-            raise SolverError("forced failure")
+        designs = []
+        model, solve = drv._Workspace.model, drv.solve_system
 
-        monkeypatch.setattr(drv, "solve_system", boom)
-        p = small_cantilever()
+        def record(self, design):
+            designs.append(design.copy())
+            return model(self, design)
+
+        def fail_third(*args, **kwargs):
+            if len(designs) == 3:
+                raise SolverError("forced failure")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(drv._Workspace, "model", record)
+        monkeypatch.setattr(drv, "solve_system", fail_third)
         seen = []
-        with pytest.raises(SolverError, match="forced failure"):
-            run(p, observer=seen.append)
-        assert len(seen) == 1
-        assert seen[0].iteration == 0
-        assert seen[0].failure == "state solve"
-        assert seen[0].u is None
-        assert np.isnan(seen[0].compliance)
-        assert seen[0].design.shape == (p.rbf_nx * p.rbf_ny,)
-
-    def test_mma_failure_hands_design_to_observer(self, monkeypatch):
-        def boom(self, *args):
-            raise MmaStepError("forced failure")
-
-        monkeypatch.setattr(MmaOptimizer, "step", boom)
-        seen = []
-        with pytest.raises(MmaStepError, match="forced failure"):
+        with pytest.raises(SolverError, match="forced failure") as info:
             run(small_cantilever(), observer=seen.append)
-        assert [(state.iteration, state.failure) for state in seen] \
-            == [(0, None), (0, "MMA step")]
-        assert seen[1].u is None and seen[1].model is None
-        assert np.isnan(seen[1].compliance)
-        assert np.array_equal(seen[1].design, seen[0].design)
+        assert info.value.iteration == 2
+        assert np.array_equal(info.value.design, designs[-1])
+        assert [state.iteration for state in seen] == [0, 1]
+        assert all(state.model is not None and state.u is not None
+                   for state in seen)
+
+    def test_mma_failure_carries_iteration_and_design(self, monkeypatch):
+        step = MmaOptimizer.step
+
+        def fail_second_step(self, *args):
+            if self.iteration == 1:
+                raise MmaStepError("forced failure")
+            return step(self, *args)
+
+        monkeypatch.setattr(MmaOptimizer, "step", fail_second_step)
+        seen = []
+        with pytest.raises(MmaStepError, match="forced failure") as info:
+            run(small_cantilever(), observer=seen.append)
+        assert info.value.iteration == 1
+        assert np.array_equal(info.value.design, seen[-1].design)
+        assert [state.iteration for state in seen] == [0, 1]
+        assert all(state.model is not None and state.u is not None
+                   for state in seen)
+
+    def test_nonpositive_initial_compliance_carries_initial_design(self):
+        # a load on the clamped edge does no work
+        p = cantilever(9, 5, point_loads=(((0.0, 0.5), 1, -1.0),))
+        seen = []
+        with pytest.raises(SolverError, match="initial compliance") as info:
+            run(p, observer=seen.append)
+        assert info.value.iteration == 0
+        assert np.array_equal(info.value.design, _Workspace(p).design())
+        assert [state.iteration for state in seen] == [0]
+        assert seen[0].model is not None and seen[0].u is not None
 
     def test_stall_converges_after_one_more_analysis(self):
         # steps below the stall tolerance: ten of them stop the loop, and

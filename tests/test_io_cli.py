@@ -12,7 +12,7 @@ from igtop.cli import build_parser, main
 from igtop.config import load_config, parse_config
 from igtop.driver import HistoryRecord, analyze, cantilever, run
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
-from igtop.errors import ConfigError, MmaStepError
+from igtop.errors import ConfigError, MmaStepError, SolverError
 from igtop.mesh import structured_grid
 from igtop.mma import MmaOptimizer
 from igtop.output import (read_design, write_contour, write_design,
@@ -393,6 +393,34 @@ class TestCli:
         assert "forced failure" in err
         assert np.array_equal(read_design(outdir / "design_failed.txt"),
                               read_design(outdir / "design_0001.txt"))
+        assert not (outdir / "history.csv").exists()
+
+    def test_solve_failure_exits_3_and_saves_that_iterations_design(
+            self, tmp_path, capsys, monkeypatch):
+        import igtop.driver as drv
+
+        cfg = tiny_config(tmp_path)
+        # a clean run of two iterations ends at the design iteration 1 solves
+        expected = run(load_config(cfg).problem, budget=2).design
+        solve, calls = drv.solve_system, []
+
+        def fail_second_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SolverError("forced failure")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(drv, "solve_system", fail_second_solve)
+        rc = main(["run", str(cfg)])
+        err = capsys.readouterr().err
+        outdir = tmp_path / "out"
+        assert rc == 3
+        assert "state solve failed at iteration 1" in err
+        assert "forced failure" in err
+        assert np.array_equal(read_design(outdir / "design_failed.txt"),
+                              expected)
+        assert (outdir / "design_0000.txt").exists()
+        assert not (outdir / "design_0001.txt").exists()
         assert not (outdir / "history.csv").exists()
 
     def test_export_snapshot_by_iteration(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igtop.driver import BUILTIN_PROBLEMS
 from igtop.errors import ConfigError
 from igtop.mesh import structured_grid
 from igtop.rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
@@ -46,6 +47,18 @@ class TestRbfGrid:
         assert g.support_radius == pytest.approx(0.1 * np.sqrt(2.0))
         np.testing.assert_allclose(g.centers[0], [0.0, 0.0])
         np.testing.assert_allclose(g.centers[-1], [2.0, 1.0])
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROBLEMS))
+    def test_builtin_grids_pinned(self, name):
+        # centers are the mesh nodes of the kernel grid, and the radius is
+        # sqrt(2) times the x-spacing, rounded in that order, byte for byte
+        p = BUILTIN_PROBLEMS[name]()
+        g = p.build_rbf()
+        nodes = structured_grid(p.width, p.height, p.rbf_nx, p.rbf_ny).nodes
+        assert g.centers.shape == nodes.shape
+        assert g.centers.tobytes() == nodes.tobytes()
+        radius = np.sqrt(2.0) * (p.width / (p.rbf_nx - 1))
+        assert np.float64(g.support_radius).tobytes() == radius.tobytes()
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
