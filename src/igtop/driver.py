@@ -70,8 +70,7 @@ class ProblemSpec:
     volume_fraction: float
     dirichlet: tuple = ()
     point_loads: tuple = ()  # ((x, y), component, value)
-    body_material: object = None
-    body_void: object = None
+    body: object = None  # uniform source over both phases
     budget: int = 300
     move_limit: float = 0.01
 
@@ -80,8 +79,10 @@ class ProblemSpec:
         if not 0.0 < self.volume_fraction < 1.0:
             problems.append("volume_fraction must lie strictly between 0 "
                             f"and 1, got {self.volume_fraction}")
-        if self.width <= 0.0 or self.height <= 0.0:
-            problems.append("domain size must be positive")
+        if not all(math.isfinite(w) and w > 0.0
+                   for w in (self.width, self.height)):
+            problems.append("domain size must be finite and positive, got "
+                            f"{self.width} x {self.height}")
         for label, n in (("nx", self.nx), ("ny", self.ny),
                          ("rbf_nx", self.rbf_nx), ("rbf_ny", self.rbf_ny)):
             if n < 2:
@@ -106,12 +107,10 @@ class ProblemSpec:
             if not (np.all(np.isfinite(point)) and np.isfinite(value)):
                 problems.append(f"point load needs a finite point and value, "
                                 f"got {point} and {value}")
-        for label, body in (("body_material", self.body_material),
-                            ("body_void", self.body_void)):
-            if body is not None and (np.atleast_1d(body).shape != (d,)
-                                     or not np.all(np.isfinite(body))):
-                problems.append(f"{label} must be {d} finite value(s), got "
-                                f"{body}")
+        if self.body is not None and (np.atleast_1d(self.body).shape != (d,)
+                                      or not np.all(np.isfinite(self.body))):
+            problems.append(f"body must be {d} finite value(s), got "
+                            f"{self.body}")
         if problems:
             raise ConfigError(problems)
 
@@ -132,9 +131,7 @@ class ProblemSpec:
     def build_loads(self, mesh: Mesh) -> LoadCase:
         pts = [(mesh.nearest_node(p), comp, val)
                for p, comp, val in self.point_loads]
-        return LoadCase(point_loads=pts,
-                        body_material=self.body_material,
-                        body_void=self.body_void)
+        return LoadCase(point_loads=pts, body=self.body)
 
     def fixed_dofs(self, mesh: Mesh) -> np.ndarray:
         d = self.pair.field_dim
@@ -192,8 +189,7 @@ def heat_sink(nx: int = 41, ny: int = 41, **overrides) -> ProblemSpec:
         pair=MaterialPair(Conduction(1.0), Conduction(0.01)),
         volume_fraction=0.45,
         dirichlet=(DirichletRule(point=(width, 0.0), component=0),),
-        body_material=np.array([1.0]),
-        body_void=np.array([1.0]),
+        body=np.array([1.0]),
         budget=100)
     return spec.with_overrides(**overrides)
 

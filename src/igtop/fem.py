@@ -94,24 +94,16 @@ class LoadCase:
 
     point_loads : list of (node, component, value)
         Concentrated loads on original mesh nodes.
-    body_material, body_void : array or None
-        Uniform body source per phase, one entry per field component.
+    body : array or None
+        Uniform body source over both phases, one entry per field component.
     """
 
     point_loads: list = field(default_factory=list)
-    body_material: np.ndarray | None = None
-    body_void: np.ndarray | None = None
+    body: np.ndarray | None = None
 
-    def body_of(self, material, field_dim: int):
-        """Body source of elements with the given phase flags, shape
-        (..., field_dim); zero for a phase without one, and None when
-        neither phase carries a body load."""
-        if self.body_material is None and self.body_void is None:
-            return None
-        bm, bv = (np.zeros(field_dim) if b is None
-                  else np.atleast_1d(np.asarray(b, dtype=float))
-                  for b in (self.body_material, self.body_void))
-        return np.where(np.asarray(material)[..., None], bm, bv)
+    def __post_init__(self):
+        if self.body is not None:
+            self.body = np.atleast_1d(np.asarray(self.body, dtype=float))
 
 
 def node_dofs(node_ids, field_dim: int, component: int | None = None) -> np.ndarray:
@@ -174,7 +166,7 @@ def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
                               dtype=np.float64) -> np.ndarray:
     """Consistent body-load vectors of integration elements over the five
     slots, shape (..., 5 field_dim). ``body`` is one source for all
-    elements, shape (field_dim,), or one per element."""
+    elements, shape (field_dim,)."""
     shape = model.centroid_shape(ie, dtype)
     load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
     return np.asarray(ie.area, dtype=dtype)[..., None] \
@@ -304,18 +296,13 @@ class Assembler:
 
         f = np.zeros(ndof, dtype=dtype)
         f[:self._f_base.size] = self._f_base
-        # a node never belongs to both an uncut material and an uncut void
-        # element, so one pass adds each entry's terms in element order
-        body = loads.body_of(material[uncut], d)
-        if body is not None:
+        if loads.body is not None:
             fe = (mesh.areas[uncut].astype(dtype) / 3.0)[:, None] \
-                * np.tile(body.astype(dtype), 3)
+                * np.tile(loads.body.astype(dtype), 3)
             np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
-        body = loads.body_of(tiles.material, d)
-        if body is not None:
             np.add.at(f, np.repeat(slots, 3, axis=0).ravel(),
                       integration_element_force(
-                model, tiles, body, dtype).ravel())
+                model, tiles, loads.body, dtype).ravel())
         return k, f
 
 

@@ -88,9 +88,8 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     area2 = (2.0 * tiles.area)[:, None, None]
     dx = -(0.5 * _dot(strain, stress)[:, None, None] * geom.ddet
            - area2 * (geom.hats @ sigma @ h_enr))
-    body = loads.body_of(tiles.material, d)
-    if body is not None:
-        w = (ue @ body[..., None])[..., 0]
+    if loads.body is not None:
+        w = (ue @ loads.body[:, None])[..., 0]
         dx += _dot(model.centroid_shape(tiles), w)[:, None, None] * geom.ddet \
             + area2 / 3.0 * (w[:, None, :3] @ geom.grads[:, :3])
     return _to_nodes(model, dx)

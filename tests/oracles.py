@@ -84,8 +84,8 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
     The first term scales the load with the area change; the second moves the
     centroid through the parent hat functions. The enrichment block of the
     second term is identically zero: enrichment values at the centroid are
-    fixed barycentric weights. ``body`` is one source for all elements or
-    one per element, as in :func:`igtop.fem.integration_element_force`.
+    fixed barycentric weights. ``body`` is one source for all elements, as
+    in :func:`igtop.fem.integration_element_force`.
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
     geom = model.geometry(ie)
@@ -214,12 +214,9 @@ def conforming_system(model, pair, loads):
     f = np.zeros(ndof)
     for node, comp, value in loads.point_loads:
         f[d * node + comp] += value
-    if loads.body_material is not None or loads.body_void is not None:
-        bm, bv = (np.zeros(d) if v is None else np.atleast_1d(v)
-                  for v in (loads.body_material, loads.body_void))
-        body = np.where(material[:, None], bm, bv)
+    if loads.body is not None:
         np.add.at(f, dofs.ravel(),
-                  np.tile((area / 3.0)[:, None] * body, 3).ravel())
+                  np.tile((area / 3.0)[:, None] * loads.body, 3).ravel())
     return k, f
 
 

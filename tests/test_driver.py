@@ -66,7 +66,7 @@ class TestProblemSpecs:
         fixed = p.fixed_dofs(mesh)
         assert fixed.size == 1  # point sink at the bottom-right corner
         assert np.array_equal(mesh.nodes[fixed[0]], [1.0, 0.0])
-        assert p.body_material is not None and p.body_void is not None
+        assert np.array_equal(p.body, [1.0])  # one source over both phases
 
     def test_heat_sink_initial_compliance(self):
         # thermal compliance of the seeded design, before any update
@@ -96,21 +96,25 @@ class TestProblemSpecs:
          "finite point and value"),
         (cantilever, dict(point_loads=(((2.0, 0.5), 1, np.nan),)),
          "finite point and value"),
-        (heat_sink, dict(body_material=np.array([1.0, 2.0])),
-         "body_material"),
-        (heat_sink, dict(body_void=[np.inf]), "body_void"),
-        (heat_sink, dict(body_void=np.array([[1.0]])), "body_void"),
+        (heat_sink, dict(body=np.array([1.0, 2.0])), "body must be"),
+        (heat_sink, dict(body=[np.inf]), "body must be"),
+        (heat_sink, dict(body=np.array([[1.0]])), "body must be"),
+        # the void phase's field of the former per-phase split
+        (heat_sink, {"body_" + "void": [1.0]},
+         "unknown problem parameter 'body_" + "void'"),
+        (cantilever, dict(width=np.inf), "domain size"),
+        (cantilever, dict(height=np.nan), "domain size"),
     ], ids=["support-component-2", "support-point-inf", "load-component--1",
             "load-component-3", "load-point-nan", "load-value-nan",
-            "body-two-values", "body-inf", "body-2d"])
+            "body-two-values", "body-inf", "body-2d", "body-per-phase",
+            "width-inf", "height-nan"])
     def test_supports_and_loads_are_validated(self, factory, overrides,
                                               fragment):
         with pytest.raises(ConfigError, match=fragment):
             factory(**overrides)
 
     def test_scalar_heat_source_is_valid(self):
-        assert heat_sink(body_material=2.0, body_void=None).body_material \
-            == 2.0
+        assert heat_sink(body=2.0).body == 2.0
 
     def test_dirichlet_rule_validation(self):
         mesh = small_cantilever().build_mesh()

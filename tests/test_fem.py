@@ -186,7 +186,7 @@ class TestAssembler:
 
     def test_body_load_total_matches_domain(self):
         mesh, model, pair, _, _ = heat_bar(interface=0.4)
-        loads = LoadCase(body_material=[1.0], body_void=[1.0])
+        loads = LoadCase(body=[1.0])
         _, f = Assembler(model.mesh, pair, loads).assemble(model)
         # standard entries integrate the source exactly; enrichment rows add
         # only interface detail

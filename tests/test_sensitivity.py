@@ -264,8 +264,7 @@ class TestNodalGradients:
 
     def test_heat_compliance_gradient_with_body_load(self):
         mesh, phi, _, fixed = build_heat_problem(interface=0.43)
-        loads = LoadCase(body_material=np.array([1.0]),
-                         body_void=np.array([1.0]))
+        loads = LoadCase(body=np.array([1.0]))
         model, u, f, c0 = solve_compliance(mesh, phi, HEAT, loads, fixed)
         grad = nodal_compliance_gradient(model, HEAT, loads, u)
         h = 1e-6
@@ -346,13 +345,19 @@ class TestNodalGradients:
             phi = snap_nodal_levelset(r - 0.28)
             loads = LoadCase(point_loads=[
                 (mesh.nearest_node((1.5, 0.5)), 1, -1.0)],
-                body_material=[0.5, -1.2])
+                body=[0.5, -1.2])
             fixed = node_dofs(mesh.boundary["left"], 2)
-            pair = ELASTIC
+            # the body load also acts on the void, whose nodes then move by
+            # about 1/E_void; at ELASTIC's 1e-6 the material tiles' energies
+            # cancel terms far larger than the gradient, and the two sums
+            # differ by 4e-9 relative, so this case takes the heat pair's
+            # contrast
+            pair = MaterialPair(PlaneStressElastic(1.0, 0.3),
+                                PlaneStressElastic(0.01, 0.3))
         else:
             mesh, phi, loads, fixed = build_heat_problem(interface=0.53)
             if case == "heat-body":
-                loads = LoadCase(body_material=[1.0], body_void=[0.3])
+                loads = LoadCase(body=[0.3])
             pair = HEAT
         d = pair.field_dim
         model, u, f, _ = solve_compliance(mesh, phi, pair, loads, fixed)
@@ -363,7 +368,6 @@ class TestNodalGradients:
             ue = u[cut_parent_dofs(model, d)[row]]
             dc_dx = np.zeros((2, 2))
             for ie in model.integration[3 * row: 3 * row + 3]:
-                body = loads.body_of(ie.material, d)
                 for l in range(3):
                     s = ie.enr_slots[l]
                     if s < 0:
@@ -372,9 +376,9 @@ class TestNodalGradients:
                         dk = integration_element_stiffness_derivative(
                             model, ie, pair, l, c)
                         dc_dx[s, c] += -float(ue @ dk @ ue)
-                        if body is not None:
+                        if loads.body is not None:
                             df = integration_element_force_derivative(
-                                model, ie, body, l, c)
+                                model, ie, loads.body, l, c)
                             dc_dx[s, c] += 2.0 * float(ue @ df)
             for s in range(2):
                 j, k = model.enr_edges[model.parent_slots[row][s]]
@@ -399,9 +403,8 @@ class TestStackedOperators:
         r = np.hypot(mesh.nodes[:, 0] - 0.75, mesh.nodes[:, 1] - 0.5)
         model = build_enriched_model(mesh, snap_nodal_levelset(r - 0.28))
         if request.param == "heat":
-            loads = LoadCase(body_material=[1.0], body_void=[0.3])
-            return model, HEAT, loads
-        return model, ELASTIC, LoadCase(body_material=[0.5, -1.2])
+            return model, HEAT, LoadCase(body=[0.3])
+        return model, ELASTIC, LoadCase(body=[0.5, -1.2])
 
     def test_per_element_view_is_the_stack(self, case):
         model, _, _ = case
@@ -427,7 +430,7 @@ class TestStackedOperators:
             "stiffness": lambda ie: integration_element_stiffness(
                 model, ie, pair),
             "force": lambda ie: integration_element_force(
-                model, ie, loads.body_of(ie.material, d)),
+                model, ie, loads.body),
             "parent_hats": lambda ie: model.parent_hats(ie, [0.2, 0.3, 0.5]),
             "enrichment_values": lambda ie: model.enrichment_values(
                 ie, [0.2, 0.3, 0.5]),
@@ -443,7 +446,7 @@ class TestStackedOperators:
                         model, ie, pair, l, c)
                 operators[f"force_derivative {l}{c}"] = \
                     lambda ie, l=l, c=c: integration_element_force_derivative(
-                        model, ie, loads.body_of(ie.material, d), l, c)
+                        model, ie, loads.body, l, c)
         for name, op in operators.items():
             stacked = op(model.tiles)
             single = np.stack([op(ie) for ie in model.integration])

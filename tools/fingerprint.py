@@ -6,10 +6,11 @@ Each workload of ``benchmarks/workloads.py`` runs one round at seed 0 on an
 uncalibrated clock, with BLAS pinned to one thread as in
 ``benchmarks/run.py``; the line printed per workload is the digest of the
 round's fingerprint (histories, designs and final state, or gradient-check
-rows). A last line digests the rows of a compliance gradient check on the
-cantilever, whose difference quotients come from the longdouble assembly
-and solve that no workload runs. Two checkouts that print the same digests
-computed the same bits. The benchmark is imported, not changed.
+rows). Two last lines digest the rows of a compliance gradient check on the
+cantilever and on the heat sink, whose difference quotients come from the
+longdouble assembly and solve that no workload runs; the heat sink's also
+take its body load through that path. Two checkouts that print the same
+digests computed the same bits. The benchmark is imported, not changed.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ def main() -> int:
             print(f"CHECK FAILED: {problem}", file=sys.stderr)
         status |= bool(rnd.problems or rnd.failed)
         print(f"{name} {hashlib.sha256(rnd.fingerprint).hexdigest()}")
-    rows = igtop.check_gradients(igtop.cantilever(), quantity="compliance",
-                                 n_sample=10, seed=0)
-    rows = np.array([(r.index, r.analytic, r.fd, r.rel_err, r.topology_event)
-                     for r in rows])
-    print(f"compliance_check {hashlib.sha256(rows.tobytes()).hexdigest()}")
+    for label, problem in (("compliance_check", igtop.cantilever()),
+                           ("heat_sink_compliance_check", igtop.heat_sink())):
+        rows = igtop.check_gradients(problem, quantity="compliance",
+                                     n_sample=10, seed=0)
+        rows = np.array([(r.index, r.analytic, r.fd, r.rel_err,
+                          r.topology_event) for r in rows])
+        print(f"{label} {hashlib.sha256(rows.tobytes()).hexdigest()}")
     return status
 
 
