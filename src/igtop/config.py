@@ -72,13 +72,8 @@ def _parse_section(cp, section, schema, problems):
             continue
         typ = schema[key]
         try:
-            if typ is bool:
-                try:
-                    out[key] = cp.BOOLEAN_STATES[raw.strip().lower()]
-                except KeyError:
-                    raise ValueError(f"not a boolean: {raw!r}")
-            else:
-                out[key] = typ(raw)
+            out[key] = (cp.getboolean(section, key) if typ is bool
+                        else typ(raw))
         except ValueError as err:
             problems.append(f"[{section}] {key}: {err}")
     return out

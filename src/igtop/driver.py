@@ -11,6 +11,7 @@ across physics and mesh sizes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,30 +84,38 @@ class ProblemSpec:
                    for w in (self.width, self.height)):
             problems.append("domain size must be finite and positive, got "
                             f"{self.width} x {self.height}")
-        for label, n in (("nx", self.nx), ("ny", self.ny),
-                         ("rbf_nx", self.rbf_nx), ("rbf_ny", self.rbf_ny)):
-            if n < 2:
-                problems.append(f"{label} must be at least 2, got {n}")
-        if self.budget < 1:
-            problems.append(f"budget must be at least 1, got {self.budget}")
+        for label, n, least in (("nx", self.nx, 2), ("ny", self.ny, 2),
+                                ("rbf_nx", self.rbf_nx, 2),
+                                ("rbf_ny", self.rbf_ny, 2),
+                                ("budget", self.budget, 1)):
+            if not (isinstance(n, numbers.Integral) and n >= least):
+                problems.append(f"{label} must be an integer of at least "
+                                f"{least}, got {n!r}")
         if not (math.isfinite(self.move_limit) and self.move_limit > 0.0):
             problems.append("move_limit must be finite and positive, got "
                             f"{self.move_limit}")
         d = self.pair.field_dim
+        box = f"[0, {self.width}] x [0, {self.height}]"
+
+        def inside(point):  # false for a NaN or infinite coordinate
+            return (0.0 <= point[0] <= self.width
+                    and 0.0 <= point[1] <= self.height)
+
         for rule in self.dirichlet:
             if rule.component is not None and rule.component not in range(d):
                 problems.append(f"support component must lie in [0, {d}), "
                                 f"got {rule.component}")
-            if rule.point is not None and not np.all(np.isfinite(rule.point)):
-                problems.append(f"support point must be finite, got "
+            if rule.point is not None and not inside(rule.point):
+                problems.append(f"support point must lie in {box}, got "
                                 f"{rule.point}")
         for point, component, value in self.point_loads:
             if component not in range(d):
                 problems.append(f"load component must lie in [0, {d}), got "
                                 f"{component}")
-            if not (np.all(np.isfinite(point)) and np.isfinite(value)):
+            if not (inside(point) and np.isfinite(value)):
                 problems.append(f"point load needs a finite point and value, "
-                                f"got {point} and {value}")
+                                f"the point in {box}, got {point} and "
+                                f"{value}")
         if self.body is not None and (np.atleast_1d(self.body).shape != (d,)
                                       or not np.all(np.isfinite(self.body))):
             problems.append(f"body must be {d} finite value(s), got "
@@ -147,9 +156,9 @@ class ProblemSpec:
         return np.clip(fit_design(grid, phi0(grid.centers)), S_MIN, S_MAX)
 
 
-def cantilever(nx: int = 21, ny: int = 11, **overrides) -> ProblemSpec:
+def cantilever(nx: int = 21, ny: int = 11, width: float = 2.0,
+               height: float = 1.0, **overrides) -> ProblemSpec:
     """Short cantilever: clamped left edge, downward tip load mid-right."""
-    width, height = 2.0, 1.0
     spec = ProblemSpec(
         name="cantilever", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=nx, rbf_ny=ny,
@@ -162,10 +171,10 @@ def cantilever(nx: int = 21, ny: int = 11, **overrides) -> ProblemSpec:
     return spec.with_overrides(**overrides)
 
 
-def mbb(nx: int = 151, ny: int = 51, **overrides) -> ProblemSpec:
+def mbb(nx: int = 151, ny: int = 51, width: float = 3.0,
+        height: float = 1.0, **overrides) -> ProblemSpec:
     """MBB beam, symmetric half: load at the top of the symmetry plane,
     roller under the far bottom corner."""
-    width, height = 3.0, 1.0
     spec = ProblemSpec(
         name="mbb", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=61, rbf_ny=21,
@@ -179,10 +188,10 @@ def mbb(nx: int = 151, ny: int = 51, **overrides) -> ProblemSpec:
     return spec.with_overrides(**overrides)
 
 
-def heat_sink(nx: int = 41, ny: int = 41, **overrides) -> ProblemSpec:
+def heat_sink(nx: int = 41, ny: int = 41, width: float = 1.0,
+              height: float = 1.0, **overrides) -> ProblemSpec:
     """Unit plate with uniform heat generation in both phases, sunk through
     a zero-temperature point at the bottom-right corner."""
-    width, height = 1.0, 1.0
     spec = ProblemSpec(
         name="heat_sink", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=31, rbf_ny=31,
@@ -306,7 +315,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     the iteration and a copy of the design it failed at.
     """
     problem = problem.with_overrides(
-        budget=problem.budget if budget is None else int(budget))
+        budget=problem.budget if budget is None else budget)
     budget = problem.budget
 
     ws = _Workspace(problem)
@@ -394,10 +403,11 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         problems.append(f"unknown gradient quantity {quantity!r}")
     if not (math.isfinite(h) and h > 0.0):
         problems.append(f"step h must be finite and positive, got {h}")
-    if n_sample < 1:
-        problems.append(f"n_sample must be at least 1, got {n_sample}")
-    if seed < 0:
-        problems.append(f"seed must be at least 0, got {seed}")
+    if not (isinstance(n_sample, numbers.Integral) and n_sample >= 1):
+        problems.append(f"n_sample must be an integer of at least 1, got "
+                        f"{n_sample!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        problems.append(f"seed must be an integer of at least 0, got {seed!r}")
     if problems:
         raise ConfigError(problems)
     ws = _Workspace(problem)

@@ -158,8 +158,6 @@ class EnrichedModel:
     enr_edges : ndarray, shape (n_enriched, 2)
         Cut edge (j, k), j < k, of each enriched node, in lexicographic
         order.
-    enr_t : ndarray, shape (n_enriched,)
-        Fractional position of each enriched node from j toward k.
     enr_coords : ndarray, shape (n_enriched, 2)
     cut_parents : ndarray
         Cut element indices, ascending. Cut parent row r owns integration
@@ -174,7 +172,6 @@ class EnrichedModel:
     phi: np.ndarray
     element_state: np.ndarray
     enr_edges: np.ndarray
-    enr_t: np.ndarray
     enr_coords: np.ndarray
     cut_parents: np.ndarray
     parent_slots: np.ndarray
@@ -303,7 +300,7 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
     keys = keys[keys != np.append(keys[1:], -1)]
     enr = np.searchsorted(keys, pair_keys)
     edges = np.stack(np.divmod(keys, n), axis=1)
-    enr_coords, t = intersect_edge(*mesh.nodes.take(edges.T, axis=0),
+    enr_coords, _ = intersect_edge(*mesh.nodes.take(edges.T, axis=0),
                                    *phi[edges.T])
 
     # canonical edge order puts ab first only when a is local vertex 0
@@ -331,6 +328,6 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
         material=_MATERIAL[code].ravel(), area=area)
 
     return EnrichedModel(mesh=mesh, phi=phi, element_state=state,
-                         enr_edges=edges, enr_t=t, enr_coords=enr_coords,
+                         enr_edges=edges, enr_coords=enr_coords,
                          cut_parents=cut_ids, parent_slots=parent_slots,
                          tiles=tiles)

@@ -128,7 +128,7 @@ def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     if nx < 2 or ny < 2:
         problems.append(f"need at least 2 nodes per direction, got {nx} x {ny}")
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise ConfigError(problems)
 
     xs = np.linspace(0.0, width, nx)
     ys = np.linspace(0.0, height, ny)

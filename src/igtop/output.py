@@ -42,11 +42,8 @@ def write_history(path, records) -> None:
 
 def write_design(path, design: np.ndarray) -> None:
     """One design coefficient per line."""
-    design = np.asarray(design, dtype=float)
     with _writing(path) as fh:
-        fh.write("design\n")
-        for v in design:
-            fh.write(_FLOAT % v + "\n")
+        np.savetxt(fh, design, fmt=_FLOAT, header="design", comments="")
 
 
 def read_design(path) -> np.ndarray:

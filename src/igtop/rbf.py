@@ -114,8 +114,6 @@ class LevelsetField:
                 f"{bad.size} of {self.points.shape[0]} points lie outside every "
                 f"kernel support (first few: {bad[:5].tolist()}); refine the "
                 f"center grid or enlarge the support radius")
-        self._design = None
-        self._nodal = None
         self.update_design(design)
 
     @property

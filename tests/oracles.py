@@ -132,7 +132,7 @@ def build_enriched_model(mesh, phi: np.ndarray) -> EnrichedModel:
     keys = np.unique(pair_keys)
     edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
     ej, ek = edges[:, 0], edges[:, 1]
-    enr_coords, t = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
+    enr_coords, _ = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
                                    phi[ej], phi[ek])
     enr = np.searchsorted(keys, pair_keys)
 
@@ -163,7 +163,7 @@ def build_enriched_model(mesh, phi: np.ndarray) -> EnrichedModel:
         material=np.stack([mat_a, ~mat_a, ~mat_a], axis=1).ravel(), area=area)
 
     return EnrichedModel(mesh=mesh, phi=phi, element_state=state,
-                         enr_edges=edges, enr_t=t, enr_coords=enr_coords,
+                         enr_edges=edges, enr_coords=enr_coords,
                          cut_parents=cut_ids, parent_slots=parent_slots,
                          tiles=tiles)
 
@@ -227,7 +227,7 @@ def conforming_map(model, field_dim: int) -> sparse.csr_matrix:
     n, m = model.mesh.n_nodes, model.n_enriched
     e = n + np.arange(m)
     j, k = model.enr_edges.T
-    t = model.enr_t
+    t = model.phi[j] / (model.phi[j] - model.phi[k])
     rows = np.concatenate([np.arange(n), e, e, e])
     cols = np.concatenate([np.arange(n), j, k, e])
     vals = np.concatenate([np.ones(n), 1.0 - t, t, np.ones(m)])

@@ -68,6 +68,19 @@ class TestProblemSpecs:
         assert np.array_equal(mesh.nodes[fixed[0]], [1.0, 0.0])
         assert np.array_equal(p.body, [1.0])  # one source over both phases
 
+    @pytest.mark.parametrize("factory, extents, points", [
+        (cantilever, dict(width=4.0), [(4.0, 0.5)]),
+        (mbb, dict(height=0.5), [(0.0, 0.5), (3.0, 0.0)]),
+        (heat_sink, dict(width=2.0), [(2.0, 0.0)]),
+    ], ids=["cantilever-width", "mbb-height", "heat_sink-width"])
+    def test_extent_override_moves_the_points(self, factory, extents,
+                                              points):
+        # the load (if any), then the support point (if any)
+        p = factory(nx=9, ny=5, **extents)
+        placed = [point for point, _, _ in p.point_loads]
+        placed += [rule.point for rule in p.dirichlet if rule.point]
+        assert placed == points
+
     def test_heat_sink_initial_compliance(self):
         # thermal compliance of the seeded design, before any update
         model, u, f, c, vol = analyze(heat_sink())
@@ -104,10 +117,23 @@ class TestProblemSpecs:
          "unknown problem parameter 'body_" + "void'"),
         (cantilever, dict(width=np.inf), "domain size"),
         (cantilever, dict(height=np.nan), "domain size"),
+        (cantilever, dict(nx=2.5), "nx must be an integer"),
+        (cantilever, dict(rbf_ny=6.0), "rbf_ny must be an integer"),
+        (cantilever, dict(budget=2.5), "budget must be an integer"),
+        (cantilever, dict(budget="3"), "budget must be an integer"),
+        (cantilever, dict(budget=np.nan), "budget must be an integer"),
+        (mbb, dict(dirichlet=(DirichletRule(side="left", component=0),
+                              DirichletRule(point=(30.0, -5.0),
+                                            component=1))),
+         r"support point must lie in \[0, 3.0\] x \[0, 1.0\]"),
+        (cantilever, dict(point_loads=(((7.0, 0.5), 1, -1.0),)),
+         r"finite point and value, the point in \[0, 2.0\] x \[0, 1.0\]"),
     ], ids=["support-component-2", "support-point-inf", "load-component--1",
             "load-component-3", "load-point-nan", "load-value-nan",
             "body-two-values", "body-inf", "body-2d", "body-per-phase",
-            "width-inf", "height-nan"])
+            "width-inf", "height-nan", "nx-fraction", "rbf_ny-float",
+            "budget-fraction", "budget-string", "budget-nan",
+            "support-point-outside", "load-point-outside"])
     def test_supports_and_loads_are_validated(self, factory, overrides,
                                               fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -268,6 +294,11 @@ class TestRunLoop:
     def test_rejects_zero_budget(self):
         with pytest.raises(ConfigError, match="budget"):
             run(small_cantilever(), budget=0)
+
+    def test_rejects_fractional_budget(self):
+        # once truncated silently to two iterations
+        with pytest.raises(ConfigError, match="budget must be an integer"):
+            run(small_cantilever(), budget=2.5)
 
 
 class TestAnalyze:
@@ -462,8 +493,11 @@ class TestGradientCheck:
         (dict(n_sample=0), "n_sample"), (dict(quantity="stress"), "quantity"),
         (dict(seed=-1), "seed"),
         (dict(design=np.zeros(3)), "expects 66 values"),
+        (dict(n_sample=2.5, quantity="volume"), "n_sample must be an integer"),
+        (dict(seed=1.5, quantity="volume"), "seed must be an integer"),
     ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity",
-            "negative-seed", "wrong-length-design"])
+            "negative-seed", "wrong-length-design", "fractional-samples",
+            "fractional-seed"])
     def test_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             check_gradients(small_cantilever(), **kwargs)

@@ -136,7 +136,6 @@ class TestSingleCutTriangle:
     def test_two_enriched_nodes_on_cut_edges(self, model):
         assert model.n_enriched == 2
         np.testing.assert_array_equal(model.enr_edges, [[0, 1], [0, 2]])
-        assert model.enr_t[0] == pytest.approx(0.5)
         np.testing.assert_allclose(model.enr_coords, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_three_integration_elements_tile_parent(self, model):
@@ -275,7 +274,7 @@ def test_single_element_tiling_property(mags, lone_vertex, lone_negative):
 
 TILE_FIELDS = ("parent", "vertex_ids", "enr_slots", "coords", "material",
                "area")
-MODEL_FIELDS = ("phi", "element_state", "enr_edges", "enr_t", "enr_coords",
+MODEL_FIELDS = ("phi", "element_state", "enr_edges", "enr_coords",
                 "cut_parents", "parent_slots")
 
 

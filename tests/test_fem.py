@@ -125,7 +125,8 @@ class TestBiMaterialBar:
         err = np.max(np.abs(res.u[:mesh.n_nodes] - exact)) / scale
         assert err <= 1e-9
         # the reproduced field at every interface node equals the exact value
-        for m, ((j, kk), t) in enumerate(zip(model.enr_edges, model.enr_t)):
+        for m, (j, kk) in enumerate(model.enr_edges):
+            t = model.phi[j] / (model.phi[j] - model.phi[kk])
             standard = (1 - t) * res.u[j] + t * res.u[kk]
             alpha = res.u[mesh.n_nodes + m]
             assert standard + alpha == pytest.approx(40.0, rel=1e-9)

@@ -86,6 +86,7 @@ def test_invalid_parameters_aggregate_errors():
     with pytest.raises(ConfigError) as err:
         structured_grid(-1.0, 1.0, 1, 1)
     assert "positive" in str(err.value) and "at least 2" in str(err.value)
+    assert len(err.value.problems) == 2  # one message per fault
 
 
 @settings(max_examples=25, deadline=None)

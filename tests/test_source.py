@@ -94,6 +94,31 @@ def test_every_method_has_a_user():
     assert not unused, f"methods and properties nothing names: {unused}"
 
 
+def test_every_cut_band_field_is_read():
+    # a field of a cut-band record is read when code loads it as an
+    # attribute: the package, the benchmark or the tools (read here, never
+    # edited); the driver's result records hand values to callers and are
+    # not checked
+    records = ("EnrichedModel", "IntegrationElement", "TileGeometry")
+    package = [ast.parse(p.read_text(), filename=p.name)
+               for p in sorted(SRC.glob("*.py"))]
+    outside = [ast.parse(p.read_text(), filename=str(p))
+               for folder in ("benchmarks", "tools")
+               for p in sorted((ROOT / folder).glob("*.py"))]
+    loaded = {node.attr for tree in package + outside
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    fields = {cls.name: [stmt.target.id for stmt in cls.body
+                         if isinstance(stmt, ast.AnnAssign)]
+              for tree in package for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name in records}
+    assert sorted(fields) == sorted(records)
+    unread = [f"{cls}.{name}" for cls, names in fields.items()
+              for name in names if name not in loaded]
+    assert not unread, f"cut-band fields nothing reads: {unread}"
+
+
 def imports_from(package):
     """Every import in the package source of ``package`` or its
     submodules, as "file:line name"."""
