@@ -30,6 +30,13 @@ STALL_TOL = 1e-6
 STALL_ITERS = 10
 
 
+def _number(kind, x) -> bool:
+    """Whether ``x`` is a finite number of ``kind`` (``numbers.Integral`` or
+    ``numbers.Real``); a bool is no number here."""
+    return isinstance(x, kind) and not isinstance(x, bool) \
+        and -math.inf < x < math.inf
+
+
 @dataclass(frozen=True)
 class DirichletRule:
     """Prescribes zero essential values on part of the boundary.
@@ -77,10 +84,11 @@ class ProblemSpec:
 
     def __post_init__(self):
         problems = []
-        if not 0.0 < self.volume_fraction < 1.0:
+        if not (_number(numbers.Real, self.volume_fraction)
+                and 0.0 < self.volume_fraction < 1.0):
             problems.append("volume_fraction must lie strictly between 0 "
-                            f"and 1, got {self.volume_fraction}")
-        if not all(math.isfinite(w) and w > 0.0
+                            f"and 1, got {self.volume_fraction!r}")
+        if not all(_number(numbers.Real, w) and w > 0.0
                    for w in (self.width, self.height)):
             problems.append("domain size must be finite and positive, got "
                             f"{self.width} x {self.height}")
@@ -88,17 +96,20 @@ class ProblemSpec:
                                 ("rbf_nx", self.rbf_nx, 2),
                                 ("rbf_ny", self.rbf_ny, 2),
                                 ("budget", self.budget, 1)):
-            if not (isinstance(n, numbers.Integral) and n >= least):
+            if not (_number(numbers.Integral, n) and n >= least):
                 problems.append(f"{label} must be an integer of at least "
                                 f"{least}, got {n!r}")
-        if not (math.isfinite(self.move_limit) and self.move_limit > 0.0):
+        if not (_number(numbers.Real, self.move_limit)
+                and self.move_limit > 0.0):
             problems.append("move_limit must be finite and positive, got "
-                            f"{self.move_limit}")
+                            f"{self.move_limit!r}")
         d = self.pair.field_dim
         box = f"[0, {self.width}] x [0, {self.height}]"
 
-        def inside(point):  # false for a NaN or infinite coordinate
-            return (0.0 <= point[0] <= self.width
+        def inside(point):  # two finite coordinates in the box
+            return (np.shape(point) == (2,)
+                    and all(_number(numbers.Real, x) for x in point)
+                    and 0.0 <= point[0] <= self.width
                     and 0.0 <= point[1] <= self.height)
 
         for rule in self.dirichlet:
@@ -112,12 +123,13 @@ class ProblemSpec:
             if component not in range(d):
                 problems.append(f"load component must lie in [0, {d}), got "
                                 f"{component}")
-            if not (inside(point) and np.isfinite(value)):
+            if not (inside(point) and _number(numbers.Real, value)):
                 problems.append(f"point load needs a finite point and value, "
                                 f"the point in {box}, got {point} and "
-                                f"{value}")
-        if self.body is not None and (np.atleast_1d(self.body).shape != (d,)
-                                      or not np.all(np.isfinite(self.body))):
+                                f"{value!r}")
+        body = np.atleast_1d(self.body)
+        if self.body is not None and (body.shape != (d,) or not all(
+                _number(numbers.Real, value) for value in body)):
             problems.append(f"body must be {d} finite value(s), got "
                             f"{self.body}")
         if problems:
@@ -401,12 +413,12 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     problems = []
     if quantity not in ("compliance", "volume"):
         problems.append(f"unknown gradient quantity {quantity!r}")
-    if not (math.isfinite(h) and h > 0.0):
-        problems.append(f"step h must be finite and positive, got {h}")
-    if not (isinstance(n_sample, numbers.Integral) and n_sample >= 1):
+    if not (_number(numbers.Real, h) and h > 0.0):
+        problems.append(f"step h must be finite and positive, got {h!r}")
+    if not (_number(numbers.Integral, n_sample) and n_sample >= 1):
         problems.append(f"n_sample must be an integer of at least 1, got "
                         f"{n_sample!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_number(numbers.Integral, seed) and seed >= 0):
         problems.append(f"seed must be an integer of at least 0, got {seed!r}")
     if problems:
         raise ConfigError(problems)

@@ -199,63 +199,40 @@ class EnrichedModel:
                     t.enr_slots.tolist(), t.coords, t.material.tolist(),
                     t.area.tolist())]
 
-    def parent_hats(self, ie: IntegrationElement, bary) -> np.ndarray:
-        """Original (parent) hat functions evaluated at one barycentric
-        point of integration elements, shape (..., 3). Always sums to 1."""
-        x = np.asarray(bary, dtype=float) @ ie.coords
-        x0 = self.mesh.nodes[self.mesh.elements[ie.parent, 0]]
-        n = np.einsum("...ic,...c->...i", self.mesh.hat_gradients[ie.parent],
-                      x - x0)
-        n[..., 0] += 1.0
-        return n
-
-    def enrichment_values(self, ie: IntegrationElement, bary) -> np.ndarray:
-        """Enrichment functions of the parent's two enriched slots at a
-        barycentric point of integration elements, shape (..., 2). Each is
-        the integration-element hat of its enriched node, zero if that node
-        is not a vertex of the element."""
-        return np.einsum("...sl,...l->...s", ie.slot_matrix,
-                         np.asarray(bary, dtype=float))
-
-    def geometry(self, ie: IntegrationElement,
-                 dtype=np.float64) -> TileGeometry:
-        """Geometry of integration elements ``ie`` in ``dtype``. That of the
-        stack ``tiles`` is computed on first use and kept, one per dtype."""
-        return self._kept(self._compute_geometry, ie, dtype)
-
-    def centroid_shape(self, ie: IntegrationElement,
-                       dtype=np.float64) -> np.ndarray:
-        """Parent hats and enrichment values at the centroids of integration
-        elements ``ie``, shape (..., 5) in ``dtype``: the weights of a body
-        load, computed only when one needs them. Those of ``tiles`` are kept
-        as :meth:`geometry` keeps its geometry."""
-        return self._kept(self._compute_centroid_shape, ie, dtype)
-
-    def _kept(self, compute, ie: IntegrationElement, dtype):
-        if ie is not self.tiles:
-            return compute(ie, dtype)
-        key = (compute.__name__, np.dtype(dtype))
+    def geometry(self, dtype=np.float64) -> TileGeometry:
+        """Geometry of ``tiles`` in ``dtype``, computed on first use and
+        kept, one per dtype."""
+        key = ("geometry", np.dtype(dtype))
         if key not in self._geometry:
-            self._geometry[key] = compute(ie, dtype)
+            mesh, t = self.mesh, self.tiles
+            coords = t.coords.astype(dtype)
+            parent = mesh.hat_gradients.take(t.parent, axis=0) \
+                if dtype == np.float64 else cofactor_hat_gradients(
+                    mesh.nodes[mesh.elements[t.parent]].astype(dtype))
+            hats = cofactor_hat_gradients(coords)
+            self._geometry[key] = TileGeometry(
+                ddet=DL.astype(dtype) @ adj2(tri_jacobian(coords)), hats=hats,
+                grads=np.concatenate([parent, t.slot_matrix.astype(dtype)
+                                      @ hats], axis=-2))
         return self._geometry[key]
 
-    def _compute_geometry(self, ie: IntegrationElement, dtype) -> TileGeometry:
-        mesh = self.mesh
-        coords = ie.coords.astype(dtype)
-        parent = mesh.hat_gradients.take(ie.parent, axis=0) \
-            if dtype == np.float64 else cofactor_hat_gradients(
-                mesh.nodes[mesh.elements[ie.parent]].astype(dtype))
-        hats = cofactor_hat_gradients(coords)
-        grads = np.concatenate([parent, ie.slot_matrix.astype(dtype) @ hats],
-                               axis=-2)
-        return TileGeometry(ddet=DL.astype(dtype) @ adj2(tri_jacobian(coords)),
-                            hats=hats, grads=grads)
-
-    def _compute_centroid_shape(self, ie: IntegrationElement,
-                                dtype) -> np.ndarray:
-        return np.concatenate([self.parent_hats(ie, _CENTROID),
-                               self.enrichment_values(ie, _CENTROID)],
-                              axis=-1).astype(dtype)
+    def centroid_shape(self, dtype=np.float64) -> np.ndarray:
+        """The parent hats, which sum to 1, and the two enrichment values at
+        the centroids of ``tiles``, shape (..., 5) in ``dtype``: the weights
+        of a body load, computed only when one needs them and kept as
+        :meth:`geometry` keeps its geometry. An enrichment value is the
+        tile's hat of its enriched node, zero if that node is not a vertex."""
+        key = ("centroid_shape", np.dtype(dtype))
+        if key not in self._geometry:
+            mesh, t = self.mesh, self.tiles
+            x0 = mesh.nodes[mesh.elements[t.parent, 0]]
+            hats = np.einsum("...ic,...c->...i", mesh.hat_gradients[t.parent],
+                             _CENTROID @ t.coords - x0)
+            hats[..., 0] += 1.0
+            enr = np.einsum("...sl,...l->...s", t.slot_matrix, _CENTROID)
+            self._geometry[key] = np.concatenate([hats, enr],
+                                                 axis=-1).astype(dtype)
+        return self._geometry[key]
 
     def material_volume(self) -> float:
         """Total area of the material phase (uncut material elements plus

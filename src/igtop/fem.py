@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .enrich import CUT, MATERIAL, EnrichedModel, IntegrationElement
+from .enrich import CUT, MATERIAL, EnrichedModel
 from .errors import ConfigError, SolverError
 from .mesh import cofactor_hat_gradients
 
@@ -141,35 +141,27 @@ def cut_parent_dofs(model: EnrichedModel, field_dim: int) -> np.ndarray:
                                                        5 * field_dim)
 
 
-# Element operators act on one IntegrationElement or on a stack of them
-# (``model.tiles``): every array argument and result gains the stack's
-# leading axes, and each stacked result equals the stack of per-element
-# results bit for bit. They read the element geometry through
-# ``model.geometry``, which computes that of ``model.tiles`` once per dtype.
-
-
-def integration_element_stiffness(model: EnrichedModel, ie: IntegrationElement,
-                                  pair: MaterialPair,
+def integration_element_stiffness(model: EnrichedModel, pair: MaterialPair,
                                   dtype=np.float64) -> np.ndarray:
-    """Local stiffness of integration elements over the five parent slots,
-    shape (..., 5 field_dim, 5 field_dim)."""
-    b = build_b(model.geometry(ie, dtype).grads, pair.field_dim)
-    scale = np.asarray(ie.area, dtype=dtype) \
-        * pair.modulus_of(ie.material).astype(dtype)
+    """Local stiffness of the integration elements ``model.tiles`` over the
+    five parent slots, shape (..., 5 field_dim, 5 field_dim)."""
+    tiles = model.tiles
+    b = build_b(model.geometry(dtype).grads, pair.field_dim)
+    scale = np.asarray(tiles.area, dtype=dtype) \
+        * pair.modulus_of(tiles.material).astype(dtype)
     k = np.swapaxes(b, -1, -2) @ (pair.material.d_unit().astype(dtype) @ b)
     k *= scale[..., None, None]
     return k
 
 
-def integration_element_force(model: EnrichedModel, ie: IntegrationElement,
-                              body: np.ndarray,
+def integration_element_force(model: EnrichedModel, body: np.ndarray,
                               dtype=np.float64) -> np.ndarray:
-    """Consistent body-load vectors of integration elements over the five
-    slots, shape (..., 5 field_dim). ``body`` is one source for all
-    elements, shape (field_dim,)."""
-    shape = model.centroid_shape(ie, dtype)
+    """Consistent body-load vectors of the integration elements
+    ``model.tiles`` over the five slots, shape (..., 5 field_dim). ``body``
+    is one source for all elements, shape (field_dim,)."""
+    shape = model.centroid_shape(dtype)
     load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
-    return np.asarray(ie.area, dtype=dtype)[..., None] \
+    return np.asarray(model.tiles.area, dtype=dtype)[..., None] \
         * load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
 
 
@@ -283,7 +275,7 @@ class Assembler:
         # and the parents, each parent's entries in row-major order, the
         # order in which the conversion sums duplicates; the sum also drops
         # the zeros of the pattern
-        w = integration_element_stiffness(model, tiles, pair, dtype)
+        w = integration_element_stiffness(model, pair, dtype)
         w = w[0::3] + w[1::3] + w[2::3]
         rows, cols = np.nonzero((np.arange(5 * d)[:, None] >= 3 * d)
                                 | (np.arange(5 * d) >= 3 * d))
@@ -301,8 +293,8 @@ class Assembler:
                 * np.tile(loads.body.astype(dtype), 3)
             np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
             np.add.at(f, np.repeat(slots, 3, axis=0).ravel(),
-                      integration_element_force(
-                model, tiles, loads.body, dtype).ravel())
+                      integration_element_force(model, loads.body,
+                                                dtype).ravel())
         return k, f
 
 

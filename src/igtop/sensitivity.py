@@ -74,7 +74,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     The per-direction operators in ``tests/oracles.py`` are its reference.
     """
     tiles = model.tiles
-    geom = model.geometry(tiles)
+    geom = model.geometry()
     d = pair.field_dim
     ue = u[cut_parent_dofs(model, d)].repeat(3, axis=0)
     dmat = pair.material.d_unit() \
@@ -90,17 +90,16 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
            - area2 * (geom.hats @ sigma @ h_enr))
     if loads.body is not None:
         w = (ue @ loads.body[:, None])[..., 0]
-        dx += _dot(model.centroid_shape(tiles), w)[:, None, None] * geom.ddet \
+        dx += _dot(model.centroid_shape(), w)[:, None, None] * geom.ddet \
             + area2 / 3.0 * (w[:, None, :3] @ geom.grads[:, :3])
     return _to_nodes(model, dx)
 
 
 def nodal_volume_gradient(model: EnrichedModel) -> np.ndarray:
     """d(material volume)/d(phi_j) for every mesh node."""
-    tiles = model.tiles
-    darea = 0.5 * model.geometry(tiles).ddet
-    return _to_nodes(model,
-                     np.where(tiles.material[:, None, None], darea, 0.0))
+    darea = 0.5 * model.geometry().ddet
+    return _to_nodes(model, np.where(model.tiles.material[:, None, None],
+                                     darea, 0.0))
 
 
 def compliance_gradient(model: EnrichedModel, levelset, pair: MaterialPair,

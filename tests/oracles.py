@@ -4,7 +4,13 @@ The package computes the compliance gradient in one closed form
 (:func:`igtop.sensitivity.nodal_compliance_gradient`). The operators here
 build the same derivatives one vertex direction at a time, from the chain
 rule through the Jacobian inverse, and serve the tests as its independent
-reference.
+reference. They take a model and integration elements ``ie``, one or a
+stack, and evaluate on the model whose tiles are ``ie``.
+
+:func:`parent_hats` and :func:`enrichment_values` evaluate a cut parent's
+shape functions at any barycentric point of its integration elements; the
+package evaluates them at the centroid alone
+(:meth:`igtop.enrich.EnrichedModel.centroid_shape`).
 
 :func:`build_enriched_model` is the cut band's earlier construction, with a
 three-way ``where`` for the lone vertex, ``take_along_axis`` for its
@@ -17,6 +23,8 @@ the point loads it is consistent with. :func:`conforming_system` and
 of a model, the reference of the paper's claim that IGFEM is as accurate
 as a conforming mesh without remeshing.
 """
+
+import dataclasses
 
 import numpy as np
 from scipy import sparse
@@ -54,6 +62,26 @@ def inv_derivative(jinv: np.ndarray, djac: np.ndarray) -> np.ndarray:
     return -(jinv @ (djac @ jinv))
 
 
+def parent_hats(model, ie, bary) -> np.ndarray:
+    """Original (parent) hat functions evaluated at one barycentric point
+    of integration elements ``ie``, shape (..., 3). Always sums to 1."""
+    x = np.asarray(bary, dtype=float) @ ie.coords
+    x0 = model.mesh.nodes[model.mesh.elements[ie.parent, 0]]
+    n = np.einsum("...ic,...c->...i", model.mesh.hat_gradients[ie.parent],
+                  x - x0)
+    n[..., 0] += 1.0
+    return n
+
+
+def enrichment_values(ie, bary) -> np.ndarray:
+    """Enrichment functions of the parent's two enriched slots at a
+    barycentric point of integration elements ``ie``, shape (..., 2). Each
+    is the integration-element hat of its enriched node, zero if that node
+    is not a vertex of the element."""
+    return np.einsum("...sl,...l->...s", ie.slot_matrix,
+                     np.asarray(bary, dtype=float))
+
+
 def integration_element_stiffness_derivative(model, ie, pair, vertex: int,
                                              component: int) -> np.ndarray:
     """Derivative of integration-element stiffnesses with respect to moving
@@ -62,7 +90,7 @@ def integration_element_stiffness_derivative(model, ie, pair, vertex: int,
     Only the determinant and the enrichment-gradient rows respond; the parent
     hat gradients are unaffected by interface motion.
     """
-    geom = model.geometry(ie)
+    geom = dataclasses.replace(model, tiles=ie).geometry()
     d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
     djdet = geom.ddet[..., vertex, component]
@@ -88,11 +116,12 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
     in :func:`igtop.fem.integration_element_force`.
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
-    geom = model.geometry(ie)
+    model = dataclasses.replace(model, tiles=ie)
+    geom = model.geometry()
     djdet = geom.ddet[..., vertex, component]
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
-    rate = 0.5 * djdet[..., None] * model.centroid_shape(ie) \
+    rate = 0.5 * djdet[..., None] * model.centroid_shape() \
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
     return load.reshape(load.shape[:-2] + (5 * load.shape[-1],))

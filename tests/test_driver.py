@@ -128,12 +128,23 @@ class TestProblemSpecs:
          r"support point must lie in \[0, 3.0\] x \[0, 1.0\]"),
         (cantilever, dict(point_loads=(((7.0, 0.5), 1, -1.0),)),
          r"finite point and value, the point in \[0, 2.0\] x \[0, 1.0\]"),
+        (cantilever, dict(volume_fraction="0.5"), "volume_fraction"),
+        (cantilever, dict(point_loads=(((2.0, 0.5), 1, "x"),)),
+         "finite point and value"),
+        (heat_sink, dict(body="x"), "body must be"),
+        (cantilever, dict(point_loads=(((2.0, 0.5, 7.0), 1, -1.0),)),
+         "finite point and value"),
+        (cantilever, dict(dirichlet=(DirichletRule(point=(0.0, 0.5, 1.0)),)),
+         "support point"),
+        (cantilever, dict(budget=True), "budget must be an integer"),
     ], ids=["support-component-2", "support-point-inf", "load-component--1",
             "load-component-3", "load-point-nan", "load-value-nan",
             "body-two-values", "body-inf", "body-2d", "body-per-phase",
             "width-inf", "height-nan", "nx-fraction", "rbf_ny-float",
             "budget-fraction", "budget-string", "budget-nan",
-            "support-point-outside", "load-point-outside"])
+            "support-point-outside", "load-point-outside",
+            "volume_fraction-string", "load-value-string", "body-string",
+            "load-point-3d", "support-point-3d", "budget-bool"])
     def test_supports_and_loads_are_validated(self, factory, overrides,
                                               fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -210,7 +221,7 @@ class TestRunLoop:
         seen[0].design[:] = 99.0
         assert not np.any(result.design == 99.0)
 
-    @pytest.mark.parametrize("move", [np.nan, np.inf, 0.0, -0.01])
+    @pytest.mark.parametrize("move", [np.nan, np.inf, 0.0, -0.01, "0.1"])
     def test_move_limit_must_be_finite_and_positive(self, move):
         with pytest.raises(ConfigError, match="move_limit"):
             small_cantilever(move_limit=move)
@@ -326,15 +337,15 @@ class TestAnalyze:
         ids=["elastic", "conduction"])
     def test_tile_geometry_is_computed_once(self, monkeypatch, problem,
                                             centroid_shapes):
-        # assembly and both gradients read one geometry of model.tiles; the
-        # centroid shape values (parent_hats) only where a body load needs them
+        # assembly and both gradients read one geometry of model.tiles,
+        # computed once; the model keeps centroid shape values besides it
+        # only where a body load needs them
         import igtop.enrich
         import igtop.fem
         import igtop.mesh
         import igtop.sensitivity
-        from igtop.enrich import EnrichedModel
 
-        calls = {"tri_jacobian": 0, "parent_hats": 0}
+        calls = {"tri_jacobian": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -347,13 +358,13 @@ class TestAnalyze:
             if hasattr(module, "tri_jacobian"):
                 monkeypatch.setattr(module, "tri_jacobian", counted(
                     "tri_jacobian", module.tri_jacobian))
-        monkeypatch.setattr(EnrichedModel, "parent_hats", counted(
-            "parent_hats", EnrichedModel.parent_hats))
         ws = _Workspace(problem)
         model, u, *_ = ws.analyze(ws.field.design)
         assert model.n_cut > 0
         ws.gradients(model, u)
-        assert calls == {"tri_jacobian": 1, "parent_hats": centroid_shapes}
+        assert calls == {"tri_jacobian": 1}
+        assert sorted(name for name, _ in model._geometry) \
+            == ["centroid_shape"] * centroid_shapes + ["geometry"]
 
 
 class TestSupportsAndLoads:
@@ -495,9 +506,12 @@ class TestGradientCheck:
         (dict(design=np.zeros(3)), "expects 66 values"),
         (dict(n_sample=2.5, quantity="volume"), "n_sample must be an integer"),
         (dict(seed=1.5, quantity="volume"), "seed must be an integer"),
+        (dict(h="1e-6"), "step h"),
+        (dict(n_sample=True, quantity="volume"), "n_sample must be an integer"),
+        (dict(seed=False, quantity="volume"), "seed must be an integer"),
     ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity",
             "negative-seed", "wrong-length-design", "fractional-samples",
-            "fractional-seed"])
+            "fractional-seed", "h-string", "bool-samples", "bool-seed"])
     def test_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             check_gradients(small_cantilever(), **kwargs)

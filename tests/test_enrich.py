@@ -162,31 +162,39 @@ class TestSingleCutTriangle:
         corner, quad1, quad2 = model.integration
         # at an enriched node its own enrichment is 1, the other 0
         np.testing.assert_allclose(
-            model.enrichment_values(quad1, [1, 0, 0]), [1.0, 0.0])
+            oracles.enrichment_values(quad1, [1, 0, 0]), [1.0, 0.0])
         # at original nodes every enrichment vanishes
         np.testing.assert_allclose(
-            model.enrichment_values(quad1, [0, 1, 0]), [0.0, 0.0])
+            oracles.enrichment_values(quad1, [0, 1, 0]), [0.0, 0.0])
         np.testing.assert_allclose(
-            model.enrichment_values(corner, [1, 0, 0]), [0.0, 0.0])
+            oracles.enrichment_values(corner, [1, 0, 0]), [0.0, 0.0])
         # centroid of an element with both enriched vertices
         np.testing.assert_allclose(
-            model.enrichment_values(quad1, [1 / 3, 1 / 3, 1 / 3]),
+            oracles.enrichment_values(quad1, [1 / 3, 1 / 3, 1 / 3]),
             [1 / 3, 1 / 3])
         # element containing only the second enriched node
         np.testing.assert_allclose(
-            model.enrichment_values(quad2, [1 / 3, 1 / 3, 1 / 3]),
+            oracles.enrichment_values(quad2, [1 / 3, 1 / 3, 1 / 3]),
             [0.0, 1 / 3])
+
+    def test_centroid_shape(self, model):
+        # tile centroids (1/6, 1/6), (1/2, 1/6) and (1/3, 1/2): the parent
+        # hats there, then a third at each enriched vertex of the tile
+        np.testing.assert_allclose(model.centroid_shape(), [
+            [2 / 3, 1 / 6, 1 / 6, 1 / 3, 1 / 3],
+            [1 / 3, 1 / 2, 1 / 6, 1 / 3, 1 / 3],
+            [1 / 6, 1 / 3, 1 / 2, 0.0, 1 / 3]], rtol=0.0, atol=1e-15)
 
     def test_parent_hats_partition_of_unity(self, model):
         rng = np.random.default_rng(1)
         for ie in model.integration:
             w = rng.dirichlet(np.ones(3))
-            hats = model.parent_hats(ie, w)
+            hats = oracles.parent_hats(model, ie, w)
             assert hats.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(hats >= -1e-12)
         # at original vertex 1 of the first quad piece: parent hat of node 1
         np.testing.assert_allclose(
-            model.parent_hats(model.integration[1], [0, 1, 0]),
+            oracles.parent_hats(model, model.integration[1], [0, 1, 0]),
             [0.0, 1.0, 0.0], atol=1e-14)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from igtop.fem import (CUT, MATERIAL, Assembler, Conduction, LoadCase,
                        integration_element_stiffness, node_dofs, solve_system)
 from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients,
                         structured_grid, tri_jacobian)
-from oracles import edge_traction_loads
+from oracles import edge_traction_loads, enrichment_values, parent_hats
 
 DATA = Path(__file__).resolve().parent / "data"
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -390,8 +391,8 @@ class TestTileGeometry:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_equals_fresh_helpers(self, model, dtype):
         mesh, tiles = model.mesh, model.tiles
-        geom = model.geometry(tiles, dtype)
-        assert model.geometry(tiles, dtype) is geom
+        geom = model.geometry(dtype)
+        assert model.geometry(dtype) is geom
         jac = tri_jacobian(tiles.coords.astype(dtype))
         dl = DL.astype(dtype)
         eq = np.testing.assert_array_equal
@@ -405,16 +406,17 @@ class TestTileGeometry:
             axis=-2))
         for field in ("ddet", "hats", "grads"):
             assert getattr(geom, field).dtype == dtype, field
-        shape = model.centroid_shape(tiles, dtype)
-        assert model.centroid_shape(tiles, dtype) is shape
+        shape = model.centroid_shape(dtype)
+        assert model.centroid_shape(dtype) is shape
         assert shape.dtype == dtype
         centroid = [1 / 3, 1 / 3, 1 / 3]
         eq(shape, np.concatenate(
-            [model.parent_hats(tiles, centroid),
-             model.enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
-        # per-element views are computed fresh and agree with the stack
-        eq(geom.grads, np.stack([model.geometry(ie, dtype).grads
-                                 for ie in model.integration]))
+            [parent_hats(model, tiles, centroid),
+             enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
+        # one-element models compute their own and agree with the stack
+        eq(geom.grads, np.stack([
+            dataclasses.replace(model, tiles=ie).geometry(dtype).grads
+            for ie in model.integration]))
 
 
 def coo_reference(asm, model, absolute=False):
@@ -431,7 +433,7 @@ def coo_reference(asm, model, absolute=False):
         * mesh.areas.astype(dtype)[:, None, None]
     factor = np.where(model.element_state == CUT, 0.0, pair.modulus_of(
         model.element_state == MATERIAL)).astype(dtype)
-    k_cut = integration_element_stiffness(model, model.tiles, pair, dtype)
+    k_cut = integration_element_stiffness(model, pair, dtype)
     dofs = node_dofs(mesh.elements.ravel(), d).reshape(mesh.n_elements, -1)
     cut_dofs = cut_parent_dofs(model, d).repeat(3, axis=0)
     blocks = [k_unit * factor[:, None, None], k_cut]

@@ -159,3 +159,16 @@ def test_only_fem_orders_the_dofs():
     found += [hit for hit in imports_from("scipy")
               if hit.startswith("driver.py:")]
     assert not found, f"imports outside fem's dof layout: {found}"
+
+
+
+def test_no_parameter_takes_integration_elements():
+    # the cut-band operators act on model.tiles: no function or method of
+    # the package takes integration elements of its own
+    found = [f"{path.name}:{arg.lineno} {arg.arg}"
+             for path in sorted(SRC.glob("*.py"))
+             for arg in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path)))
+             if isinstance(arg, ast.arg) and arg.annotation is not None
+             and "IntegrationElement" in ast.unparse(arg.annotation)]
+    assert not found, f"parameters annotated IntegrationElement: {found}"
