@@ -10,7 +10,6 @@ across physics and mesh sizes.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import sensitivity
 from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
-from .errors import ConfigError, NumericalError, SolverError
+from .errors import ConfigError, NumericalError, SolverError, finite_number
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import Mesh, structured_grid
@@ -28,13 +27,6 @@ from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
 
 STALL_TOL = 1e-6
 STALL_ITERS = 10
-
-
-def _number(kind, x) -> bool:
-    """Whether ``x`` is a finite number of ``kind`` (``numbers.Integral`` or
-    ``numbers.Real``); a bool is no number here."""
-    return isinstance(x, kind) and not isinstance(x, bool) \
-        and -math.inf < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -84,11 +76,11 @@ class ProblemSpec:
 
     def __post_init__(self):
         problems = []
-        if not (_number(numbers.Real, self.volume_fraction)
+        if not (finite_number(numbers.Real, self.volume_fraction)
                 and 0.0 < self.volume_fraction < 1.0):
             problems.append("volume_fraction must lie strictly between 0 "
                             f"and 1, got {self.volume_fraction!r}")
-        if not all(_number(numbers.Real, w) and w > 0.0
+        if not all(finite_number(numbers.Real, w) and w > 0.0
                    for w in (self.width, self.height)):
             problems.append("domain size must be finite and positive, got "
                             f"{self.width} x {self.height}")
@@ -96,40 +88,66 @@ class ProblemSpec:
                                 ("rbf_nx", self.rbf_nx, 2),
                                 ("rbf_ny", self.rbf_ny, 2),
                                 ("budget", self.budget, 1)):
-            if not (_number(numbers.Integral, n) and n >= least):
+            if not (finite_number(numbers.Integral, n) and n >= least):
                 problems.append(f"{label} must be an integer of at least "
                                 f"{least}, got {n!r}")
-        if not (_number(numbers.Real, self.move_limit)
+        if not (finite_number(numbers.Real, self.move_limit)
                 and self.move_limit > 0.0):
             problems.append("move_limit must be finite and positive, got "
                             f"{self.move_limit!r}")
+        if not isinstance(self.pair, MaterialPair):
+            raise ConfigError(problems + [f"pair must be a MaterialPair, got "
+                                          f"{self.pair!r}"])
         d = self.pair.field_dim
         box = f"[0, {self.width}] x [0, {self.height}]"
 
-        def inside(point):  # two finite coordinates in the box
-            return (np.shape(point) == (2,)
-                    and all(_number(numbers.Real, x) for x in point)
-                    and 0.0 <= point[0] <= self.width
-                    and 0.0 <= point[1] <= self.height)
+        def inside(point):  # a sequence of two finite coordinates in the box
+            try:
+                x, y = point
+            except (TypeError, ValueError):
+                return False
+            return (isinstance(point, (tuple, list, np.ndarray))
+                    and finite_number(numbers.Real, x)
+                    and finite_number(numbers.Real, y)
+                    and 0.0 <= x <= self.width and 0.0 <= y <= self.height)
 
-        for rule in self.dirichlet:
-            if rule.component is not None and rule.component not in range(d):
+        def component(c):  # a field component, an integer in [0, d)
+            return finite_number(numbers.Integral, c) and 0 <= c < d
+
+        def entries(label, items):  # the entries of a tuple or list
+            if isinstance(items, (tuple, list)):
+                return items
+            problems.append(f"{label} must be a tuple, got {items!r}")
+            return ()
+
+        for rule in entries("dirichlet", self.dirichlet):
+            if not isinstance(rule, DirichletRule):
+                problems.append(f"support rule must be a DirichletRule, got "
+                                f"{rule!r}")
+                continue
+            if rule.component is not None and not component(rule.component):
                 problems.append(f"support component must lie in [0, {d}), "
-                                f"got {rule.component}")
+                                f"got {rule.component!r}")
             if rule.point is not None and not inside(rule.point):
                 problems.append(f"support point must lie in {box}, got "
                                 f"{rule.point}")
-        for point, component, value in self.point_loads:
-            if component not in range(d):
+        for load in entries("point_loads", self.point_loads):
+            if not (isinstance(load, (tuple, list)) and len(load) == 3):
+                problems.append(f"point load must be (point, component, "
+                                f"value), got {load!r}")
+                continue
+            point, comp, value = load
+            if not component(comp):
                 problems.append(f"load component must lie in [0, {d}), got "
-                                f"{component}")
-            if not (inside(point) and _number(numbers.Real, value)):
+                                f"{comp!r}")
+            if not (inside(point) and finite_number(numbers.Real, value)):
                 problems.append(f"point load needs a finite point and value, "
                                 f"the point in {box}, got {point} and "
                                 f"{value!r}")
-        body = np.atleast_1d(self.body)
+        # as an object array, a ragged body has a shape to reject
+        body = np.atleast_1d(np.asarray(self.body, dtype=object))
         if self.body is not None and (body.shape != (d,) or not all(
-                _number(numbers.Real, value) for value in body)):
+                finite_number(numbers.Real, value) for value in body)):
             problems.append(f"body must be {d} finite value(s), got "
                             f"{self.body}")
         if problems:
@@ -174,8 +192,7 @@ def cantilever(nx: int = 21, ny: int = 11, width: float = 2.0,
     spec = ProblemSpec(
         name="cantilever", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=nx, rbf_ny=ny,
-        pair=MaterialPair(PlaneStressElastic(1.0, 0.3),
-                          PlaneStressElastic(1e-6, 0.3)),
+        pair=MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6),
         volume_fraction=0.55,
         dirichlet=(DirichletRule(side="left"),),
         point_loads=(((width, height / 2), 1, -1.0),),
@@ -190,8 +207,7 @@ def mbb(nx: int = 151, ny: int = 51, width: float = 3.0,
     spec = ProblemSpec(
         name="mbb", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=61, rbf_ny=21,
-        pair=MaterialPair(PlaneStressElastic(1.0, 0.3),
-                          PlaneStressElastic(1e-6, 0.3)),
+        pair=MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6),
         volume_fraction=0.55,
         dirichlet=(DirichletRule(side="left", component=0),
                    DirichletRule(point=(width, 0.0), component=1)),
@@ -207,7 +223,7 @@ def heat_sink(nx: int = 41, ny: int = 41, width: float = 1.0,
     spec = ProblemSpec(
         name="heat_sink", width=width, height=height, nx=nx, ny=ny,
         rbf_nx=31, rbf_ny=31,
-        pair=MaterialPair(Conduction(1.0), Conduction(0.01)),
+        pair=MaterialPair(Conduction(), 1.0, 0.01),
         volume_fraction=0.45,
         dirichlet=(DirichletRule(point=(width, 0.0), component=0),),
         body=np.array([1.0]),
@@ -284,14 +300,25 @@ class _Workspace:
 
     def design(self, design: np.ndarray | None = None) -> np.ndarray:
         """A float copy of ``design``, or of the initial design when None;
-        a design of the wrong length is a ConfigError."""
+        a design that is not one finite number per kernel is a
+        ConfigError."""
         if design is None:
             return self.field.design.copy()
-        design = np.array(design, dtype=float)
-        if design.shape != (self.grid.n_centers,):
-            raise ConfigError([f"design has shape {design.shape}; problem "
-                               f"{self.problem.name!r} expects "
-                               f"{self.grid.n_centers} values"])
+        n = self.grid.n_centers
+        expects = f"problem {self.problem.name!r} expects {n} values"
+        try:
+            design = np.asarray(design)
+            numeric = design.dtype.kind in "iuf"  # no strings, no bools
+        except ValueError:  # a ragged design
+            numeric = False
+        if not numeric:
+            raise ConfigError([f"design is not numeric; {expects}"])
+        design = design.astype(float)
+        if design.shape != (n,):
+            raise ConfigError([f"design has shape {design.shape}; {expects}"])
+        if not np.isfinite(design).all():
+            raise ConfigError([f"design is not finite at entry "
+                               f"{np.flatnonzero(~np.isfinite(design))[0]}"])
         return design
 
     def model(self, design: np.ndarray) -> EnrichedModel:
@@ -413,12 +440,12 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     problems = []
     if quantity not in ("compliance", "volume"):
         problems.append(f"unknown gradient quantity {quantity!r}")
-    if not (_number(numbers.Real, h) and h > 0.0):
+    if not (finite_number(numbers.Real, h) and h > 0.0):
         problems.append(f"step h must be finite and positive, got {h!r}")
-    if not (_number(numbers.Integral, n_sample) and n_sample >= 1):
+    if not (finite_number(numbers.Integral, n_sample) and n_sample >= 1):
         problems.append(f"n_sample must be an integer of at least 1, got "
                         f"{n_sample!r}")
-    if not (_number(numbers.Integral, seed) and seed >= 0):
+    if not (finite_number(numbers.Integral, seed) and seed >= 0):
         problems.append(f"seed must be an integer of at least 0, got {seed!r}")
     if problems:
         raise ConfigError(problems)

@@ -202,7 +202,7 @@ class EnrichedModel:
     def geometry(self, dtype=np.float64) -> TileGeometry:
         """Geometry of ``tiles`` in ``dtype``, computed on first use and
         kept, one per dtype."""
-        key = ("geometry", np.dtype(dtype))
+        key = np.dtype(dtype)
         if key not in self._geometry:
             mesh, t = self.mesh, self.tiles
             coords = t.coords.astype(dtype)
@@ -216,23 +216,20 @@ class EnrichedModel:
                                       @ hats], axis=-2))
         return self._geometry[key]
 
-    def centroid_shape(self, dtype=np.float64) -> np.ndarray:
+    @cached_property
+    def centroid_shape(self) -> np.ndarray:
         """The parent hats, which sum to 1, and the two enrichment values at
-        the centroids of ``tiles``, shape (..., 5) in ``dtype``: the weights
-        of a body load, computed only when one needs them and kept as
-        :meth:`geometry` keeps its geometry. An enrichment value is the
-        tile's hat of its enriched node, zero if that node is not a vertex."""
-        key = ("centroid_shape", np.dtype(dtype))
-        if key not in self._geometry:
-            mesh, t = self.mesh, self.tiles
-            x0 = mesh.nodes[mesh.elements[t.parent, 0]]
-            hats = np.einsum("...ic,...c->...i", mesh.hat_gradients[t.parent],
-                             _CENTROID @ t.coords - x0)
-            hats[..., 0] += 1.0
-            enr = np.einsum("...sl,...l->...s", t.slot_matrix, _CENTROID)
-            self._geometry[key] = np.concatenate([hats, enr],
-                                                 axis=-1).astype(dtype)
-        return self._geometry[key]
+        the centroids of ``tiles``, shape (..., 5): the weights of a body
+        load, computed only when one needs them and kept. An enrichment
+        value is the tile's hat of its enriched node, zero if that node is
+        not a vertex."""
+        mesh, t = self.mesh, self.tiles
+        x0 = mesh.nodes[mesh.elements[t.parent, 0]]
+        hats = np.einsum("...ic,...c->...i", mesh.hat_gradients[t.parent],
+                         _CENTROID @ t.coords - x0)
+        hats[..., 0] += 1.0
+        enr = np.einsum("...sl,...l->...s", t.slot_matrix, _CENTROID)
+        return np.concatenate([hats, enr], axis=-1)
 
     def material_volume(self) -> float:
         """Total area of the material phase (uncut material elements plus

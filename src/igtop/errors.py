@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy and the number rule of input checks, shared across
+the package."""
+
+import math
 
 
 class IgtopError(Exception):
@@ -34,3 +37,10 @@ class SolverError(NumericalError):
 
 class MmaStepError(NumericalError):
     """MMA subproblem did not reach the required KKT residual."""
+
+
+def finite_number(kind, x) -> bool:
+    """Whether ``x`` is a finite number of ``kind`` (``numbers.Integral`` or
+    ``numbers.Real``); a bool is no number here."""
+    return isinstance(x, kind) and not isinstance(x, bool) \
+        and -math.inf < x < math.inf

@@ -11,6 +11,7 @@ ones: dof = field_dim * (n_nodes + m) + component.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -20,7 +21,7 @@ from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .enrich import CUT, MATERIAL, EnrichedModel
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, finite_number
 from .mesh import cofactor_hat_gradients
 
 
@@ -28,12 +29,7 @@ from .mesh import cofactor_hat_gradients
 class Conduction:
     """Isotropic heat conduction."""
 
-    conductivity: float
     field_dim: ClassVar[int] = 1
-
-    @property
-    def modulus(self) -> float:
-        return self.conductivity
 
     @staticmethod
     def d_unit() -> np.ndarray:
@@ -44,13 +40,14 @@ class Conduction:
 class PlaneStressElastic:
     """Isotropic linear elasticity, plane stress."""
 
-    youngs: float
     poisson: float
     field_dim: ClassVar[int] = 2
 
-    @property
-    def modulus(self) -> float:
-        return self.youngs
+    def __post_init__(self):
+        if not (finite_number(numbers.Real, self.poisson)
+                and -1.0 < self.poisson <= 0.5):
+            raise ConfigError(f"Poisson ratio must be a finite number in "
+                              f"(-1, 0.5], got {self.poisson!r}")
 
     def d_unit(self) -> np.ndarray:
         nu = self.poisson
@@ -61,31 +58,34 @@ class PlaneStressElastic:
 
 @dataclass(frozen=True)
 class MaterialPair:
-    """Material and void-phase properties; the material phase is at least
+    """One physics for both phases and the modulus of each: the void is the
+    material's law with an ersatz modulus. The material phase is at least
     as stiff (equal moduli make a homogeneous patch, useful for testing)."""
 
-    material: object
-    void: object
+    physics: Conduction | PlaneStressElastic
+    material: float
+    void: float
 
     def __post_init__(self):
-        if type(self.material) is not type(self.void):
-            raise ConfigError("material and void phases must share a physics type")
-        if not self.material.modulus >= self.void.modulus > 0.0:
-            raise ConfigError(
-                f"need material modulus >= void modulus > 0, got "
-                f"{self.material.modulus} and {self.void.modulus}")
-        if isinstance(self.material, PlaneStressElastic) and \
-                self.material.poisson != self.void.poisson:
-            raise ConfigError("phases must share the Poisson ratio")
+        problems = []
+        if not isinstance(self.physics, (Conduction, PlaneStressElastic)):
+            problems.append(f"physics must be Conduction or "
+                            f"PlaneStressElastic, got {self.physics!r}")
+        if not (finite_number(numbers.Real, self.material)
+                and finite_number(numbers.Real, self.void)
+                and self.material >= self.void > 0.0):
+            problems.append(f"need finite material modulus >= void modulus "
+                            f"> 0, got {self.material!r} and {self.void!r}")
+        if problems:
+            raise ConfigError(problems)
 
     @property
     def field_dim(self) -> int:
-        return self.material.field_dim
+        return self.physics.field_dim
 
     def modulus_of(self, material_phase):
         """Modulus of each phase flag (bool or array of bools)."""
-        return np.where(material_phase, self.material.modulus,
-                        self.void.modulus)
+        return np.where(material_phase, self.material, self.void)
 
 
 @dataclass
@@ -149,7 +149,7 @@ def integration_element_stiffness(model: EnrichedModel, pair: MaterialPair,
     b = build_b(model.geometry(dtype).grads, pair.field_dim)
     scale = np.asarray(tiles.area, dtype=dtype) \
         * pair.modulus_of(tiles.material).astype(dtype)
-    k = np.swapaxes(b, -1, -2) @ (pair.material.d_unit().astype(dtype) @ b)
+    k = np.swapaxes(b, -1, -2) @ (pair.physics.d_unit().astype(dtype) @ b)
     k *= scale[..., None, None]
     return k
 
@@ -159,8 +159,8 @@ def integration_element_force(model: EnrichedModel, body: np.ndarray,
     """Consistent body-load vectors of the integration elements
     ``model.tiles`` over the five slots, shape (..., 5 field_dim). ``body``
     is one source for all elements, shape (field_dim,)."""
-    shape = model.centroid_shape(dtype)
-    load = shape[..., :, None] * np.atleast_1d(body).astype(dtype)[..., None, :]
+    load = model.centroid_shape[..., :, None] \
+        * np.atleast_1d(body).astype(dtype)[..., None, :]
     return np.asarray(model.tiles.area, dtype=dtype)[..., None] \
         * load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
 
@@ -189,7 +189,7 @@ class Assembler:
         b_all = build_b(cofactor_hat_gradients(
             mesh.nodes[mesh.elements].astype(dtype, copy=False)), d)
         k_unit = np.einsum("eia,ij,ejb->eab", b_all,
-                           pair.material.d_unit().astype(dtype), b_all,
+                           pair.physics.d_unit().astype(dtype), b_all,
                            optimize=True) \
             * mesh.areas.astype(dtype)[:, None, None]
         self._elem_dofs = node_dofs(mesh.elements.ravel(), d).reshape(ne, 3 * d)

@@ -77,7 +77,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     geom = model.geometry()
     d = pair.field_dim
     ue = u[cut_parent_dofs(model, d)].repeat(3, axis=0)
-    dmat = pair.material.d_unit() \
+    dmat = pair.physics.d_unit() \
         * pair.modulus_of(tiles.material)[:, None, None]
     strain = (build_b(geom.grads, d) @ ue[..., None])[..., 0]
     stress = (dmat @ strain[..., None])[..., 0]
@@ -90,7 +90,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
            - area2 * (geom.hats @ sigma @ h_enr))
     if loads.body is not None:
         w = (ue @ loads.body[:, None])[..., 0]
-        dx += _dot(model.centroid_shape(), w)[:, None, None] * geom.ddet \
+        dx += _dot(model.centroid_shape, w)[:, None, None] * geom.ddet \
             + area2 / 3.0 * (w[:, None, :3] @ geom.grads[:, :3])
     return _to_nodes(model, dx)
 

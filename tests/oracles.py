@@ -91,7 +91,7 @@ def integration_element_stiffness_derivative(model, ie, pair, vertex: int,
     hat gradients are unaffected by interface motion.
     """
     geom = dataclasses.replace(model, tiles=ie).geometry()
-    d = pair.material.d_unit() * pair.modulus_of(ie.material)[..., None, None]
+    d = pair.physics.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
     djdet = geom.ddet[..., vertex, component]
     dge = DL @ inv_derivative(jacobian_inverse(ie),
@@ -121,7 +121,7 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
     djdet = geom.ddet[..., vertex, component]
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
-    rate = 0.5 * djdet[..., None] * model.centroid_shape() \
+    rate = 0.5 * djdet[..., None] * model.centroid_shape \
         + np.asarray(ie.area)[..., None] * dshape
     load = rate[..., :, None] * bvec[..., None, :]
     return load.reshape(load.shape[:-2] + (5 * load.shape[-1],))
@@ -229,10 +229,10 @@ def conforming_system(model, pair, loads):
                                tiles.material])
     area = 0.5 * cross2(coords[:, 1] - coords[:, 0],
                         coords[:, 2] - coords[:, 0])
-    modulus = np.where(material, pair.material.modulus, pair.void.modulus)
+    modulus = np.where(material, pair.material, pair.void)
     b = build_b(cofactor_hat_gradients(coords), d)
     ke = (area * modulus)[:, None, None] \
-        * (np.swapaxes(b, -1, -2) @ pair.material.d_unit() @ b)
+        * (np.swapaxes(b, -1, -2) @ pair.physics.d_unit() @ b)
     dofs = node_dofs(ids.ravel(), d).reshape(-1, 3 * d)
     ndof = d * (mesh.n_nodes + model.n_enriched)
     k = sparse.coo_matrix(

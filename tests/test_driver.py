@@ -137,6 +137,17 @@ class TestProblemSpecs:
         (cantilever, dict(dirichlet=(DirichletRule(point=(0.0, 0.5, 1.0)),)),
          "support point"),
         (cantilever, dict(budget=True), "budget must be an integer"),
+        (cantilever, dict(point_loads=(((1.0, (0.5, 0.2)), 1, -1.0),)),
+         "finite point and value"),
+        (cantilever, dict(point_loads=(((1.0, 0.5), 1),)),
+         r"point load must be \(point, component, value\)"),
+        (cantilever, dict(dirichlet=(1,)),
+         "support rule must be a DirichletRule"),
+        (cantilever, dict(dirichlet="left"), "dirichlet must be a tuple"),
+        (cantilever, dict(pair="x"), "pair must be a MaterialPair"),
+        (cantilever, dict(point_loads=(((2.0, 0.5), 1.0, -1.0),)),
+         "load component"),
+        (heat_sink, dict(body=[[1.0], [1.0, 2.0]]), "body must be"),
     ], ids=["support-component-2", "support-point-inf", "load-component--1",
             "load-component-3", "load-point-nan", "load-value-nan",
             "body-two-values", "body-inf", "body-2d", "body-per-phase",
@@ -144,7 +155,10 @@ class TestProblemSpecs:
             "budget-fraction", "budget-string", "budget-nan",
             "support-point-outside", "load-point-outside",
             "volume_fraction-string", "load-value-string", "body-string",
-            "load-point-3d", "support-point-3d", "budget-bool"])
+            "load-point-3d", "support-point-3d", "budget-bool",
+            "load-point-ragged", "load-two-fields", "support-rule-int",
+            "dirichlet-string", "pair-string", "load-component-float",
+            "body-ragged"])
     def test_supports_and_loads_are_validated(self, factory, overrides,
                                               fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -325,18 +339,31 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="expects 66 values"):
             analyze(small_cantilever(), np.zeros(2))
 
+    @pytest.mark.parametrize("design, message", [
+        (["a"] * 66, "design is not numeric"),
+        (["0.5"] * 66, "design is not numeric"),
+        ([True] * 66, "design is not numeric"),
+        ([[0.0]] * 65 + [[0.0, 1.0]], "design is not numeric"),
+        (np.full(66, np.nan), "design is not finite at entry 0"),
+        (np.r_[np.zeros(65), np.inf], "design is not finite at entry 65"),
+    ], ids=["strings", "numeric-strings", "bools", "ragged", "nan", "inf"])
+    def test_design_of_non_finite_numbers_is_a_config_error(self, design,
+                                                            message):
+        with pytest.raises(ConfigError, match=message):
+            analyze(small_cantilever(), design)
+
     def test_explicit_design_roundtrip(self):
         p = small_cantilever()
         result = run(p, budget=4)
         model, u, f, c, vol = analyze(p, result.design)
         assert c == pytest.approx(result.history[-1].compliance, rel=1e-14)
 
-    @pytest.mark.parametrize("problem, centroid_shapes", [
-        (small_cantilever(), 0),
-        (heat_sink(nx=9, ny=9, rbf_nx=7, rbf_ny=7), 1)],
+    @pytest.mark.parametrize("problem, body_load", [
+        (small_cantilever(), False),
+        (heat_sink(nx=9, ny=9, rbf_nx=7, rbf_ny=7), True)],
         ids=["elastic", "conduction"])
     def test_tile_geometry_is_computed_once(self, monkeypatch, problem,
-                                            centroid_shapes):
+                                            body_load):
         # assembly and both gradients read one geometry of model.tiles,
         # computed once; the model keeps centroid shape values besides it
         # only where a body load needs them
@@ -363,8 +390,8 @@ class TestAnalyze:
         assert model.n_cut > 0
         ws.gradients(model, u)
         assert calls == {"tri_jacobian": 1}
-        assert sorted(name for name, _ in model._geometry) \
-            == ["centroid_shape"] * centroid_shapes + ["geometry"]
+        assert len(model._geometry) == 1
+        assert ("centroid_shape" in vars(model)) == body_load
 
 
 class TestSupportsAndLoads:
@@ -509,9 +536,12 @@ class TestGradientCheck:
         (dict(h="1e-6"), "step h"),
         (dict(n_sample=True, quantity="volume"), "n_sample must be an integer"),
         (dict(seed=False, quantity="volume"), "seed must be an integer"),
+        (dict(design=np.full(66, np.nan), quantity="volume"),
+         "design is not finite"),
     ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity",
             "negative-seed", "wrong-length-design", "fractional-samples",
-            "fractional-seed", "h-string", "bool-samples", "bool-seed"])
+            "fractional-seed", "h-string", "bool-samples", "bool-seed",
+            "nan-design"])
     def test_rejects_bad_arguments(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             check_gradients(small_cantilever(), **kwargs)

@@ -180,7 +180,7 @@ class TestSingleCutTriangle:
     def test_centroid_shape(self, model):
         # tile centroids (1/6, 1/6), (1/2, 1/6) and (1/3, 1/2): the parent
         # hats there, then a third at each enriched vertex of the tile
-        np.testing.assert_allclose(model.centroid_shape(), [
+        np.testing.assert_allclose(model.centroid_shape, [
             [2 / 3, 1 / 6, 1 / 6, 1 / 3, 1 / 3],
             [1 / 3, 1 / 2, 1 / 6, 1 / 3, 1 / 3],
             [1 / 6, 1 / 3, 1 / 2, 0.0, 1 / 3]], rtol=0.0, atol=1e-15)

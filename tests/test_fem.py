@@ -33,7 +33,7 @@ class TestElementKernels:
     def test_conduction_stiffness_unit_triangle(self):
         # hand-integrated: k = A * kappa * G G^T on the unit right triangle
         mesh = Mesh(nodes=UNIT_TRI, elements=np.array([[0, 1, 2]]))
-        pair = MaterialPair(Conduction(1.0), Conduction(0.5))
+        pair = MaterialPair(Conduction(), 1.0, 0.5)
         model = build_enriched_model(mesh, np.ones(3))
         k, _ = Assembler(model.mesh, pair, LoadCase()).assemble(model)
         expected = np.array([[1.0, -0.5, -0.5],
@@ -43,8 +43,7 @@ class TestElementKernels:
 
     def test_elastic_stiffness_rigid_modes(self):
         mesh = Mesh(nodes=UNIT_TRI, elements=np.array([[0, 1, 2]]))
-        pair = MaterialPair(PlaneStressElastic(1.0, 0.3),
-                            PlaneStressElastic(1e-6, 0.3))
+        pair = MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6)
         model = build_enriched_model(mesh, np.ones(3))
         k, _ = Assembler(model.mesh, pair, LoadCase()).assemble(model)
         k = k.toarray()
@@ -73,16 +72,30 @@ class TestElementKernels:
 class TestMaterialPair:
     def test_orderings_enforced(self):
         with pytest.raises(ConfigError, match="modulus"):
-            MaterialPair(Conduction(0.01), Conduction(1.0))
+            MaterialPair(Conduction(), 0.01, 1.0)
         with pytest.raises(ConfigError, match="modulus"):
-            MaterialPair(Conduction(1.0), Conduction(-1.0))
+            MaterialPair(Conduction(), 1.0, -1.0)
 
-    def test_type_and_poisson_mismatch(self):
-        with pytest.raises(ConfigError, match="physics type"):
-            MaterialPair(PlaneStressElastic(1.0, 0.3), Conduction(0.1))
-        with pytest.raises(ConfigError, match="Poisson"):
-            MaterialPair(PlaneStressElastic(1.0, 0.3),
-                         PlaneStressElastic(1e-6, 0.2))
+    def test_out_of_range_values(self):
+        # the void phase is a modulus of the material's physics, so a
+        # physics type or Poisson ratio can no longer differ between phases
+        for make, fragment in [
+                (lambda: MaterialPair("elastic", 1.0, 1e-6), "physics must"),
+                (lambda: MaterialPair(Conduction(), np.inf, 0.01), "modulus"),
+                (lambda: MaterialPair(Conduction(), 1.0, np.nan), "modulus"),
+                (lambda: MaterialPair(Conduction(), "1.0", 0.01), "modulus"),
+                (lambda: MaterialPair(Conduction(), True, 0.5), "modulus"),
+                (lambda: PlaneStressElastic(1.0), "Poisson"),
+                (lambda: PlaneStressElastic(-1.5), "Poisson"),
+                (lambda: PlaneStressElastic(-1.0), "Poisson"),
+                (lambda: PlaneStressElastic(np.nan), "Poisson"),
+                (lambda: PlaneStressElastic("0.3"), "Poisson")]:
+            with pytest.raises(ConfigError, match=fragment):
+                make()
+
+    def test_range_ends_are_valid(self):
+        assert PlaneStressElastic(0.5).d_unit()[2, 2] == pytest.approx(1 / 3)
+        assert MaterialPair(PlaneStressElastic(-0.99), 2, 2).field_dim == 2
 
 
 def heat_bar(nx=5, ny=5, interface=None):
@@ -92,7 +105,7 @@ def heat_bar(nx=5, ny=5, interface=None):
         phi = np.ones(mesh.n_nodes)
     else:
         phi = snap_nodal_levelset(mesh.nodes[:, 0] - interface)
-    pair = MaterialPair(Conduction(1.0), Conduction(0.01))
+    pair = MaterialPair(Conduction(), 1.0, 0.01)
     loads = LoadCase(point_loads=edge_traction_loads(mesh, "right", [1.0]))
     model = build_enriched_model(mesh, phi)
     fixed = node_dofs(mesh.boundary["left"], 1)
@@ -139,8 +152,7 @@ class TestBiMaterialBar:
         mesh = structured_grid(1.0, 1.0, 5, 5)
         phi = snap_nodal_levelset(mesh.nodes[:, 0] - 0.4)
         model = build_enriched_model(mesh, phi)
-        pair = MaterialPair(PlaneStressElastic(1.0, 0.0),
-                            PlaneStressElastic(1e-6, 0.0))
+        pair = MaterialPair(PlaneStressElastic(0.0), 1.0, 1e-6)
         loads = LoadCase(point_loads=edge_traction_loads(
             mesh, "right", [1.0, 0.0], dtype=np.longdouble))
         fixed = node_dofs(mesh.boundary["left"], 2)
@@ -178,8 +190,7 @@ class TestAssembler:
 
     def test_point_load_lands_on_dof(self):
         mesh = structured_grid(1.0, 1.0, 3, 3)
-        pair = MaterialPair(PlaneStressElastic(1.0, 0.3),
-                            PlaneStressElastic(1e-6, 0.3))
+        pair = MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6)
         loads = LoadCase(point_loads=[(4, 1, -2.5)])
         model = build_enriched_model(mesh, np.ones(mesh.n_nodes))
         _, f = Assembler(model.mesh, pair, loads).assemble(model)
@@ -406,13 +417,12 @@ class TestTileGeometry:
             axis=-2))
         for field in ("ddet", "hats", "grads"):
             assert getattr(geom, field).dtype == dtype, field
-        shape = model.centroid_shape(dtype)
-        assert model.centroid_shape(dtype) is shape
-        assert shape.dtype == dtype
+        shape = model.centroid_shape
+        assert model.centroid_shape is shape
         centroid = [1 / 3, 1 / 3, 1 / 3]
         eq(shape, np.concatenate(
             [parent_hats(model, tiles, centroid),
-             enrichment_values(tiles, centroid)], axis=-1).astype(dtype))
+             enrichment_values(tiles, centroid)], axis=-1))
         # one-element models compute their own and agree with the stack
         eq(geom.grads, np.stack([
             dataclasses.replace(model, tiles=ie).geometry(dtype).grads
@@ -429,7 +439,7 @@ def coo_reference(asm, model, absolute=False):
     b = build_b(cofactor_hat_gradients(
         mesh.nodes[mesh.elements].astype(dtype)), d)
     k_unit = np.einsum("eia,ij,ejb->eab", b,
-                       pair.material.d_unit().astype(dtype), b) \
+                       pair.physics.d_unit().astype(dtype), b) \
         * mesh.areas.astype(dtype)[:, None, None]
     factor = np.where(model.element_state == CUT, 0.0, pair.modulus_of(
         model.element_state == MATERIAL)).astype(dtype)

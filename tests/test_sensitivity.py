@@ -26,9 +26,8 @@ from oracles import (integration_element_force_derivative,
                      integration_element_stiffness_derivative,
                      inv_derivative, jacobian_derivative, jacobian_inverse)
 
-HEAT = MaterialPair(Conduction(1.0), Conduction(0.01))
-ELASTIC = MaterialPair(PlaneStressElastic(1.0, 0.3),
-                       PlaneStressElastic(1e-6, 0.3))
+HEAT = MaterialPair(Conduction(), 1.0, 0.01)
+ELASTIC = MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6)
 
 
 def moved_model(model, ie, vertex, delta):
@@ -354,8 +353,7 @@ class TestNodalGradients:
             # cancel terms far larger than the gradient, and the two sums
             # differ by 4e-9 relative, so this case takes the heat pair's
             # contrast
-            pair = MaterialPair(PlaneStressElastic(1.0, 0.3),
-                                PlaneStressElastic(0.01, 0.3))
+            pair = MaterialPair(PlaneStressElastic(0.3), 1.0, 0.01)
         else:
             mesh, phi, loads, fixed = build_heat_problem(interface=0.53)
             if case == "heat-body":
@@ -434,7 +432,7 @@ class TestStackedOperators:
             "stiffness longdouble": lambda m: integration_element_stiffness(
                 m, pair, np.longdouble),
             "force": lambda m: integration_element_force(m, loads.body),
-            "centroid_shape": lambda m: m.centroid_shape(),
+            "centroid_shape": lambda m: m.centroid_shape,
         }
         for l in range(3):
             for c in range(2):
