@@ -20,7 +20,7 @@ from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
 from .errors import ConfigError, NumericalError, SolverError, finite_number
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
-from .mesh import Mesh, structured_grid
+from .mesh import SIDES, Mesh, structured_grid
 from .mma import S_MAX, S_MIN, MmaOptimizer
 from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
                   hole_lattice_levelset)
@@ -33,29 +33,31 @@ STALL_ITERS = 10
 class DirichletRule:
     """Prescribes zero essential values on part of the boundary.
 
-    Either ``side`` (every node on one side of the rectangle) or ``point``
-    (nearest node) selects the nodes; ``component`` picks one field
-    component, or all of them when None.
+    Exactly one of ``side`` (every node on one side of the rectangle, a
+    name of ``SIDES``) or ``point`` (nearest node) selects the nodes;
+    ``component`` picks one field component, or all of them when None.
     """
 
     side: str | None = None
     point: tuple[float, float] | None = None
     component: int | None = None
 
-    def select_nodes(self, mesh: Mesh) -> np.ndarray:
+    def __post_init__(self):
         if (self.side is None) == (self.point is None):
-            raise ConfigError(["support rule needs exactly one of side "
-                               "or point"])
+            raise ConfigError("support rule needs exactly one of side or "
+                              "point")
+        if self.point is None and not (isinstance(self.side, str)
+                                       and self.side in SIDES):
+            raise ConfigError(f"support rule has unknown side "
+                              f"{self.side!r}; sides are {', '.join(SIDES)}")
+
+    def select_nodes(self, mesh: Mesh) -> np.ndarray:
         if self.point is not None:
             return np.array([mesh.nearest_node(self.point)], dtype=np.int64)
-        if self.side not in mesh.boundary:
-            raise ConfigError([f"support rule has unknown side "
-                               f"{self.side!r}; sides are "
-                               f"{', '.join(sorted(mesh.boundary))}"])
         return mesh.boundary[self.side]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Complete description of one topology-optimization problem."""
 
@@ -120,6 +122,8 @@ class ProblemSpec:
             problems.append(f"{label} must be a tuple, got {items!r}")
             return ()
 
+        if isinstance(self.dirichlet, (tuple, list)) and not self.dirichlet:
+            problems.append("problem has no supports")
         for rule in entries("dirichlet", self.dirichlet):
             if not isinstance(rule, DirichletRule):
                 problems.append(f"support rule must be a DirichletRule, got "
@@ -173,13 +177,9 @@ class ProblemSpec:
         return LoadCase(point_loads=pts, body=self.body)
 
     def fixed_dofs(self, mesh: Mesh) -> np.ndarray:
-        d = self.pair.field_dim
-        out = []
-        for rule in self.dirichlet:
-            out.append(node_dofs(rule.select_nodes(mesh), d, rule.component))
-        if not out:
-            raise ConfigError(["problem has no supports"])
-        return np.unique(np.concatenate(out))
+        return np.unique(np.concatenate([
+            node_dofs(rule.select_nodes(mesh), self.pair.field_dim,
+                      rule.component) for rule in self.dirichlet]))
 
     def initial_design(self, grid: RbfGrid) -> np.ndarray:
         phi0 = hole_lattice_levelset(self.width, self.height)

@@ -309,19 +309,18 @@ def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
     """The float64 lower band of diag(scale) K diag(scale) over the dofs
     ``at`` at band positions ``pos`` (-1 when fixed), filled from K in one
     pass and in Fortran order so that LAPACK factors it in place, and
-    ``scale``: the inverse square roots of the dofs' diagonal entries."""
-    i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
-    lower = np.flatnonzero((j >= 0) & (i >= j))
-    row, col, data = i[lower], j[lower], k.data[lower]
-    offset = row - col
-    on = np.flatnonzero(offset == 0)
-    diag = np.zeros(at.size, dtype=data.dtype)
-    diag[col[on]] = data[on]
+    ``scale``: the inverse square roots of K's diagonal at ``at``, where an
+    unstored entry reads 0 and is refused like any nonpositive one."""
+    diag = k.diagonal()[at]
     if np.any(diag <= 0.0):
         raise SolverError(
             f"nonpositive stiffness diagonal at dof {at[np.argmin(diag)]}; "
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
+    i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
+    lower = np.flatnonzero((j >= 0) & (i >= j))
+    row, col, data = i[lower], j[lower], k.data[lower]
+    offset = row - col
     rows = int(offset.max()) + 1
     band = np.zeros(rows * at.size)
     band[offset + rows * col] = scale[row] * data * scale[col]
@@ -354,23 +353,16 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
-    # one entry per position, columns ascending in each row, as the band
-    # scatter and the row sums need; any other K is summed in a copy
+    # one entry per position, as the band scatter needs: else sum a copy
     if not (isinstance(k, sparse.csr_matrix) and k.has_canonical_format):
         k = sparse.csr_matrix(k, copy=True)
         k.sum_duplicates()
-    # the band position of each free dof, -1 at the fixed ones
-    pos = np.full(ndof, -1, dtype=k.indices.dtype)
-    pos[free] = np.arange(free.size, dtype=pos.dtype)
     if key is None:
-        i, j = np.repeat(pos, np.diff(k.indptr)), pos[k.indices]
-        keep = (i >= 0) & (j >= 0)
-        at = free[reverse_cuthill_mckee(sparse.csr_matrix(
-            (np.ones(np.count_nonzero(keep), dtype=bool), j[keep],
-             np.searchsorted(i[keep], np.arange(free.size + 1))),
-            shape=(free.size, free.size)), symmetric_mode=True)]
+        at = free[reverse_cuthill_mckee(k[free][:, free], symmetric_mode=True)]
     else:
         at = free[np.argsort(np.asarray(key)[free], kind="stable")]
+    # the band position of each free dof, -1 at the fixed ones
+    pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[at] = np.arange(free.size, dtype=pos.dtype)
     band, s = _scaled_band(k, pos, at)
     try:
@@ -398,9 +390,8 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # residual reads only the free block, as x is exactly zero at the fixed
     # dofs, and its Jacobi-scaled norm decides the stop; so does the next
     # correction, predicted from the last two as |dy|^2 / |dy_prev|
-    # (max-norm), once below an ulp of the scaled solution y
-    kld = sparse.csr_matrix((k.data.astype(np.longdouble), k.indices,
-                             k.indptr), shape=k.shape)
+    # (max-norm), once below an ulp of the scaled solution y. K @ x runs in
+    # longdouble: scipy promotes a float64 K to x's dtype in a copy
     fb = f[at]
     fs = fb * s
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
@@ -409,7 +400,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     x[at] = s * y
     last = np.inf
     for _ in range(6):
-        rs = s * (fb - (kld @ x)[at])
+        rs = s * (fb - (k @ x)[at])
         rnorm = float(np.linalg.norm(rs.astype(np.float64)))
         if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
             break

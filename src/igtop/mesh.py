@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 
 
 # gradients of the master-triangle hat functions (L1, L2, L3)
@@ -63,7 +64,7 @@ class Mesh:
     elements : ndarray, shape (n_elements, 3)
         Node indices per triangle, counterclockwise.
     boundary : dict of str to ndarray
-        Node indices on each side ('left', 'right', 'bottom', 'top'),
+        Node indices on each side (``SIDES``),
         ordered along the side. Corner nodes appear in both incident sides.
     """
 
@@ -102,6 +103,10 @@ class Mesh:
         return int(np.argmin(d2))
 
 
+# the sides of a rectangle, the keys of ``Mesh.boundary``
+SIDES = ("left", "right", "bottom", "top")
+
+
 def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     """Build a structured right-triangle mesh of ``[0, width] x [0, height]``.
 
@@ -120,13 +125,18 @@ def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     Raises
     ------
     ConfigError
-        If extents are not positive or node counts are below 2.
+        If extents are not finite and positive or node counts are not
+        integers of at least 2.
     """
     problems = []
-    if not (width > 0.0 and height > 0.0):
-        problems.append(f"domain extents must be positive, got {width} x {height}")
-    if nx < 2 or ny < 2:
-        problems.append(f"need at least 2 nodes per direction, got {nx} x {ny}")
+    if not all(finite_number(numbers.Real, w) and w > 0.0
+               for w in (width, height)):
+        problems.append(f"domain extents must be finite and positive, got "
+                        f"{width!r} x {height!r}")
+    if not all(finite_number(numbers.Integral, n) and n >= 2
+               for n in (nx, ny)):
+        problems.append(f"need an integer of at least 2 nodes per "
+                        f"direction, got {nx!r} x {ny!r}")
     if problems:
         raise ConfigError(problems)
 
@@ -148,10 +158,8 @@ def structured_grid(width: float, height: float, nx: int, ny: int) -> Mesh:
     elements[0::2] = lower
     elements[1::2] = upper
 
-    boundary = {
-        "left": np.arange(ny) * nx,
-        "right": np.arange(ny) * nx + (nx - 1),
-        "bottom": np.arange(nx),
-        "top": (ny - 1) * nx + np.arange(nx),
-    }
+    boundary = dict(zip(SIDES, (np.arange(ny) * nx,
+                                np.arange(ny) * nx + (nx - 1),
+                                np.arange(nx),
+                                (ny - 1) * nx + np.arange(nx))))
     return Mesh(nodes=nodes, elements=elements, boundary=boundary)

@@ -15,10 +15,11 @@ the constraint binds exactly. Intended for objectives scaled to order one.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .errors import MmaStepError
+from .errors import MmaStepError, finite_number
 
 _ASY_INIT = 0.5
 _ASY_SHRINK = 0.7
@@ -56,9 +57,9 @@ class MmaOptimizer:
 
     def __init__(self, n: int, move_limit: float = 0.01):
         self.n = int(n)
-        if not (math.isfinite(move_limit) and move_limit > 0.0):
+        if not (finite_number(numbers.Real, move_limit) and move_limit > 0.0):
             raise ValueError("move_limit must be finite and positive, got "
-                             f"{move_limit}")
+                             f"{move_limit!r}")
         self.move_limit = float(move_limit)
         self.low = None
         self.upp = None

@@ -8,7 +8,6 @@ mesh/grid pairing and reused for both field values and design derivatives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,25 +72,18 @@ class RbfGrid:
 def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:
     """Kernel matrix with entry (j, i) = theta_i(points[j]).
 
-    Shape (n_points, n_centers). Centers beyond the support radius of a point
-    contribute structural zeros; centers exactly on the boundary keep a stored
-    zero entry.
+    Shape (n_points, n_centers), from the KD-tree pair distances as COO,
+    whose CSR form keeps a point on a center (distance 0) and sorts rows.
+    Centers beyond the support radius of a point contribute structural
+    zeros; centers exactly on the boundary keep a stored zero entry.
     """
-    points = np.asarray(points, dtype=float)
-    tree = cKDTree(grid.centers)
-    hits = tree.query_ball_point(points, r=grid.support_radius * _SUPPORT_SLACK,
-                                 return_sorted=True)
-    counts = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64,
-                          count=indptr[-1])
-    dists = np.linalg.norm(points[np.repeat(np.arange(len(points)), counts)]
-                           - grid.centers[indices], axis=1)
-    rnorm = dists / grid.support_radius
+    theta = cKDTree(np.asarray(points, dtype=float)).sparse_distance_matrix(
+        cKDTree(grid.centers), grid.support_radius * _SUPPORT_SLACK,
+        output_type="coo_matrix").tocsr()
+    rnorm = theta.data / grid.support_radius
     rnorm[rnorm >= 1.0 - 1e-12] = 1.0  # boundary-of-support entries store 0.0
-    data = wendland(rnorm)
-    return sparse.csr_matrix((data, indices, indptr),
-                             shape=(points.shape[0], grid.n_centers))
+    theta.data = wendland(rnorm)
+    return theta
 
 
 class LevelsetField:

@@ -1,5 +1,6 @@
 """Driver loop behavior on scaled-down problem instances."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -168,18 +169,35 @@ class TestProblemSpecs:
         assert heat_sink(body=2.0).body == 2.0
 
     def test_dirichlet_rule_validation(self):
-        mesh = small_cantilever().build_mesh()
-        with pytest.raises(ConfigError):
-            DirichletRule().select_nodes(mesh)
-        with pytest.raises(ConfigError):
-            DirichletRule(side="left", point=(0, 0)).select_nodes(mesh)
+        # a rule is checked when it is made, not once the mesh is built
+        with pytest.raises(ConfigError, match="exactly one of side or point"):
+            DirichletRule()
+        with pytest.raises(ConfigError, match="exactly one of side or point"):
+            DirichletRule(side="left", point=(0.0, 0.0))
 
     def test_unknown_side_names_the_valid_sides(self):
-        p = small_cantilever(dirichlet=(DirichletRule(side="lft"),))
         with pytest.raises(ConfigError, match="'lft'") as err:
-            p.fixed_dofs(p.build_mesh())
+            DirichletRule(side="lft")
         for side in ("bottom", "left", "right", "top"):
             assert side in str(err.value)
+
+    @pytest.mark.parametrize("side", ["up", ["left"], np.array(["left"])],
+                             ids=["up", "list", "array"])
+    def test_side_must_be_a_side_name(self, side):
+        # a list used to end in analyze as a bare "unhashable type" error
+        with pytest.raises(ConfigError, match="unknown side"):
+            DirichletRule(side=side)
+
+    @pytest.mark.parametrize("dirichlet", [(), []], ids=["tuple", "list"])
+    def test_no_supports_is_a_problem_of_the_spec(self, dirichlet):
+        with pytest.raises(ConfigError, match="problem has no supports"):
+            cantilever(9, 5, dirichlet=dirichlet)
+
+    def test_spec_is_frozen(self):
+        # what the spec checked when it was made stays checked: a changed
+        # spec comes from with_overrides, which checks it again
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cantilever(9, 5).dirichlet = ()
 
     def test_initial_design_is_clipped_to_the_box(self):
         # on a 20 x 10 domain the hole-lattice fit rises far above S_MAX

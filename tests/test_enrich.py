@@ -113,6 +113,13 @@ class TestClassification:
         with pytest.raises(ValueError, match="snap"):
             build_enriched_model(mesh, phi)
 
+    @pytest.mark.parametrize("shape", [(15,), (17,), (16, 1)])
+    def test_levelset_of_the_wrong_shape_rejected(self, shape):
+        mesh = structured_grid(1.0, 1.0, 4, 4)
+        with pytest.raises(ValueError, match=r"levelset has shape .*, "
+                           r"expected \(16,\)$"):
+            build_enriched_model(mesh, np.ones(shape))
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_entry_rejected(self, value):
         # it used to fail the orientation assertion, or pass silently wrong

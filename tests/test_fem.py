@@ -259,6 +259,36 @@ class TestSolve:
                          (k.indptr, indptr)):
             np.testing.assert_array_equal(got, was)
 
+    @staticmethod
+    def chain(middle):
+        """The three-dof chain [[2, -1, 0], [-1, middle, -1], [0, -1, 2]];
+        ``middle`` None stores no entry at (1, 1)."""
+        entries = [(0, 0, 2.0), (0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0),
+                   (2, 1, -1.0), (2, 2, 2.0)]
+        if middle is not None:
+            entries.append((1, 1, middle))
+        i, j, v = zip(*entries)
+        return sparse.coo_matrix((v, (i, j)), shape=(3, 3)).tocsr()
+
+    @pytest.mark.parametrize("middle", [0.0, None, -1.0],
+                             ids=["stored-zero", "unstored", "negative"])
+    def test_nonpositive_diagonal_at_a_free_dof(self, middle):
+        k = self.chain(middle)
+        assert k.has_canonical_format and k.nnz == 6 + (middle is not None)
+        for key in (None, np.arange(3.0)):
+            with pytest.raises(SolverError, match="nonpositive stiffness "
+                               "diagonal at dof 1;"):
+                solve_system(k, np.ones(3), [], key)
+        # the scale reads the diagonal at the free dofs alone
+        res = solve_system(k, np.ones(3), [1])
+        np.testing.assert_array_equal(res.u, [0.5, 0.0, 0.5])
+
+    def test_every_dof_fixed(self):
+        res = solve_system(self.chain(2.0), np.ones(3), [2, 0, 1, 1])
+        assert res.u.dtype == np.float64
+        np.testing.assert_array_equal(res.u, np.zeros(3))
+        assert res.residual == 0.0
+
     @pytest.mark.parametrize("load", ["nan-at-free-dof", "short", "long"])
     def test_malformed_load(self, load):
         # each used to fail far from its cause: as a singular system, or

@@ -89,6 +89,18 @@ def test_invalid_parameters_aggregate_errors():
     assert len(err.value.problems) == 2  # one message per fault
 
 
+@pytest.mark.parametrize("args", [
+    (float("inf"), 1.0, 3, 3), ("a", 1.0, 3, 3), (True, 1.0, 3, 3),
+    (1.0, 1.0, 2.5, 3), (1.0, 1.0, 3, "3"), (1.0, 1.0, 3, 3.0)],
+    ids=["width-inf", "width-string", "width-bool", "nx-fraction",
+         "ny-string", "ny-float"])
+def test_parameters_follow_the_number_rule(args):
+    # an infinite extent used to give NaN nodes, a string or a fractional
+    # count a bare TypeError
+    with pytest.raises(ConfigError):
+        structured_grid(*args)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     nx=st.integers(min_value=2, max_value=12),

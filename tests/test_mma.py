@@ -235,7 +235,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             opt.step(np.zeros(2), np.zeros(3), 0.0, np.zeros(3))
 
-    @pytest.mark.parametrize("move", [np.inf, np.nan, 0.0, -0.01])
+    @pytest.mark.parametrize("move", [np.inf, np.nan, 0.0, -0.01, "0.1",
+                                      True, None])
     def test_rejects_move_limit_not_finite_and_positive(self, move):
         with pytest.raises(ValueError, match="finite and positive"):
             MmaOptimizer(2, move_limit=move)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from igtop.driver import BUILTIN_PROBLEMS
 from igtop.errors import ConfigError
 from igtop.mesh import structured_grid
-from igtop.rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
-                       hole_lattice_levelset, wendland)
+from igtop.rbf import (_SUPPORT_SLACK, LevelsetField, RbfGrid, build_theta,
+                       fit_design, hole_lattice_levelset, wendland)
 
 
 class TestWendland:
@@ -115,6 +115,42 @@ class TestTheta:
         assert np.linalg.norm(grid.centers[two_cells_away] - mesh.nodes[j]) \
             > grid.support_radius
         assert two_cells_away not in theta.getrow(j).indices
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(min_value=2, max_value=8),
+       ny=st.integers(min_value=2, max_value=8),
+       width=st.floats(min_value=0.1, max_value=10.0),
+       aspect=st.one_of(st.just(None),
+                        st.floats(min_value=0.2, max_value=5.0)),
+       picks=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                                st.sampled_from(["on", "right", "up", "free"]),
+                                st.floats(min_value=-0.2, max_value=1.2),
+                                st.floats(min_value=-0.2, max_value=1.2)),
+                      min_size=1, max_size=12))
+def test_theta_equals_the_dense_kernel_matrix(nx, ny, width, aspect, picks):
+    # points on centers (distance 0, and on square cells the diagonal
+    # neighbours one radius away), one radius right of or above a center,
+    # or anywhere around the domain
+    height = width * (ny - 1) / (nx - 1) if aspect is None else width * aspect
+    grid = RbfGrid.structured(width, height, nx, ny)
+    r = grid.support_radius
+    shift = {"on": (0.0, 0.0), "right": (r, 0.0), "up": (0.0, r)}
+    points = np.array([
+        grid.centers[i % grid.n_centers] + shift[kind] if kind in shift
+        else (u * width, v * height) for i, kind, u, v in picks])
+    dist = np.linalg.norm(points[:, None, :] - grid.centers[None, :, :],
+                          axis=2)
+    keep = dist <= r * _SUPPORT_SLACK
+    rnorm = dist[keep] / r
+    rnorm[rnorm >= 1.0 - 1e-12] = 1.0
+    theta = build_theta(grid, points)
+    assert theta.shape == (len(points), grid.n_centers)
+    assert theta.has_sorted_indices
+    np.testing.assert_array_equal(
+        theta.indptr, np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))
+    np.testing.assert_array_equal(theta.indices, np.nonzero(keep)[1])
+    assert theta.data.tobytes() == wendland(rnorm).tobytes()
 
 
 class TestLevelsetField:

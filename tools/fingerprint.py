@@ -9,7 +9,11 @@ round's fingerprint (histories, designs and final state, or gradient-check
 rows). Two last lines digest the rows of a compliance gradient check on the
 cantilever and on the heat sink, whose difference quotients come from the
 longdouble assembly and solve that no workload runs; the heat sink's also
-take its body load through that path. Two checkouts that print the same
+take its body load through that path. The ``setup`` line digests, for
+each built-in problem, the kernel matrices over the mesh nodes and over the
+centers, the fitted initial design, and a keyless ``solve_system`` of the
+initial design's K with its fixed dofs: the reverse Cuthill-McKee order of
+the free block, which no workload runs. Two checkouts that print the same
 digests computed the same bits. The benchmark is imported, not changed.
 """
 
@@ -48,7 +52,32 @@ def main() -> int:
         rows = np.array([(r.index, r.analytic, r.fd, r.rel_err,
                           r.topology_event) for r in rows])
         print(f"{label} {hashlib.sha256(rows.tobytes()).hexdigest()}")
+    print(f"setup {setup_digest()}")
     return status
+
+
+def setup_digest() -> str:
+    """Digest of the set-up arrays and keyless solves of the built-in
+    problems; sparse index arrays are digested as int64."""
+    import igtop
+    import numpy as np
+    from igtop.driver import _Workspace
+    digest = hashlib.sha256()
+    for name in sorted(igtop.BUILTIN_PROBLEMS):
+        ws = _Workspace(igtop.get_problem(name))
+        for points in (ws.mesh.nodes, ws.grid.centers):
+            theta = igtop.rbf.build_theta(ws.grid, points)
+            for part in (theta.indptr.astype(np.int64),
+                         theta.indices.astype(np.int64), theta.data):
+                digest.update(part.tobytes())
+        digest.update(ws.problem.initial_design(ws.grid).tobytes())
+        model = ws.model(ws.design())
+        k, f = ws.assembler.assemble(model)
+        res = igtop.fem.solve_system(k, f,
+                                     ws.assembler.fixed_dofs(model, ws.fixed))
+        digest.update(res.u.tobytes())
+        digest.update(np.float64(res.residual).tobytes())
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":
