@@ -11,7 +11,7 @@ original degrees of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -124,7 +124,7 @@ class IntegrationElement:
 
 @dataclass(frozen=True, eq=False)
 class TileGeometry:
-    """Geometry of integration elements in one dtype, with the leading axes
+    """Geometry of integration elements in float64, with the leading axes
     of the elements: what the element operators and their derivatives read.
 
     ddet : (..., 3, 2)
@@ -176,7 +176,6 @@ class EnrichedModel:
     cut_parents: np.ndarray
     parent_slots: np.ndarray
     tiles: IntegrationElement
-    _geometry: dict = field(default_factory=dict, init=False)
 
     @property
     def n_enriched(self) -> int:
@@ -199,22 +198,15 @@ class EnrichedModel:
                     t.enr_slots.tolist(), t.coords, t.material.tolist(),
                     t.area.tolist())]
 
-    def geometry(self, dtype=np.float64) -> TileGeometry:
-        """Geometry of ``tiles`` in ``dtype``, computed on first use and
-        kept, one per dtype."""
-        key = np.dtype(dtype)
-        if key not in self._geometry:
-            mesh, t = self.mesh, self.tiles
-            coords = t.coords.astype(dtype)
-            parent = mesh.hat_gradients.take(t.parent, axis=0) \
-                if dtype == np.float64 else cofactor_hat_gradients(
-                    mesh.nodes[mesh.elements[t.parent]].astype(dtype))
-            hats = cofactor_hat_gradients(coords)
-            self._geometry[key] = TileGeometry(
-                ddet=DL.astype(dtype) @ adj2(tri_jacobian(coords)), hats=hats,
-                grads=np.concatenate([parent, t.slot_matrix.astype(dtype)
-                                      @ hats], axis=-2))
-        return self._geometry[key]
+    @cached_property
+    def geometry(self) -> TileGeometry:
+        """Float64 geometry of ``tiles``, computed on first use and kept."""
+        mesh, t = self.mesh, self.tiles
+        hats = cofactor_hat_gradients(t.coords)
+        return TileGeometry(
+            ddet=DL @ adj2(tri_jacobian(t.coords)), hats=hats,
+            grads=np.concatenate([mesh.hat_gradients.take(t.parent, axis=0),
+                                  t.slot_matrix @ hats], axis=-2))
 
     @cached_property
     def centroid_shape(self) -> np.ndarray:

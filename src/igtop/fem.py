@@ -22,7 +22,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .enrich import CUT, MATERIAL, EnrichedModel
 from .errors import ConfigError, SolverError, finite_number
-from .mesh import cofactor_hat_gradients
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,10 @@ def integration_element_stiffness(model: EnrichedModel, pair: MaterialPair,
                                   dtype=np.float64) -> np.ndarray:
     """Local stiffness of the integration elements ``model.tiles`` over the
     five parent slots, shape (..., 5 field_dim, 5 field_dim)."""
-    tiles = model.tiles
-    b = build_b(model.geometry(dtype).grads, pair.field_dim)
-    scale = np.asarray(tiles.area, dtype=dtype) \
-        * pair.modulus_of(tiles.material).astype(dtype)
+    b = build_b(model.geometry.grads.astype(dtype, copy=False),
+                pair.field_dim)
+    scale = np.asarray(model.tiles.area, dtype=dtype) \
+        * pair.modulus_of(model.tiles.material).astype(dtype)
     k = np.swapaxes(b, -1, -2) @ (pair.physics.d_unit().astype(dtype) @ b)
     k *= scale[..., None, None]
     return k
@@ -173,21 +172,23 @@ class Assembler:
     ``dtype``); each model adds the rows and columns of its enriched dofs.
     K is canonical CSR without stored zeros.
 
-    ``dtype`` selects the working precision; the default double suits
-    optimization runs, while longdouble pushes interface-exactness studies
-    below the material-contrast conditioning floor.
+    ``dtype`` (float64, or longdouble for interface-exactness studies below
+    the material-contrast conditioning floor) is the precision of the
+    element products and sums; the geometry they read is float64.
     """
 
     def __init__(self, mesh, pair: MaterialPair, loads: LoadCase,
                  dtype=np.float64):
+        if np.dtype(dtype) not in (np.float64, np.longdouble):
+            raise ValueError(f"dtype must be float64 or longdouble, got "
+                             f"{dtype!r}")
         self.mesh = mesh
         self.pair = pair
         self.loads = loads
         self.dtype = dtype
         d = pair.field_dim
         n, ne = mesh.n_nodes, mesh.n_elements
-        b_all = build_b(cofactor_hat_gradients(
-            mesh.nodes[mesh.elements].astype(dtype, copy=False)), d)
+        b_all = build_b(mesh.hat_gradients.astype(dtype, copy=False), d)
         k_unit = np.einsum("eia,ij,ejb->eab", b_all,
                            pair.physics.d_unit().astype(dtype), b_all,
                            optimize=True) \

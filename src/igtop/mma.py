@@ -56,6 +56,8 @@ class MmaOptimizer:
     """
 
     def __init__(self, n: int, move_limit: float = 0.01):
+        if not (finite_number(numbers.Integral, n) and n >= 1):
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         self.n = int(n)
         if not (finite_number(numbers.Real, move_limit) and move_limit > 0.0):
             raise ValueError("move_limit must be finite and positive, got "

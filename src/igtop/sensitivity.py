@@ -74,7 +74,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     The per-direction operators in ``tests/oracles.py`` are its reference.
     """
     tiles = model.tiles
-    geom = model.geometry()
+    geom = model.geometry
     d = pair.field_dim
     ue = u[cut_parent_dofs(model, d)].repeat(3, axis=0)
     dmat = pair.physics.d_unit() \
@@ -97,7 +97,7 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
 
 def nodal_volume_gradient(model: EnrichedModel) -> np.ndarray:
     """d(material volume)/d(phi_j) for every mesh node."""
-    darea = 0.5 * model.geometry().ddet
+    darea = 0.5 * model.geometry.ddet
     return _to_nodes(model, np.where(model.tiles.material[:, None, None],
                                      darea, 0.0))
 

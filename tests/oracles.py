@@ -90,7 +90,7 @@ def integration_element_stiffness_derivative(model, ie, pair, vertex: int,
     Only the determinant and the enrichment-gradient rows respond; the parent
     hat gradients are unaffected by interface motion.
     """
-    geom = dataclasses.replace(model, tiles=ie).geometry()
+    geom = dataclasses.replace(model, tiles=ie).geometry
     d = pair.physics.d_unit() * pair.modulus_of(ie.material)[..., None, None]
     b = build_b(geom.grads, pair.field_dim)
     djdet = geom.ddet[..., vertex, component]
@@ -117,7 +117,7 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
     model = dataclasses.replace(model, tiles=ie)
-    geom = model.geometry()
+    geom = model.geometry
     djdet = geom.ddet[..., vertex, component]
     dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)

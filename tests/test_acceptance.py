@@ -345,7 +345,7 @@ class TestCriterion7ElementDerivatives:
         for _ in range(100):
             model = self.random_cut_model(rng)
             for ie in model.integration:
-                geom = dataclasses.replace(model, tiles=ie).geometry()
+                geom = dataclasses.replace(model, tiles=ie).geometry
                 jinv = jacobian_inverse(ie)
                 enriched = [l for l in range(3) if ie.enr_slots[l] >= 0]
                 for l in enriched:

@@ -12,6 +12,7 @@ from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           _Workspace, analyze, cantilever, check_gradients,
                           get_problem, heat_sink, mbb, run)
 from igtop.errors import ConfigError, MmaStepError, NumericalError, SolverError
+from igtop.fem import Assembler
 from igtop.mma import S_MAX, S_MIN, MmaOptimizer
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -382,15 +383,17 @@ class TestAnalyze:
         ids=["elastic", "conduction"])
     def test_tile_geometry_is_computed_once(self, monkeypatch, problem,
                                             body_load):
-        # assembly and both gradients read one geometry of model.tiles,
-        # computed once; the model keeps centroid shape values besides it
-        # only where a body load needs them
+        # assembly and both gradients read one float64 geometry of
+        # model.tiles, computed once, and so does a longdouble assembly,
+        # which casts it; the mesh's hat gradients are computed once for
+        # every assembler; the model keeps centroid shape values besides
+        # the geometry only where a body load needs them
         import igtop.enrich
         import igtop.fem
         import igtop.mesh
         import igtop.sensitivity
 
-        calls = {"tri_jacobian": 0}
+        calls = {"tri_jacobian": 0, "cofactor_hat_gradients": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -400,15 +403,19 @@ class TestAnalyze:
 
         for module in (igtop.mesh, igtop.enrich, igtop.fem,
                        igtop.sensitivity):
-            if hasattr(module, "tri_jacobian"):
-                monkeypatch.setattr(module, "tri_jacobian", counted(
-                    "tri_jacobian", module.tri_jacobian))
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(
+                        name, getattr(module, name)))
         ws = _Workspace(problem)
         model, u, *_ = ws.analyze(ws.field.design)
         assert model.n_cut > 0
         ws.gradients(model, u)
-        assert calls == {"tri_jacobian": 1}
-        assert len(model._geometry) == 1
+        Assembler(ws.mesh, problem.pair, ws.loads,
+                  dtype=np.longdouble).assemble(model)
+        # the mesh's hat gradients and the tiles' own
+        assert calls == {"tri_jacobian": 1, "cofactor_hat_gradients": 2}
+        assert "geometry" in vars(model)
         assert ("centroid_shape" in vars(model)) == body_load
 
 

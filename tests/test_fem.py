@@ -197,6 +197,12 @@ class TestAssembler:
         assert f[9] == -2.5
         assert np.count_nonzero(f) == 1
 
+    @pytest.mark.parametrize("dtype", [int, complex, np.float16, np.float32])
+    def test_refuses_a_dtype_it_cannot_serve(self, dtype):
+        ws = _Workspace(cantilever(9, 5))
+        with pytest.raises(ValueError, match="float64 or longdouble"):
+            Assembler(ws.mesh, ws.problem.pair, ws.loads, dtype=dtype)
+
     def test_body_load_total_matches_domain(self):
         mesh, model, pair, _, _ = heat_bar(interface=0.4)
         loads = LoadCase(body=[1.0])
@@ -419,7 +425,7 @@ class TestBandedCholesky:
 
 
 class TestTileGeometry:
-    """The geometry kept per model and dtype is, bit for bit, what fresh
+    """The float64 geometry kept per model is, bit for bit, what fresh
     calls of the element helpers compute."""
 
     @pytest.fixture(scope="class")
@@ -429,24 +435,19 @@ class TestTileGeometry:
         r = np.hypot(mesh.nodes[:, 0] - 0.7, mesh.nodes[:, 1] - 0.45)
         return build_enriched_model(mesh, snap_nodal_levelset(r - 0.3))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_equals_fresh_helpers(self, model, dtype):
+    def test_equals_fresh_helpers(self, model):
         mesh, tiles = model.mesh, model.tiles
-        geom = model.geometry(dtype)
-        assert model.geometry(dtype) is geom
-        jac = tri_jacobian(tiles.coords.astype(dtype))
-        dl = DL.astype(dtype)
+        geom = model.geometry
+        assert model.geometry is geom
         eq = np.testing.assert_array_equal
-        eq(geom.ddet, dl @ adj2(jac))
-        eq(geom.hats, cofactor_hat_gradients(tiles.coords.astype(dtype)))
+        eq(geom.ddet, DL @ adj2(tri_jacobian(tiles.coords)))
+        eq(geom.hats, cofactor_hat_gradients(tiles.coords))
         eq(geom.grads, np.concatenate([
-            cofactor_hat_gradients(
-                mesh.nodes[mesh.elements[tiles.parent]].astype(dtype)),
-            tiles.slot_matrix.astype(dtype) @ cofactor_hat_gradients(
-                tiles.coords.astype(dtype))],
+            cofactor_hat_gradients(mesh.nodes[mesh.elements[tiles.parent]]),
+            tiles.slot_matrix @ cofactor_hat_gradients(tiles.coords)],
             axis=-2))
         for field in ("ddet", "hats", "grads"):
-            assert getattr(geom, field).dtype == dtype, field
+            assert getattr(geom, field).dtype == np.float64, field
         shape = model.centroid_shape
         assert model.centroid_shape is shape
         centroid = [1 / 3, 1 / 3, 1 / 3]
@@ -455,7 +456,7 @@ class TestTileGeometry:
              enrichment_values(tiles, centroid)], axis=-1))
         # one-element models compute their own and agree with the stack
         eq(geom.grads, np.stack([
-            dataclasses.replace(model, tiles=ie).geometry(dtype).grads
+            dataclasses.replace(model, tiles=ie).geometry.grads
             for ie in model.integration]))
 
 

@@ -241,6 +241,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite and positive"):
             MmaOptimizer(2, move_limit=move)
 
+    @pytest.mark.parametrize("n", [2.9, "3", True, 0, -1])
+    def test_rejects_n_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="positive integer"):
+            MmaOptimizer(n)
+
+    def test_takes_a_numpy_integer_n(self):
+        opt = MmaOptimizer(np.int64(3))
+        assert opt.n == 3 and type(opt.n) is int
+
     def test_error_type_is_numerical(self):
         from igtop.errors import NumericalError
         assert issubclass(MmaStepError, NumericalError)

@@ -100,7 +100,7 @@ class TestJacobianDerivatives:
             djac = jacobian_derivative(vertex, comp)
             moved = dataclasses.replace(ie, coords=coords, area=0.5 * float(
                 cross2(coords[1] - coords[0], coords[2] - coords[0])))
-            geom = dataclasses.replace(cut_triangle, tiles=moved).geometry()
+            geom = dataclasses.replace(cut_triangle, tiles=moved).geometry
 
             cp, cm = coords.copy(), coords.copy()
             cp[vertex, comp] += h
@@ -424,10 +424,10 @@ class TestStackedOperators:
         operators = {
             "tri_jacobian": lambda m: tri_jacobian(m.tiles.coords),
             "adj2": lambda m: adj2(tri_jacobian(m.tiles.coords)),
-            "ddet": lambda m: m.geometry().ddet,
-            "build_b": lambda m: build_b(m.geometry().grads, d),
-            "gradients": lambda m: m.geometry().grads,
-            "hats": lambda m: m.geometry().hats,
+            "ddet": lambda m: m.geometry.ddet,
+            "build_b": lambda m: build_b(m.geometry.grads, d),
+            "gradients": lambda m: m.geometry.grads,
+            "hats": lambda m: m.geometry.hats,
             "stiffness": lambda m: integration_element_stiffness(m, pair),
             "stiffness longdouble": lambda m: integration_element_stiffness(
                 m, pair, np.longdouble),

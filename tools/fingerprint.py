@@ -15,6 +15,13 @@ centers, the fitted initial design, and a keyless ``solve_system`` of the
 initial design's K with its fixed dofs: the reverse Cuthill-McKee order of
 the free block, which no workload runs. Two checkouts that print the same
 digests computed the same bits. The benchmark is imported, not changed.
+
+The five digests of float64 paths (the four workloads and ``setup``) read
+cantilever 5752d20b..., mbb c65a39ff..., heat_sink 14d5fc9f..., gradcheck
+e9ccc736... and setup c1ba952f...; a change that keeps float64 results
+must not move them. The two longdouble checks read compliance_check
+f6320e33... and heat_sink_compliance_check 3eedd97b..., both at one BLAS
+thread, since the longdouble assembly casts the float64 tile geometry.
 """
 
 from __future__ import annotations
