@@ -8,13 +8,13 @@ mesh/grid pairing and reused for both field values and design derivatives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, finite_number
 from .fem import solve_system
 from .mesh import structured_grid
 
@@ -53,6 +53,22 @@ class RbfGrid:
     centers: np.ndarray
     support_radius: float
 
+    def __post_init__(self):
+        problems = []
+        c = self.centers
+        if not (isinstance(c, np.ndarray) and c.dtype.kind in "iuf"
+                and c.ndim == 2 and c.shape[0] >= 1 and c.shape[1] == 2
+                and np.all(np.isfinite(c))):
+            problems.append(
+                f"centers must be a finite real array of shape (n, 2) with "
+                f"n >= 1, got {getattr(c, 'shape', type(c).__name__)}")
+        if not (finite_number(numbers.Real, self.support_radius)
+                and self.support_radius > 0.0):
+            problems.append(f"support radius must be a finite number > 0, "
+                            f"got {self.support_radius!r}")
+        if problems:
+            raise ConfigError(problems)
+
     @property
     def n_centers(self) -> int:
         return self.centers.shape[0]
@@ -72,14 +88,50 @@ class RbfGrid:
 def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:
     """Kernel matrix with entry (j, i) = theta_i(points[j]).
 
-    Shape (n_points, n_centers), from the KD-tree pair distances as COO,
-    whose CSR form keeps a point on a center (distance 0) and sorts rows.
-    Centers beyond the support radius of a point contribute structural
-    zeros; centers exactly on the boundary keep a stored zero entry.
+    Shape (n_points, n_centers). The pairs within reach (the support radius
+    with its slack) come from a cell list: the centers sorted by square
+    cell, x-major, so that a point's candidates are three runs of them (the
+    cell column through its own cell and the two beside it, three rows
+    each). Two empty cells pad the grid on every side and each point's cell
+    is clipped into it, so a point far outside meets only centers that the
+    distance test drops. The COO-to-CSR conversion keeps a point on a
+    center (distance 0) and sorts rows. Centers beyond the support radius
+    of a point contribute structural zeros; centers exactly on the boundary
+    keep a stored zero entry.
+
+    Raises
+    ------
+    ValueError
+        If ``points`` is not a finite array of shape (m, 2).
     """
-    theta = cKDTree(np.asarray(points, dtype=float)).sparse_distance_matrix(
-        cKDTree(grid.centers), grid.support_radius * _SUPPORT_SLACK,
-        output_type="coo_matrix").tocsr()
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (m, 2), got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points must be finite")
+    centers, reach = grid.centers, grid.support_radius * _SUPPORT_SLACK
+    lo = centers.min(axis=0)
+    # wider cells only if 2^20 cannot span the centers: keys fit int64
+    side = max(reach, float(np.ptp(centers, axis=0).max()) / 2.0 ** 20)
+    cells = np.floor((centers - lo) / side).astype(np.int64) + 2
+    shape = cells.max(axis=0) + 5
+    keys = cells[:, 0] * shape[1] + cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    own = np.clip(np.floor((points - lo) / side) + 2, 1,
+                  shape - 2).astype(np.int64)
+    first = ((own[:, :1] + np.arange(-1, 2)) * shape[1]
+             + own[:, 1:] - 1).ravel()
+    begin = np.searchsorted(keys, first)
+    count = np.searchsorted(keys, first + 3) - begin
+    cols = order[np.arange(count.sum())
+                 + np.repeat(begin - np.cumsum(count) + count, count)]
+    rows = np.repeat(np.arange(len(points)), count.reshape(-1, 3).sum(axis=1))
+    d = points.take(rows, axis=0) - centers.take(cols, axis=0)
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    near = dist <= reach
+    theta = sparse.coo_matrix((dist[near], (rows[near], cols[near])),
+                              shape=(len(points), grid.n_centers)).tocsr()
     rnorm = theta.data / grid.support_radius
     rnorm[rnorm >= 1.0 - 1e-12] = 1.0  # boundary-of-support entries store 0.0
     theta.data = wendland(rnorm)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from igtop.driver import BUILTIN_PROBLEMS
@@ -65,6 +65,33 @@ class TestRbfGrid:
             RbfGrid.structured(2.0, 1.0, 1, 11)
         with pytest.raises(ConfigError):
             RbfGrid.structured(-2.0, 1.0, 21, 11)
+
+    @pytest.mark.parametrize("centers, radius", [
+        (None, np.inf), (None, 0.0), (None, np.nan), (None, True),
+        (None, "0.5"), ("nan", 0.7), (np.zeros((3, 3)), 0.7),
+        (np.zeros((0, 2)), 0.7),
+    ], ids=["inf", "zero", "nan", "bool", "string", "nan-center",
+            "three-coordinates", "no-centers"])
+    def test_refuses_what_the_kernel_matrix_cannot_serve(self, centers,
+                                                          radius):
+        # an infinite radius would build a kernel matrix of all ones, a zero
+        # or NaN radius an empty one; a center the cell list cannot bin, or
+        # no center at all, has no kernel matrix either
+        base = RbfGrid.structured(2.0, 1.0, 5, 3).centers
+        if centers is None:
+            centers = base
+        elif isinstance(centers, str):
+            centers = base.copy()
+            centers[4, 1] = np.nan
+        with pytest.raises(ConfigError):
+            RbfGrid(centers=centers, support_radius=radius)
+
+    def test_reports_every_problem_at_once(self):
+        with pytest.raises(ConfigError) as err:
+            RbfGrid(centers=np.zeros((3, 3)), support_radius=-1.0)
+        assert len(err.value.problems) == 2
+        assert "shape (n, 2)" in err.value.problems[0]
+        assert "support radius" in err.value.problems[1]
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +173,98 @@ def test_theta_equals_the_dense_kernel_matrix(nx, ny, width, aspect, picks):
     rnorm[rnorm >= 1.0 - 1e-12] = 1.0
     theta = build_theta(grid, points)
     assert theta.shape == (len(points), grid.n_centers)
+    assert theta.has_sorted_indices
+    np.testing.assert_array_equal(
+        theta.indptr, np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))
+    np.testing.assert_array_equal(theta.indices, np.nonzero(keep)[1])
+    assert theta.data.tobytes() == wendland(rnorm).tobytes()
+
+
+@pytest.mark.parametrize("points", [
+    [[0.5, 0.5], [np.nan, 0.5]], [[0.5, np.inf]], np.zeros((2, 3)),
+    np.zeros(2), np.zeros((0, 2)),
+], ids=["nan", "inf", "three-coordinates", "one-dimensional", "no-points"])
+def test_build_theta_refuses_points_it_cannot_place(points):
+    # a point that is not finite or not planar has no cell; no points give
+    # an empty kernel matrix, which the heat sink's load cover relies on
+    grid = RbfGrid.structured(2.0, 1.0, 5, 3)
+    if len(np.shape(points)) == 2 and np.shape(points)[0] == 0:
+        theta = build_theta(grid, points)
+        assert theta.shape == (0, grid.n_centers) and theta.nnz == 0
+    else:
+        with pytest.raises(ValueError):
+            build_theta(grid, points)
+
+
+def test_theta_for_a_radius_far_below_the_center_spread():
+    # cells one radius wide would number 1e100 per axis here, beyond int64
+    grid = RbfGrid(centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                   support_radius=1e-100)
+    theta = build_theta(grid, np.array([[5e-101, 0.0], [1.0, 1.0],
+                                        [0.5, 0.5]]))
+    assert theta.toarray().tolist() == [[0.1875, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+
+@st.composite
+def center_sets(draw):
+    """Finite centers drawn anywhere in a box: a single one, some
+    duplicated, or all on one horizontal or vertical line."""
+    coord = st.floats(min_value=-5.0, max_value=5.0)
+    centers = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1,
+                                     max_size=30)))
+    layout = draw(st.sampled_from(["free", "duplicates", "row", "column"]))
+    if layout == "duplicates":
+        picks = draw(st.lists(st.integers(0, len(centers) - 1), min_size=1,
+                              max_size=5))
+        centers = np.concatenate([centers, centers[picks]])
+    elif layout != "free":
+        centers[:, int(layout == "column")] = centers[0, int(layout ==
+                                                             "column")]
+    return centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(centers=center_sets(),
+       scale=st.floats(min_value=0.05, max_value=3.0),
+       picks=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                                st.sampled_from(["on", "right", "up", "around",
+                                                 "free", "far"]),
+                                st.floats(min_value=0.0, max_value=1.0),
+                                st.floats(min_value=0.0, max_value=1.0)),
+                      min_size=1, max_size=12))
+def test_theta_equals_the_dense_kernel_matrix_for_any_centers(centers, scale,
+                                                              picks):
+    # the radius is 0.05 to 3 mean spacings, the square root of the centers'
+    # bounding-box area per center (their extent per center on a line, 1
+    # for a single point); points lie on a center, one radius from one
+    # (along an axis, or at an angle), anywhere around the centers, or far
+    # outside them. Below a radius of about 1e-154 the reference's squared
+    # distances underflow, so that centers 1e-244 apart read as coincident,
+    # which binning by coordinates does not follow; no such radius is drawn
+    lo, span = centers.min(axis=0), np.ptp(centers, axis=0)
+    n = len(centers)
+    spacing = (np.sqrt(span[0] / n) * np.sqrt(span[1]) if span.min() > 0.0
+               else span.max() / n if span.max() > 0.0 else 1.0)
+    assume(scale * spacing > 1e-150)
+    grid = RbfGrid(centers=centers, support_radius=scale * spacing)
+    r = grid.support_radius
+    box = span + 2.0 * r
+
+    def point(i, kind, u, v):
+        c, uv = centers[i % n], np.array([u, v])
+        angle = 2.0 * np.pi * u
+        return {"on": c, "right": c + (r, 0.0), "up": c + (0.0, r),
+                "around": c + r * np.array([np.cos(angle), np.sin(angle)]),
+                "free": lo - r + uv * box,
+                "far": lo + (uv - 0.5) * 1e3 * box}[kind]
+
+    points = np.array([point(*pick) for pick in picks])
+    dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+    keep = dist <= r * _SUPPORT_SLACK
+    rnorm = dist[keep] / r
+    rnorm[rnorm >= 1.0 - 1e-12] = 1.0
+    theta = build_theta(grid, points)
+    assert theta.shape == (len(points), n)
     assert theta.has_sorted_indices
     np.testing.assert_array_equal(
         theta.indptr, np.concatenate([[0], np.cumsum(keep.sum(axis=1))]))

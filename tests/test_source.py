@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -159,6 +162,28 @@ def test_no_module_imports_scipy_optimize():
     # about 10 MB to a run's peak resident memory
     found = imports_from("scipy.optimize")
     assert not found, f"imports from scipy.optimize: {found}"
+
+
+def test_no_module_imports_scipy_spatial():
+    # the kernel matrix's pair search is a numpy cell list: importing
+    # scipy.spatial, which loads scipy.special too, adds about 7.5 MB to a
+    # run's peak resident memory (59.9 -> 67.5 MB after numpy and the three
+    # scipy modules the package uses) and 110 ms of import
+    found = imports_from("scipy.spatial")
+    assert not found, f"imports from scipy.spatial: {found}"
+
+
+def test_import_loads_no_scipy_spatial_or_special():
+    # catches an import through another module, which the static check
+    # above cannot see
+    code = ("import sys, igtop, igtop.cli; "
+            "print(sorted({'scipy.spatial', 'scipy.special'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", f"import igtop loads {out.strip()}"
 
 
 def test_only_fem_orders_the_dofs():
