@@ -191,8 +191,9 @@ class Assembler:
         b_all = build_b(mesh.hat_gradients.astype(dtype, copy=False), d)
         k_unit = np.einsum("eia,ij,ejb->eab", b_all,
                            pair.physics.d_unit().astype(dtype), b_all,
-                           optimize=True) \
-            * mesh.areas.astype(dtype)[:, None, None]
+                           optimize=True)
+        del b_all
+        k_unit *= mesh.areas.astype(dtype)[:, None, None]
         self._elem_dofs = node_dofs(mesh.elements.ravel(), d).reshape(ne, 3 * d)
 
         # the node pairs of all elements as a block matrix of d x d blocks;
@@ -215,16 +216,19 @@ class Assembler:
         where = np.empty(pattern.nnz, dtype=np.int32)
         where[pattern.data.astype(np.int64) - 1] = np.arange(pattern.nnz)
         self._indices, self._indptr = pattern.indices, pattern.indptr
-        # column e of the map takes the modulus of element e to the pattern
-        datum = np.repeat(np.repeat(d * d * pair_of.reshape(ne, 3, 3), d,
-                                    axis=2), d, axis=1)
-        comp = np.tile(np.arange(d), 3)
-        nz = np.flatnonzero(k_unit.ravel() != 0.0)
+        del pattern
+        # column e of the map takes the modulus of element e to the pattern:
+        # entry (d i + c1, d j + c2) of its block goes to datum (q, c1, c2)
+        # of its node pair q = pair_of (e, i, j)
+        keep = k_unit.reshape(-1) != 0.0
+        data = k_unit.reshape(-1)[keep]
+        del k_unit
+        at = where.reshape(-1, d, d).take(pair_of.reshape(ne, 3, 3), axis=0) \
+            .transpose(0, 1, 3, 2, 4).reshape(-1)[keep]
         self._map = sparse.csc_matrix(
-            (k_unit.ravel()[nz],
-             where[(datum + (d * comp[:, None] + comp)).ravel()[nz]],
-             np.searchsorted(nz, np.arange(0, k_unit.size + 1, 9 * d * d))),
-            shape=(pattern.nnz, ne))
+            (data, at, np.concatenate([[0], np.cumsum(
+                keep.reshape(ne, -1).sum(axis=1, dtype=np.int64))])),
+            shape=(where.size, ne))
 
         self._f_base = np.zeros(d * n, dtype=dtype)
         for node, comp, value in loads.point_loads:

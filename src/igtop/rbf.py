@@ -62,10 +62,11 @@ class RbfGrid:
             problems.append(
                 f"centers must be a finite real array of shape (n, 2) with "
                 f"n >= 1, got {getattr(c, 'shape', type(c).__name__)}")
+        # squared distances within a few radii stay normal floats
         if not (finite_number(numbers.Real, self.support_radius)
-                and self.support_radius > 0.0):
-            problems.append(f"support radius must be a finite number > 0, "
-                            f"got {self.support_radius!r}")
+                and 1e-150 <= self.support_radius <= 1e150):
+            problems.append(f"support radius must be a finite number in "
+                            f"[1e-150, 1e150], got {self.support_radius!r}")
         if problems:
             raise ConfigError(problems)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,83 @@ class TestCachedPattern:
         size = coo_reference(asm, model, absolute=True)
         assert np.all(err.data <= 1e-15 * np.asarray(
             size[err.row, err.col]).ravel())
+
+
+def jittered_mesh(seed):
+    """A structured mesh with half its interior nodes moved by up to 20% of
+    the spacing, so that some elements keep the zeros of a right triangle's
+    stiffness and others have none, and its element rows shuffled."""
+    rng = np.random.default_rng(seed)
+    mesh = structured_grid(2.0, 1.0, 9, 6)
+    interior = np.setdiff1d(np.arange(mesh.n_nodes),
+                            np.concatenate(list(mesh.boundary.values())))
+    moved = interior[rng.random(interior.size) < 0.5]
+    nodes = mesh.nodes.copy()
+    nodes[moved] += rng.uniform(-0.2, 0.2, (moved.size, 2)) * (0.25, 0.2)
+    return Mesh(nodes=nodes,
+                elements=mesh.elements[rng.permutation(mesh.n_elements)],
+                boundary=mesh.boundary)
+
+
+def same_bits(x, y):
+    """Equal dtype, values and signs: the bits of every number. A longdouble
+    array's storage also holds padding bytes that no computation defines,
+    so its bytes are not compared."""
+    return x.dtype == y.dtype and np.array_equal(x, y) \
+        and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestElementMap:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("physics", [Conduction(), PlaneStressElastic(0.3)],
+                             ids=["conduction", "elastic"])
+    def test_equals_the_sum_of_the_scaled_element_blocks(self, physics,
+                                                         dtype):
+        mesh = jittered_mesh(3)
+        pair = MaterialPair(physics, 1.0, 1e-3)
+        asm = Assembler(mesh, pair, LoadCase(), dtype=dtype)
+        d, ne = pair.field_dim, mesh.n_elements
+        ndof = d * mesh.n_nodes
+        # the pattern: the canonical CSR of all element dof pairs
+        dofs = node_dofs(mesh.elements.ravel(), d).reshape(ne, 3 * d)
+        rows = np.repeat(dofs, 3 * d, axis=1).ravel()
+        cols = np.tile(dofs, 3 * d).ravel()
+        pattern = sparse.coo_matrix((np.ones(rows.size), (rows, cols)),
+                                    shape=(ndof, ndof)).tocsr()
+        pattern.sum_duplicates()
+        np.testing.assert_array_equal(asm._indices, pattern.indices)
+        np.testing.assert_array_equal(asm._indptr, pattern.indptr)
+        # the element stiffness as the assembler computes it, each block
+        # summed in ascending element order at its pattern position
+        b = build_b(mesh.hat_gradients.astype(dtype), d)
+        k_unit = np.einsum("eia,ij,ejb->eab", b,
+                           physics.d_unit().astype(dtype), b, optimize=True) \
+            * mesh.areas.astype(dtype)[:, None, None]
+        keys = np.repeat(np.arange(ndof), np.diff(pattern.indptr)) * ndof \
+            + pattern.indices
+        at = np.searchsorted(keys, rows * ndof + cols)
+        factor = np.random.default_rng(5).uniform(1e-3, 1.0, ne).astype(dtype)
+        expected = np.zeros(pattern.nnz, dtype=dtype)
+        np.add.at(expected, at, (k_unit * factor[:, None, None]).ravel())
+        assert same_bits(asm._map @ factor, expected)
+        assert np.count_nonzero(asm._map.data) == asm._map.nnz
+        # both kinds of element: with and without stiffness zeros
+        assert 0 < np.count_nonzero(k_unit == 0.0) < k_unit.size / 10
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_set_up_peaks_at_most_three_times_what_it_keeps(self, dtype):
+        problem = mbb(61, 21, rbf_nx=25, rbf_ny=9)
+        mesh = problem.build_mesh()
+        loads = problem.build_loads(mesh)
+        mesh.areas, mesh.hat_gradients  # the mesh's, not the assembler's
+        tracemalloc.start()
+        try:
+            asm = Assembler(mesh, problem.pair, loads, dtype=dtype)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert asm._map.nnz > 0
+        assert peak <= 3 * kept
 
 
 def reference_band_order(mesh, model, field_dim):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igtop.driver import BUILTIN_PROBLEMS
@@ -70,13 +70,19 @@ class TestRbfGrid:
         (None, np.inf), (None, 0.0), (None, np.nan), (None, True),
         (None, "0.5"), ("nan", 0.7), (np.zeros((3, 3)), 0.7),
         (np.zeros((0, 2)), 0.7),
+        (np.array([[0.0, 0.0], [1.5e-200, 0.0]]), 1e-200),
+        (np.array([[0.0, 0.0], [0.5e160, 0.0]]), 1e160),
     ], ids=["inf", "zero", "nan", "bool", "string", "nan-center",
-            "three-coordinates", "no-centers"])
+            "three-coordinates", "no-centers", "underflowing-radius",
+            "overflowing-radius"])
     def test_refuses_what_the_kernel_matrix_cannot_serve(self, centers,
                                                           radius):
         # an infinite radius would build a kernel matrix of all ones, a zero
         # or NaN radius an empty one; a center the cell list cannot bin, or
-        # no center at all, has no kernel matrix either
+        # no center at all, has no kernel matrix either. Below a radius of
+        # 1e-150 squared distances underflow (centers 1.5 radii apart got a
+        # kernel value of 1), above 1e150 they overflow (centers half a
+        # radius apart got 0)
         base = RbfGrid.structured(2.0, 1.0, 5, 3).centers
         if centers is None:
             centers = base
@@ -238,14 +244,16 @@ def test_theta_equals_the_dense_kernel_matrix_for_any_centers(centers, scale,
     # bounding-box area per center (their extent per center on a line, 1
     # for a single point); points lie on a center, one radius from one
     # (along an axis, or at an angle), anywhere around the centers, or far
-    # outside them. Below a radius of about 1e-154 the reference's squared
-    # distances underflow, so that centers 1e-244 apart read as coincident,
-    # which binning by coordinates does not follow; no such radius is drawn
+    # outside them. Below a radius of 1e-150 squared distances could
+    # underflow, so such a grid is refused
     lo, span = centers.min(axis=0), np.ptp(centers, axis=0)
     n = len(centers)
     spacing = (np.sqrt(span[0] / n) * np.sqrt(span[1]) if span.min() > 0.0
                else span.max() / n if span.max() > 0.0 else 1.0)
-    assume(scale * spacing > 1e-150)
+    if scale * spacing < 1e-150:
+        with pytest.raises(ConfigError):
+            RbfGrid(centers=centers, support_radius=scale * spacing)
+        return
     grid = RbfGrid(centers=centers, support_radius=scale * spacing)
     r = grid.support_radius
     box = span + 2.0 * r
