@@ -80,9 +80,9 @@ class TestRbfGrid:
         # an infinite radius would build a kernel matrix of all ones, a zero
         # or NaN radius an empty one; a center the cell list cannot bin, or
         # no center at all, has no kernel matrix either. Below a radius of
-        # 1e-150 squared distances underflow (centers 1.5 radii apart got a
-        # kernel value of 1), above 1e150 they overflow (centers half a
-        # radius apart got 0)
+        # 1e-150 squared distances underflow (centers 1.5 radii apart would
+        # get a kernel value of 1), above 1e150 they overflow (centers half
+        # a radius apart would get 0)
         base = RbfGrid.structured(2.0, 1.0, 5, 3).centers
         if centers is None:
             centers = base
