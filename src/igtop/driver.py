@@ -321,11 +321,14 @@ class _Workspace:
                                f"{np.flatnonzero(~np.isfinite(design))[0]}"])
         return design
 
+    def levelset(self, design: np.ndarray) -> np.ndarray:
+        """Snapped nodal levelset of one design."""
+        self.field.update_design(design)
+        return snap_nodal_levelset(self.field.nodal_values)
+
     def model(self, design: np.ndarray) -> EnrichedModel:
         """Enriched model of one design."""
-        self.field.update_design(design)
-        phi = snap_nodal_levelset(self.field.nodal_values)
-        return build_enriched_model(self.mesh, phi)
+        return build_enriched_model(self.mesh, self.levelset(design))
 
     def analyze(self, design: np.ndarray):
         """Solve the state problem for one design. Returns
@@ -413,14 +416,24 @@ class GradientCheckRow:
     topology_event: bool
 
 
-def _cut_topology(model: EnrichedModel) -> tuple:
-    """Discrete structure of the cut: which edges are crossed and how each
-    cut parent is tiled. The objective is smooth only while this is fixed;
-    shortest-diagonal ties flip the tiling under arbitrarily small design
-    perturbations even when the cut-edge set is unchanged."""
-    t = model.tiles
-    return (model.enr_edges.tobytes(), t.parent.tobytes(),
-            t.vertex_ids.tobytes(), t.material.tobytes())
+def _cut_topology(model: EnrichedModel, parents=None) -> tuple:
+    """Discrete structure of the cut in the elements of ``model.mesh``
+    that the boolean mask ``parents`` selects (all when None): each tile of
+    a cut parent, named by the parent's nodes, its vertices (a node, or
+    the cut edge (j, k) of an enriched node) and its phase. The objective
+    is smooth only while this is fixed; shortest-diagonal ties flip the
+    tiling under arbitrarily small design perturbations even when the
+    cut-edge set is unchanged. No name depends on the mesh's other
+    elements, so the model of a sub-mesh compares with a whole-mesh model
+    restricted to the same elements."""
+    t, n = model.tiles, model.mesh.n_nodes
+    keep = slice(None) if parents is None else parents.take(t.parent)
+    ids = t.vertex_ids[keep]
+    names = np.stack([ids, np.full_like(ids, -1)], axis=-1)
+    enriched = ids >= n
+    names[enriched] = model.enr_edges[ids[enriched] - n]
+    return (model.mesh.elements.take(t.parent[keep], axis=0).tobytes(),
+            names.tobytes(), t.material[keep].tobytes())
 
 
 def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
@@ -432,6 +445,12 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     or the material volume (each probe only rebuilds the cut geometry).
     Compliance probes assemble and solve in longdouble, so that float64
     rounding does not swamp the quotients; the analytic side stays float64.
+    A volume probe tiles only the patch: the elements that touch a node
+    whose snapped levelset differs from the base design's at s + h or
+    s - h. Every other element keeps its snapped values, hence its tiles
+    and areas, bit for bit, so the difference of the two patch volumes is
+    the difference of the whole volumes without their cancellation against
+    the rest of the domain.
     Rows where the perturbation changes the cut's discrete structure (the
     set of cut edges, or the tiling of a cut parent) are flagged as
     topology events: there the objective is only piecewise smooth and the
@@ -454,18 +473,29 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
     model0, u0, f0, c0, vol0 = ws.analyze(s0)
     dc, dv = ws.gradients(model0, u0)
     grad, ref = (dc, c0) if quantity == "compliance" else (dv, vol0)
-    topo0 = _cut_topology(model0)
     if quantity == "compliance":
         ws.assembler = Assembler(ws.mesh, problem.pair, ws.loads,
                                  dtype=np.longdouble)
+        topo0 = _cut_topology(model0)
 
-    def probe(s):
+    def probes(sp, sm):
+        """(value at sp, value at sm, whether the cut topology moved)."""
         if quantity == "compliance":
-            model, _, _, value, _ = ws.analyze(s)
+            (model_p, _, _, vp, _), (model_m, _, _, vm, _) = \
+                ws.analyze(sp), ws.analyze(sm)
+            before = topo0
         else:
-            model = ws.model(s)
-            value = model.material_volume()
-        return model, value
+            phi_p, phi_m = ws.levelset(sp), ws.levelset(sm)
+            moved = (phi_p != model0.phi) | (phi_m != model0.phi)
+            touched = moved.take(ws.mesh.elements).any(axis=1)
+            sub = Mesh(nodes=ws.mesh.nodes,
+                       elements=ws.mesh.elements.compress(touched, axis=0))
+            model_p = build_enriched_model(sub, phi_p)
+            model_m = build_enriched_model(sub, phi_m)
+            vp, vm = model_p.material_volume(), model_m.material_volume()
+            before = _cut_topology(model0, touched)
+        return vp, vm, (_cut_topology(model_p) != before
+                        or _cut_topology(model_m) != before)
 
     rng = np.random.default_rng(seed)
     n = ws.grid.n_centers
@@ -475,11 +505,8 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         sp, sm = s0.copy(), s0.copy()
         sp[i] += h
         sm[i] -= h
-        model_p, vp = probe(sp)
-        model_m, vm = probe(sm)
+        vp, vm, topo = probes(sp, sm)
         fd = (vp - vm) / (2.0 * h)
-        topo = (_cut_topology(model_p) != topo0
-                or _cut_topology(model_m) != topo0)
         scale = max(abs(grad[i]), abs(fd), 1e-6 * abs(ref))
         rows.append(GradientCheckRow(i, float(grad[i]), float(fd),
                                      float(abs(grad[i] - fd) / scale), topo))

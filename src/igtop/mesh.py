@@ -83,7 +83,7 @@ class Mesh:
     @cached_property
     def areas(self) -> np.ndarray:
         """Element areas, shape (n_elements,). All positive for CCW elements."""
-        x = self.nodes[self.elements]
+        x = self.nodes.take(self.elements, axis=0)
         d = cross2(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
         return 0.5 * d
 
@@ -94,7 +94,7 @@ class Mesh:
         Returns shape (n_elements, 3, 2); row i holds grad(N_i), constant on
         the element.
         """
-        return cofactor_hat_gradients(self.nodes[self.elements])
+        return cofactor_hat_gradients(self.nodes.take(self.elements, axis=0))
 
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""

@@ -54,9 +54,10 @@ def _to_nodes(model: EnrichedModel, dx: np.ndarray) -> np.ndarray:
     pj, pk = model.phi[j], model.phi[k]
     wj = _dot(per_slot, design_velocity(xj, xk, pj, pk))
     wk = _dot(per_slot, design_velocity(xk, xj, pk, pj))
-    out = np.zeros(model.mesh.n_nodes)
-    np.add.at(out, edges.ravel(), np.stack([wj, wk], axis=-1).ravel())
-    return out
+    w = np.stack([wj, wk], axis=-1)
+    # float even without a cut edge, where bincount gives integer zeros
+    return np.bincount(edges.ravel(), weights=w.ravel(),
+                       minlength=model.mesh.n_nodes).astype(float, copy=False)
 
 
 def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,

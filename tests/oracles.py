@@ -22,6 +22,10 @@ the point loads it is consistent with. :func:`conforming_system` and
 :func:`conforming_map` are standard finite elements on the matching mesh
 of a model, the reference of the paper's claim that IGFEM is as accurate
 as a conforming mesh without remeshing.
+
+:func:`whole_mesh_volume_check` is the volume gradient check as it was
+before its probes tiled only the elements their kernel moves: every probe
+tiles the whole mesh, and the flags compare whole-mesh cut topologies.
 """
 
 import dataclasses
@@ -29,8 +33,10 @@ import dataclasses
 import numpy as np
 from scipy import sparse
 
+from igtop.driver import GradientCheckRow, _Workspace
 from igtop.enrich import (CUT, MATERIAL, VOID, EnrichedModel,
                           IntegrationElement, intersect_edge)
+from igtop import sensitivity
 from igtop.fem import build_b, node_dofs
 from igtop.mesh import (DL, adj2, cofactor_hat_gradients, cross2,
                         tri_jacobian)
@@ -262,3 +268,37 @@ def conforming_map(model, field_dim: int) -> sparse.csr_matrix:
     vals = np.concatenate([np.ones(n), 1.0 - t, t, np.ones(m)])
     nodal = sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, n + m))
     return sparse.kron(nodal, sparse.identity(field_dim), format="csr")
+
+
+def whole_mesh_volume_check(problem, design=None, n_sample=50, h=1e-6,
+                            seed=0) -> list:
+    """The rows of ``check_gradients(problem, quantity="volume")`` from
+    whole-mesh probes: each quotient is the difference of the two whole
+    material volumes, and a row is a topology event when the cut edges or
+    any tile (its parent, vertices or phase) differ from the base model's."""
+    def topology(model):
+        t = model.tiles
+        return (model.enr_edges.tobytes(), t.parent.tobytes(),
+                t.vertex_ids.tobytes(), t.material.tobytes())
+
+    ws = _Workspace(problem)
+    s0 = ws.design(design)
+    model0 = ws.model(s0)
+    grad = sensitivity.volume_gradient(model0, ws.field)
+    ref = model0.material_volume()
+    rng = np.random.default_rng(seed)
+    n = ws.grid.n_centers
+    rows = []
+    for i in sorted(int(i) for i in rng.choice(n, size=min(n_sample, n),
+                                               replace=False)):
+        sp, sm = s0.copy(), s0.copy()
+        sp[i] += h
+        sm[i] -= h
+        model_p, model_m = ws.model(sp), ws.model(sm)
+        fd = (model_p.material_volume() - model_m.material_volume()) / (2 * h)
+        topo = topology(model_p) != topology(model0) \
+            or topology(model_m) != topology(model0)
+        scale = max(abs(grad[i]), abs(fd), 1e-6 * abs(ref))
+        rows.append(GradientCheckRow(i, float(grad[i]), float(fd),
+                                     float(abs(grad[i] - fd) / scale), topo))
+    return rows

@@ -3,6 +3,7 @@ benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,7 @@ def test_no_gain_with_more_failed_operations():
     assert {s["verdict"] for s in summary["w"].values()} == {"better"}
 
 
-def test_main_writes_the_record(tmp_path, monkeypatch):
+def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     trees = []
     for side in ("a", "b"):
         tree = tmp_path / side
@@ -98,20 +99,48 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
     (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     seen = []
 
-    def fake(tree, workload, seconds):
+    def fake(tree, workload, seconds, trace=0):
         # each side runs from a fresh copy of its own tree, without output
         seen.append(((tree / "marker").read_text(), tree.name, workload,
-                     seconds, (tree / "benchmarks" / "out").exists()))
-        return result({"a": 10.0, "b": 9.0}[tree.name])
+                     seconds, trace, (tree / "benchmarks" / "out").exists()))
+        out = result({"a": 10.0, "b": 9.0}[tree.name])
+        if trace:
+            out["metrics"] = {"enrich.build.p50_s": {
+                "value": {"a": 2e-4, "b": 1e-4}[tree.name], "unit": "s"}}
+        return out
 
     monkeypatch.setattr(bench_pairs, "ROOT", root)
     monkeypatch.setattr(bench_pairs, "run_benchmark", fake)
     assert bench_pairs.main(["--tag", "t", "--pairs", "2", "--workload",
                              "mbb", str(trees[0]), str(trees[1])]) == 0
-    assert seen == [("a", "a", "mbb", 15, False), ("b", "b", "mbb", 15, False),
-                    ("b", "b", "mbb", 15, False), ("a", "a", "mbb", 15, False)]
+    # the pairs alternate untraced; then one traced run per side
+    assert seen == [("a", "a", "mbb", 15, 0, False),
+                    ("b", "b", "mbb", 15, 0, False),
+                    ("b", "b", "mbb", 15, 0, False),
+                    ("a", "a", "mbb", 15, 0, False),
+                    ("a", "a", "mbb", 15, 1, False),
+                    ("b", "b", "mbb", 15, 1, False)]
     record = json.loads((root / "BENCH_t.json").read_text())
     assert {"a", "b", "nproc", "blas_threads", "python", "numpy", "scipy",
-            "run_seconds", "runs", "summary"} <= set(record)
+            "run_seconds", "runs", "summary", "traced"} <= set(record)
     assert record["run_seconds"] == 15 and len(record["runs"]["mbb"]) == 2
     assert record["summary"]["mbb"]["peak_rss_mb"]["wins"] == 2
+    layers = {side: record["traced"]["mbb"][side]["metrics"]
+              ["enrich.build.p50_s"]["value"] for side in "AB"}
+    assert layers == {"A": 2e-4, "B": 1e-4}
+    assert "enrich.build.p50_s" in capsys.readouterr().out
+
+
+def test_run_benchmark_passes_the_trace_flag(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout='x\n{"correct": '
+                                           'true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_benchmark(tmp_path, "mbb", 15) == {"correct": True}
+    assert bench_pairs.run_benchmark(tmp_path, "mbb", 15, trace=1) == \
+        {"correct": True}
+    assert [c[c.index("--trace") + 1] for c in calls] == ["0", "1"]

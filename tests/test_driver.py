@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from igtop import driver
 from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
                           _Workspace, analyze, cantilever, check_gradients,
                           get_problem, heat_sink, mbb, run)
@@ -545,6 +547,78 @@ class TestGradientCheck:
             clean = [r for r in rows if not r.topology_event]
             good = sum(r.rel_err <= 1e-3 for r in clean)
             assert good >= 0.95 * len(clean), (name, good, len(clean))
+
+    @pytest.mark.parametrize("name, data", [
+        ("cantilever", None), ("heat_sink", None),
+        ("cantilever", "cantilever_iter80.txt"),
+        ("heat_sink", "heat_sink_iter40.txt")])
+    def test_volume_probes_match_whole_mesh_probes(self, name, data):
+        # tiling the patch alone flags the rows that whole-mesh probes flag,
+        # and its quotients differ from theirs only by the whole volume's
+        # rounding, eps times the domain, over h
+        problem = get_problem(name)
+        design = None if data is None else np.loadtxt(DATA / data)
+        h = 1e-6
+        rows = check_gradients(problem, design=design, h=h,
+                               quantity="volume")
+        whole = oracles.whole_mesh_volume_check(problem, design, h=h)
+        assert [r.index for r in rows] == [r.index for r in whole]
+        assert [r.analytic for r in rows] == [r.analytic for r in whole]
+        assert [r.topology_event for r in rows] == \
+            [r.topology_event for r in whole]
+        tol = 4 * np.finfo(float).eps * problem.width * problem.height / h
+        for r, w in zip(rows, whole):
+            assert abs(r.fd - w.fd) <= tol, (r.index, r.fd, w.fd)
+
+    @staticmethod
+    def tiled_meshes(monkeypatch) -> list:
+        """The meshes that the driver tiles from now on, in call order."""
+        meshes = []
+        build = driver.build_enriched_model
+        monkeypatch.setattr(driver, "build_enriched_model",
+                            lambda mesh, phi: meshes.append(mesh)
+                            or build(mesh, phi))
+        return meshes
+
+    def test_a_moved_snap_threshold_joins_the_patch(self, monkeypatch):
+        # node k, outside kernel i's support, sits below the snap threshold
+        # 1e-10 max|phi|, and kernel i holds the largest |phi| at node m:
+        # probing s_i moves the threshold, hence k's snapped value
+        problem = small_cantilever()
+        ws = _Workspace(problem)
+        theta = ws.field.theta.toarray()
+        s = ws.design()
+        phi = theta @ s
+        m = int(np.argmax(np.abs(phi)))
+        i = int(np.argmax(theta[m]))
+        k = j = 0
+        assert theta[k, i] == 0.0 and theta[m, j] == 0.0 < theta[k, j]
+        s[j] -= phi[k] / theta[k, j]
+        phi = theta @ s
+        assert np.argmax(np.abs(phi)) == m
+        assert abs(phi[k]) < 1e-10 * abs(phi[m])
+        meshes = self.tiled_meshes(monkeypatch)
+        check_gradients(problem, design=s, n_sample=s.size,
+                        quantity="volume")
+        # the base model, then the two probes of each row in index order
+        assert len(meshes) == 1 + 2 * s.size
+        around_k = {tuple(e) for e in ws.mesh.elements if k in e}
+        tiled = {tuple(e) for e in meshes[1 + 2 * i].elements}
+        assert meshes[2 + 2 * i] is meshes[1 + 2 * i]
+        assert around_k <= tiled
+        # the kernel of the far corner reaches neither m nor k
+        far = s.size - 1
+        assert theta[m, far] == theta[k, far] == 0.0
+        assert not around_k & {tuple(e) for e in meshes[1 + 2 * far].elements}
+
+    def test_probes_that_move_no_snapped_value_tile_nothing(self,
+                                                            monkeypatch):
+        # at h = 1e-300 no nodal levelset changes, so the patch is empty
+        meshes = self.tiled_meshes(monkeypatch)
+        rows = check_gradients(small_cantilever(), n_sample=5, h=1e-300,
+                               quantity="volume")
+        assert [m.n_elements for m in meshes[1:]] == [0] * 10
+        assert all(r.fd == 0.0 and not r.topology_event for r in rows)
 
     def test_sample_capped_by_design_size(self):
         p = small_cantilever()

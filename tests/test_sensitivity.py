@@ -334,6 +334,15 @@ class TestNodalGradients:
         # interface length (here the domain height, exactly).
         assert grad.sum() == pytest.approx(1.0, rel=1e-12)
 
+    def test_a_model_without_a_cut_has_float_zero_gradients(self):
+        mesh = structured_grid(1.0, 1.0, 3, 3)
+        model = build_enriched_model(mesh, np.ones(mesh.n_nodes))
+        u = np.zeros(mesh.n_nodes)
+        for grad in (nodal_volume_gradient(model), nodal_compliance_gradient(
+                model, HEAT, LoadCase(point_loads=[(0, 0, 1.0)]), u)):
+            assert grad.dtype == np.float64
+            assert np.array_equal(grad, np.zeros(mesh.n_nodes))
+
     @pytest.mark.parametrize("case", ["heat-point", "heat-body",
                                       "elastic-body"])
     def test_closed_form_matches_element_operator_oracles(self, case):

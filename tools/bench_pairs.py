@@ -18,10 +18,12 @@ median gap above the parent's interquartile range and no more failed
 operations than the parent; "worse" is a median beyond the metric's
 bound; "unresolved" is a side whose interquartile range exceeds the bound,
 unless every run of the change reads better than every run of the
-parent; anything else is "same". It writes
-``BENCH_<T>.json`` at the repository root with every run's result object,
-both commits, the core count, the BLAS-thread variables, the Python, numpy
-and scipy versions and the run seconds.
+parent; anything else is "same". After the pairs, each side runs each
+workload once more with ``--trace 1``, whose per-layer medians (the
+``*.p50_s`` metrics) it prints side by side. It writes ``BENCH_<T>.json``
+at the repository root with every run's result object, the traced ones
+under ``traced``, both commits, the core count, the BLAS-thread
+variables, the Python, numpy and scipy versions and the run seconds.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ def commit(tree: Path) -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_benchmark(tree: Path, workload: str, seconds: float) -> dict:
+def run_benchmark(tree: Path, workload: str, seconds: float,
+                  trace: int = 0) -> dict:
     """The result object that ``benchmarks/run.py`` prints last, or an
     incorrect result holding the error when it printed none."""
     out = subprocess.run([sys.executable, "benchmarks/run.py", "--workload",
-                          workload, "--seconds", str(seconds)],
+                          workload, "--seconds", str(seconds), "--trace",
+                          str(trace)],
                          cwd=tree, capture_output=True, text=True)
     try:
         return json.loads(out.stdout.strip().splitlines()[-1])
@@ -170,6 +174,9 @@ def main(argv=None) -> int:
             shutil.copytree(src, trees[side], ignore=SKIP)
         runs = alternate(workloads, args.pairs, lambda side, workload:
                          run_benchmark(trees[side], workload, seconds))
+        traced = {workload: {side: run_benchmark(trees[side], workload,
+                                                 seconds, trace=1)
+                             for side in "AB"} for workload in workloads}
 
     summary, reports = summarize(runs, spec["end_to_end"])
     for line in reports:
@@ -180,13 +187,19 @@ def main(argv=None) -> int:
                   f"[{s['quartiles_a'][0]:.6g}, {s['quartiles_a'][1]:.6g}] "
                   f"B {s['median_b']:.6g} ({100 * s['change']:+.1f}%) "
                   f"won {s['wins']}/{s['pairs']}: {s['verdict']}")
+    for workload, sides in traced.items():
+        a, b = (sides[side].get("metrics", {}) for side in "AB")
+        for name in sorted(set(a) & set(b)):
+            if name.endswith(".p50_s"):
+                print(f"{workload:10} {name:30} A {a[name]['value']:.6g} "
+                      f"B {b[name]['value']:.6g} (one traced run each)")
     record = {"tag": args.tag,
               "a": commits["A"], "b": commits["B"],
               "pairs": args.pairs, "run_seconds": seconds,
               "nproc": os.cpu_count(),
               "blas_threads": {v: os.environ.get(v) for v in BLAS_VARS},
               **versions(), "summary": summary, "unusable": reports,
-              "runs": runs}
+              "runs": runs, "traced": traced}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
