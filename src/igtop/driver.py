@@ -419,8 +419,9 @@ class GradientCheckRow:
 def _cut_topology(model: EnrichedModel, parents=None) -> tuple:
     """Discrete structure of the cut in the elements of ``model.mesh``
     that the boolean mask ``parents`` selects (all when None): each tile of
-    a cut parent, named by the parent's nodes, its vertices (a node, or
-    the cut edge (j, k) of an enriched node) and its phase. The objective
+    a cut parent, named by the parent's nodes, its vertices (node j, or
+    n_nodes + j n_nodes + k for the enriched node on cut edge (j, k)) and
+    its phase. The objective
     is smooth only while this is fixed; shortest-diagonal ties flip the
     tiling under arbitrarily small design perturbations even when the
     cut-edge set is unchanged. No name depends on the mesh's other
@@ -429,9 +430,8 @@ def _cut_topology(model: EnrichedModel, parents=None) -> tuple:
     t, n = model.tiles, model.mesh.n_nodes
     keep = slice(None) if parents is None else parents.take(t.parent)
     ids = t.vertex_ids[keep]
-    names = np.stack([ids, np.full_like(ids, -1)], axis=-1)
-    enriched = ids >= n
-    names[enriched] = model.enr_edges[ids[enriched] - n]
+    edge_keys = n + model.enr_edges[:, 0] * n + model.enr_edges[:, 1]
+    names = np.where(ids < n, ids, edge_keys.take(ids - n, mode="clip"))
     return (model.mesh.elements.take(t.parent[keep], axis=0).tobytes(),
             names.tobytes(), t.material[keep].tobytes())
 
@@ -487,7 +487,7 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         else:
             phi_p, phi_m = ws.levelset(sp), ws.levelset(sm)
             moved = (phi_p != model0.phi) | (phi_m != model0.phi)
-            touched = moved.take(ws.mesh.elements).any(axis=1)
+            touched = moved.take(ws.mesh.elements.T).any(axis=0)
             sub = Mesh(nodes=ws.mesh.nodes,
                        elements=ws.mesh.elements.compress(touched, axis=0))
             model_p = build_enriched_model(sub, phi_p)
