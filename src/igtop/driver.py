@@ -421,12 +421,11 @@ def _cut_topology(model: EnrichedModel, parents=None) -> tuple:
     that the boolean mask ``parents`` selects (all when None): each tile of
     a cut parent, named by the parent's nodes, its vertices (node j, or
     n_nodes + j n_nodes + k for the enriched node on cut edge (j, k)) and
-    its phase. The objective
-    is smooth only while this is fixed; shortest-diagonal ties flip the
-    tiling under arbitrarily small design perturbations even when the
-    cut-edge set is unchanged. No name depends on the mesh's other
-    elements, so the model of a sub-mesh compares with a whole-mesh model
-    restricted to the same elements."""
+    its phase. The objective is smooth only while this is fixed;
+    shortest-diagonal ties flip the tiling under arbitrarily small design
+    perturbations even when the cut-edge set is unchanged. No name depends
+    on the mesh's other elements, so the model of a sub-mesh compares with
+    a whole-mesh model restricted to the same elements."""
     t, n = model.tiles, model.mesh.n_nodes
     keep = slice(None) if parents is None else parents.take(t.parent)
     ids = t.vertex_ids[keep]

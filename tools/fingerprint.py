@@ -18,8 +18,9 @@ digests computed the same bits. The benchmark is imported, not changed.
 
 The five digests of float64 paths (the four workloads and ``setup``) read
 cantilever 5752d20b..., mbb c65a39ff..., heat_sink 14d5fc9f..., gradcheck
-e9ccc736... and setup c1ba952f...; a change that keeps float64 results
-must not move them. The two longdouble checks read compliance_check
+69a034a3... and setup c1ba952f...; a change that keeps float64 results
+must not move them. (gradcheck read e9ccc736... while each volume probe
+tiled the whole mesh; its quotients now come from the probe's patch.) The two longdouble checks read compliance_check
 f6320e33... and heat_sink_compliance_check 3eedd97b..., both at one BLAS
 thread, since the longdouble assembly casts the float64 tile geometry.
 """
