@@ -293,6 +293,7 @@ class _Workspace:
         self.passive = np.unique(cover.indices[cover.data > 0.0])
         design = problem.initial_design(self.grid)
         design[self.passive] = S_MAX
+        self.initial = design
         self.field = LevelsetField(self.grid, self.mesh.nodes, design)
         self.fixed = problem.fixed_dofs(self.mesh)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
@@ -303,7 +304,7 @@ class _Workspace:
         a design that is not one finite number per kernel is a
         ConfigError."""
         if design is None:
-            return self.field.design.copy()
+            return self.initial.copy()
         n = self.grid.n_centers
         expects = f"problem {self.problem.name!r} expects {n} values"
         try:

@@ -144,3 +144,26 @@ def test_run_benchmark_passes_the_trace_flag(tmp_path, monkeypatch):
     assert bench_pairs.run_benchmark(tmp_path, "mbb", 15, trace=1) == \
         {"correct": True}
     assert [c[c.index("--trace") + 1] for c in calls] == ["0", "1"]
+
+
+def test_one_tree_on_both_sides_is_a_point_without_a_parent(tmp_path,
+                                                            monkeypatch):
+    tree = tmp_path / "x"
+    (tree / "benchmarks").mkdir(parents=True)
+    (tree / "marker").write_text("x")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "x"]):
+        subprocess.run(git + cmd, cwd=tree, check=True)
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "run_benchmark",
+                        lambda tree, workload, seconds, trace=0: result(10.0))
+    assert bench_pairs.main(["--tag", "t", "--pairs", "2", "--workload",
+                             "mbb", str(tree), str(tree)]) == 0
+    record = json.loads((root / "BENCH_t.json").read_text())
+    assert record["a"] == record["b"]
+    assert record["a"]["commit"] is not None
+    assert {s["verdict"] for s in record["summary"]["mbb"].values()} \
+        == {"same"}

@@ -373,6 +373,12 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match=message):
             analyze(small_cantilever(), design)
 
+    def test_initial_design_outlasts_analyses(self):
+        ws = _Workspace(cantilever(nx=9, ny=5))
+        s0 = ws.design()
+        ws.analyze(s0 * 0 + 0.5)
+        assert np.array_equal(ws.design(), s0)
+
     def test_explicit_design_roundtrip(self):
         p = small_cantilever()
         result = run(p, budget=4)

@@ -19,8 +19,7 @@ digests computed the same bits. The benchmark is imported, not changed.
 The five digests of float64 paths (the four workloads and ``setup``) read
 cantilever 5752d20b..., mbb c65a39ff..., heat_sink 14d5fc9f..., gradcheck
 69a034a3... and setup c1ba952f...; a change that keeps float64 results
-must not move them. (gradcheck read e9ccc736... while each volume probe
-tiled the whole mesh; its quotients now come from the probe's patch.) The two longdouble checks read compliance_check
+must not move them. The two longdouble checks read compliance_check
 f6320e33... and heat_sink_compliance_check 3eedd97b..., both at one BLAS
 thread, since the longdouble assembly casts the float64 tile geometry.
 """
@@ -28,19 +27,12 @@ thread, since the longdouble assembly casts the float64 tile geometry.
 from __future__ import annotations
 
 import hashlib
-import os
 import sys
-from pathlib import Path
-
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def main() -> int:
-    sys.path.insert(0, str(BENCHMARKS))
-    import run
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = run.BLAS_THREADS
-    run.use_checkout_sources()
+    from steps import use_benchmark_sources
+    use_benchmark_sources()
     import igtop
     import numpy as np
     from clock import Clock

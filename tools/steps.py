@@ -1,9 +1,9 @@
 """Print where the set-up and one analysis of the optimization workloads
-take memory.
+take memory, and where their state solves go.
 
-    python3 tools/memory_steps.py
+    python3 tools/steps.py
 
-The memory counterpart of ``tools/solve_steps.py``. For the cantilever, mbb
+In its own process, for the cantilever, mbb
 and heat_sink problems of ``benchmarks/workloads.py`` it prints, in MB
 (2^20 bytes), the traced peak of each step and the bytes it keeps once it
 returns, each step traced on its own by ``tracemalloc`` so that its peak
@@ -16,6 +16,14 @@ the benchmark's set-up 15 times and runs the problem at the workload's
 budget; its ``ru_maxrss`` after each is the peak resident memory that the
 benchmark reports. Traced bytes leave out the interpreter's own and BLAS's
 native allocations.
+
+In that run the fresh process also times every state solve
+(``solve_system`` of the driver) and, inside it, the banded Cholesky factor
+(``cholesky_banded``) and the back-solves (``cho_solve_banded``). Per
+problem the tool prints, as medians over the solves in ms, the whole
+solve, its factor, its back-solves together and the rest (band fill,
+residuals and checks), and the range of back-solves per solve. Times are
+wall clock, so they carry the host's load.
 """
 
 from __future__ import annotations
@@ -23,8 +31,10 @@ from __future__ import annotations
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -95,26 +105,68 @@ def analysis_steps(problem) -> list:
     return rows
 
 
+def timed(owner, name: str, log: list):
+    """Replace ``owner.name`` by a wrapper that appends each call's wall
+    time to ``log``."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            log.append(time.perf_counter() - start)
+
+    setattr(owner, name, wrapper)
+
+
+def time_solves() -> list:
+    """Time the driver's state solves from now on; returns the list that
+    gets, per solve, [solve s, factor s, back-solves s, back-solves]."""
+    import igtop.driver
+    import igtop.fem
+
+    factors, back, solves = [], [], []
+    timed(igtop.fem, "cholesky_banded", factors)
+    timed(igtop.fem, "cho_solve_banded", back)
+    state_solve = igtop.driver.solve_system
+
+    def solve_system(*args, **kwargs):
+        # the RBF fit factors and back-solves too: count only the calls
+        # made inside this state solve
+        factors.clear()
+        back.clear()
+        start = time.perf_counter()
+        result = state_solve(*args, **kwargs)
+        solves.append([time.perf_counter() - start, sum(factors), sum(back),
+                       len(back)])
+        return result
+
+    igtop.driver.solve_system = solve_system
+    return solves
+
+
 def resident_steps(workload: str, overrides=None, budget=None,
                    setups: int | None = None) -> tuple:
     """``ru_maxrss`` in MB of a fresh process after ``setups`` (by default
     the benchmark's count) of the benchmark's set-ups of a workload's
     problem, with ``overrides``, and after a run at ``budget`` (by default
-    the workload's), and that budget. Linux counts the resident memory of
-    the process that starts the child in the child's maximum, so call this
-    before the caller itself grows."""
+    the workload's); that budget; and the run's solves as ``time_solves``
+    lists them. Linux counts the resident memory of the process that starts
+    the child in the child's maximum, so call this before the caller itself
+    grows."""
     spec = json.dumps({"workload": workload, "overrides": overrides or {},
                        "budget": budget, "setups": setups})
     child = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--resident", spec],
         capture_output=True, text=True, check=True)
-    after_setups, after_run, budget = child.stdout.split()
-    return float(after_setups), float(after_run), int(budget)
+    out = json.loads(child.stdout)
+    return out["after_setups"], out["after_run"], out["budget"], out["solves"]
 
 
 def resident_child(spec: str) -> int:
-    """The process of ``resident_steps``: prints both readings and the
-    budget."""
+    """The process of ``resident_steps``: prints its readings as one JSON
+    line."""
     use_benchmark_sources()
     import igtop
     import run
@@ -127,9 +179,12 @@ def resident_child(spec: str) -> int:
     for _ in range(spec["setups"] or run.SETUP_REPEATS):
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    solves = time_solves()
     igtop.run(problem, budget=budget)
     after_run = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(after_setups / 1024.0, after_run / 1024.0, budget)
+    print(json.dumps({"after_setups": after_setups / 1024.0,
+                      "after_run": after_run / 1024.0, "budget": budget,
+                      "solves": solves}))
     return 0
 
 
@@ -147,10 +202,21 @@ def main() -> int:
         for step, peak, kept in (setup_steps(problem)
                                  + analysis_steps(problem)):
             print(f"{name:<11} {step:<15} {peak:>8.2f} {kept:>8.2f}")
-        setups, ran, budget = resident[name]
+        setups, ran, budget, _ = resident[name]
         print(f"{name:<11} ru_maxrss {setups:.2f} MB after "
               f"{run.SETUP_REPEATS} set-ups, {ran:.2f} MB after a run of "
               f"{budget} iterations")
+    print(f"\n{'problem':<11} {'solves':>6} {'solve ms':>9} {'factor ms':>10} "
+          f"{'back-solves ms':>15} {'rest ms':>8} {'back-solves':>12}")
+    for name in names:
+        solves = resident[name][3]
+        counts = sorted({n for *_, n in solves})
+        counts = f"{counts[0]}-{counts[-1]}" if len(counts) > 1 \
+            else str(counts[0])
+        ms = [1e3 * statistics.median(t) for t in zip(*(
+            (t, f, b, t - f - b) for t, f, b, _ in solves))]
+        print(f"{name:<11} {len(solves):>6} {ms[0]:>9.2f} {ms[1]:>10.2f} "
+              f"{ms[2]:>15.2f} {ms[3]:>8.2f} {counts:>12}")
     return 0
 
 
