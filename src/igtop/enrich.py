@@ -122,28 +122,6 @@ class IntegrationElement:
         return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class TileGeometry:
-    """Geometry of integration elements in float64, with the leading axes
-    of the elements: what the element operators and their derivatives read.
-
-    ddet : (..., 3, 2)
-        DL adj(J): entry (l, c) is d(det J)/d(x_l[c]), twice the rate of
-        change of the area as vertex l moves along axis c.
-    hats : (..., 3, 2)
-        The elements' own hat gradients, ``DL J^-1`` in cofactor form.
-    grads : (..., 5, 2)
-        Five-slot shape gradients: the parent's three hat gradients, then
-        the gradients of its two enrichment functions, the elements'
-        :attr:`IntegrationElement.slot_matrix` times ``hats`` (the element's
-        hat gradients at the slots' vertices).
-    """
-
-    ddet: np.ndarray
-    hats: np.ndarray
-    grads: np.ndarray
-
-
 @dataclass(eq=False, repr=False)
 class EnrichedModel:
     """Cut classification plus interface tiling for one levelset snapshot.
@@ -166,6 +144,10 @@ class EnrichedModel:
         Enriched-node indices per cut parent, in canonical edge order.
     tiles : IntegrationElement
         All integration elements stacked along a leading axis of 3 n_cut.
+
+    Cached float64 arrays of ``tiles``, each computed when first read:
+    ``hats`` and ``grads`` (an assembly's), ``ddet`` (only the gradients')
+    and ``centroid_shape`` (only a body load's).
     """
 
     mesh: Mesh
@@ -199,14 +181,27 @@ class EnrichedModel:
                     t.area.tolist())]
 
     @cached_property
-    def geometry(self) -> TileGeometry:
-        """Float64 geometry of ``tiles``, computed on first use and kept."""
-        mesh, t = self.mesh, self.tiles
-        hats = cofactor_hat_gradients(t.coords)
-        return TileGeometry(
-            ddet=DL @ adj2(tri_jacobian(t.coords)), hats=hats,
-            grads=np.concatenate([mesh.hat_gradients.take(t.parent, axis=0),
-                                  t.slot_matrix @ hats], axis=-2))
+    def ddet(self) -> np.ndarray:
+        """DL adj(J) of ``tiles``, shape (..., 3, 2): entry (l, c) is
+        d(det J)/d(x_l[c]), twice the rate of change of the area as vertex
+        l moves along axis c."""
+        return DL @ adj2(tri_jacobian(self.tiles.coords))
+
+    @cached_property
+    def hats(self) -> np.ndarray:
+        """The hat gradients of ``tiles`` themselves, ``DL J^-1`` in
+        cofactor form, shape (..., 3, 2)."""
+        return cofactor_hat_gradients(self.tiles.coords)
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Five-slot shape gradients of ``tiles``, shape (..., 5, 2): the
+        parent's three hat gradients, then the gradients of its two
+        enrichment functions, :attr:`IntegrationElement.slot_matrix` times
+        ``hats`` (the tile's hat gradients at the slots' vertices)."""
+        t = self.tiles
+        return np.concatenate([self.mesh.hat_gradients.take(t.parent, axis=0),
+                               t.slot_matrix @ self.hats], axis=-2)
 
     @cached_property
     def centroid_shape(self) -> np.ndarray:

@@ -144,8 +144,7 @@ def integration_element_stiffness(model: EnrichedModel, pair: MaterialPair,
                                   dtype=np.float64) -> np.ndarray:
     """Local stiffness of the integration elements ``model.tiles`` over the
     five parent slots, shape (..., 5 field_dim, 5 field_dim)."""
-    b = build_b(model.geometry.grads.astype(dtype, copy=False),
-                pair.field_dim)
+    b = build_b(model.grads.astype(dtype, copy=False), pair.field_dim)
     scale = np.asarray(model.tiles.area, dtype=dtype) \
         * pair.modulus_of(model.tiles.material).astype(dtype)
     k = np.swapaxes(b, -1, -2) @ (pair.physics.d_unit().astype(dtype) @ b)
@@ -174,7 +173,7 @@ class Assembler:
 
     ``dtype`` (float64, or longdouble for interface-exactness studies below
     the material-contrast conditioning floor) is the precision of the
-    element products and sums; the geometry they read is float64.
+    element products and sums; the ``model.grads`` they read are float64.
     """
 
     def __init__(self, mesh, pair: MaterialPair, loads: LoadCase,
@@ -194,7 +193,6 @@ class Assembler:
                            optimize=True)
         del b_all
         k_unit *= mesh.areas.astype(dtype)[:, None, None]
-        self._elem_dofs = node_dofs(mesh.elements.ravel(), d).reshape(ne, 3 * d)
 
         # the node pairs of all elements as a block matrix of d x d blocks;
         # datum (q, c1, c2) is numbered d^2 q + d c1 + c2 + 1, so its CSR
@@ -261,7 +259,6 @@ class Assembler:
         dtype = self.dtype
         ndof = d * (mesh.n_nodes + model.n_enriched)
 
-        uncut = model.element_state != CUT
         material = model.element_state == MATERIAL
         tiles = model.tiles
         # a cut parent's block over its own nodes is its unit stiffness times
@@ -294,9 +291,11 @@ class Assembler:
         f = np.zeros(ndof, dtype=dtype)
         f[:self._f_base.size] = self._f_base
         if loads.body is not None:
+            uncut = model.element_state != CUT
             fe = (mesh.areas[uncut].astype(dtype) / 3.0)[:, None] \
                 * np.tile(loads.body.astype(dtype), 3)
-            np.add.at(f, self._elem_dofs[uncut].ravel(), fe.ravel())
+            np.add.at(f, node_dofs(mesh.elements[uncut].ravel(), d),
+                      fe.ravel())
             np.add.at(f, np.repeat(slots, 3, axis=0).ravel(),
                       integration_element_force(model, loads.body,
                                                 dtype).ravel())

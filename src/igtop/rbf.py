@@ -142,28 +142,24 @@ def build_theta(grid: RbfGrid, points: np.ndarray) -> sparse.csr_matrix:
 class LevelsetField:
     """Design-controlled levelset sampled at a fixed point set.
 
-    Holds the kernel matrix for the points (usually mesh nodes), the current
-    design vector, and the cached nodal field phi = theta @ s. The cache is
-    refreshed only by :meth:`update_design`. ``theta`` is also the design
-    derivative: entry (j, i) is d(phi_j)/d(s_i).
+    Holds the kernel matrix for the points (usually mesh nodes) and the
+    nodal field phi = theta @ s of the current design s, kept read-only and
+    replaced only by :meth:`update_design`; the design itself is not kept.
+    ``theta`` is also the design derivative: entry (j, i) is
+    d(phi_j)/d(s_i).
     """
 
     def __init__(self, grid: RbfGrid, points: np.ndarray, design: np.ndarray):
         self.grid = grid
-        self.points = np.asarray(points, dtype=float)
-        self.theta = build_theta(grid, self.points)
+        self.theta = build_theta(grid, points)
         covered = np.asarray(self.theta.max(axis=1).todense()).ravel() > 0.0
         if not np.all(covered):
             bad = np.flatnonzero(~covered)
             raise ConfigError(
-                f"{bad.size} of {self.points.shape[0]} points lie outside every "
+                f"{bad.size} of {covered.size} points lie outside every "
                 f"kernel support (first few: {bad[:5].tolist()}); refine the "
                 f"center grid or enlarge the support radius")
         self.update_design(design)
-
-    @property
-    def design(self) -> np.ndarray:
-        return self._design
 
     @property
     def nodal_values(self) -> np.ndarray:
@@ -178,9 +174,7 @@ class LevelsetField:
                 f"expected ({self.grid.n_centers},)")
         if not np.all(np.isfinite(design)):
             raise ValueError("design vector has non-finite entries")
-        self._design = design.copy()
-        self._design.setflags(write=False)
-        self._nodal = self.theta @ self._design
+        self._nodal = self.theta @ design
         self._nodal.setflags(write=False)
 
 

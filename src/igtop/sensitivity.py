@@ -75,30 +75,29 @@ def nodal_compliance_gradient(model: EnrichedModel, pair: MaterialPair,
     The per-direction operators in ``tests/oracles.py`` are its reference.
     """
     tiles = model.tiles
-    geom = model.geometry
     d = pair.field_dim
     ue = u[cut_parent_dofs(model, d)].repeat(3, axis=0)
     dmat = pair.physics.d_unit() \
         * pair.modulus_of(tiles.material)[:, None, None]
-    strain = (build_b(geom.grads, d) @ ue[..., None])[..., 0]
+    strain = (build_b(model.grads, d) @ ue[..., None])[..., 0]
     stress = (dmat @ strain[..., None])[..., 0]
     ue = ue.reshape(-1, 5, d)
     # the stress as the 2 x d tensor that pairs with the displacement gradient
     sigma = stress[:, [[0], [1]] if d == 1 else [[0, 2], [2, 1]]]
-    h_enr = np.swapaxes(ue[:, 3:], -1, -2) @ geom.grads[:, 3:]
+    h_enr = np.swapaxes(ue[:, 3:], -1, -2) @ model.grads[:, 3:]
     area2 = (2.0 * tiles.area)[:, None, None]
-    dx = -(0.5 * _dot(strain, stress)[:, None, None] * geom.ddet
-           - area2 * (geom.hats @ sigma @ h_enr))
+    dx = -(0.5 * _dot(strain, stress)[:, None, None] * model.ddet
+           - area2 * (model.hats @ sigma @ h_enr))
     if loads.body is not None:
         w = (ue @ loads.body[:, None])[..., 0]
-        dx += _dot(model.centroid_shape, w)[:, None, None] * geom.ddet \
-            + area2 / 3.0 * (w[:, None, :3] @ geom.grads[:, :3])
+        dx += _dot(model.centroid_shape, w)[:, None, None] * model.ddet \
+            + area2 / 3.0 * (w[:, None, :3] @ model.grads[:, :3])
     return _to_nodes(model, dx)
 
 
 def nodal_volume_gradient(model: EnrichedModel) -> np.ndarray:
     """d(material volume)/d(phi_j) for every mesh node."""
-    darea = 0.5 * model.geometry.ddet
+    darea = 0.5 * model.ddet
     return _to_nodes(model, np.where(model.tiles.material[:, None, None],
                                      darea, 0.0))
 

@@ -96,10 +96,10 @@ def integration_element_stiffness_derivative(model, ie, pair, vertex: int,
     Only the determinant and the enrichment-gradient rows respond; the parent
     hat gradients are unaffected by interface motion.
     """
-    geom = dataclasses.replace(model, tiles=ie).geometry
+    model = dataclasses.replace(model, tiles=ie)
     d = pair.physics.d_unit() * pair.modulus_of(ie.material)[..., None, None]
-    b = build_b(geom.grads, pair.field_dim)
-    djdet = geom.ddet[..., vertex, component]
+    b = build_b(model.grads, pair.field_dim)
+    djdet = model.ddet[..., vertex, component]
     dge = DL @ inv_derivative(jacobian_inverse(ie),
                               jacobian_derivative(vertex, component))
     db = build_b(np.concatenate([np.zeros_like(dge), ie.slot_matrix @ dge],
@@ -123,9 +123,8 @@ def integration_element_force_derivative(model, ie, body, vertex: int,
     """
     bvec = np.atleast_1d(np.asarray(body, dtype=float))
     model = dataclasses.replace(model, tiles=ie)
-    geom = model.geometry
-    djdet = geom.ddet[..., vertex, component]
-    dhat = geom.grads[..., :3, component] / 3.0  # parent hat gradients
+    djdet = model.ddet[..., vertex, component]
+    dhat = model.grads[..., :3, component] / 3.0  # parent hat gradients
     dshape = np.concatenate([dhat, np.zeros_like(dhat[..., :2])], axis=-1)
     rate = 0.5 * djdet[..., None] * model.centroid_shape \
         + np.asarray(ie.area)[..., None] * dshape

@@ -391,11 +391,12 @@ class TestAnalyze:
         ids=["elastic", "conduction"])
     def test_tile_geometry_is_computed_once(self, monkeypatch, problem,
                                             body_load):
-        # assembly and both gradients read one float64 geometry of
-        # model.tiles, computed once, and so does a longdouble assembly,
-        # which casts it; the mesh's hat gradients are computed once for
-        # every assembler; the model keeps centroid shape values besides
-        # the geometry only where a body load needs them
+        # each float64 array of model.tiles is computed once, when code
+        # first reads it: an assembly computes hats and grads and no ddet,
+        # the gradients add ddet, and a longdouble assembly casts grads;
+        # the mesh's hat gradients are computed once for every assembler;
+        # the model keeps centroid shape values only where a body load
+        # needs them
         import igtop.enrich
         import igtop.fem
         import igtop.mesh
@@ -416,14 +417,17 @@ class TestAnalyze:
                     monkeypatch.setattr(module, name, counted(
                         name, getattr(module, name)))
         ws = _Workspace(problem)
-        model, u, *_ = ws.analyze(ws.field.design)
+        model, u, *_ = ws.analyze(ws.design())
         assert model.n_cut > 0
+        assert {"hats", "grads"} <= set(vars(model))
+        assert "ddet" not in vars(model)
+        assert calls["tri_jacobian"] == 0
         ws.gradients(model, u)
+        assert {"ddet", "hats", "grads"} <= set(vars(model))
         Assembler(ws.mesh, problem.pair, ws.loads,
                   dtype=np.longdouble).assemble(model)
         # the mesh's hat gradients and the tiles' own
         assert calls == {"tri_jacobian": 1, "cofactor_hat_gradients": 2}
-        assert "geometry" in vars(model)
         assert ("centroid_shape" in vars(model)) == body_load
 
 

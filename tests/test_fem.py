@@ -426,8 +426,8 @@ class TestBandedCholesky:
 
 
 class TestTileGeometry:
-    """The float64 geometry kept per model is, bit for bit, what fresh
-    calls of the element helpers compute."""
+    """The float64 tile arrays cached per model are, bit for bit, what
+    fresh calls of the element helpers compute."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -438,17 +438,16 @@ class TestTileGeometry:
 
     def test_equals_fresh_helpers(self, model):
         mesh, tiles = model.mesh, model.tiles
-        geom = model.geometry
-        assert model.geometry is geom
         eq = np.testing.assert_array_equal
-        eq(geom.ddet, DL @ adj2(tri_jacobian(tiles.coords)))
-        eq(geom.hats, cofactor_hat_gradients(tiles.coords))
-        eq(geom.grads, np.concatenate([
+        eq(model.ddet, DL @ adj2(tri_jacobian(tiles.coords)))
+        eq(model.hats, cofactor_hat_gradients(tiles.coords))
+        eq(model.grads, np.concatenate([
             cofactor_hat_gradients(mesh.nodes[mesh.elements[tiles.parent]]),
             tiles.slot_matrix @ cofactor_hat_gradients(tiles.coords)],
             axis=-2))
-        for field in ("ddet", "hats", "grads"):
-            assert getattr(geom, field).dtype == np.float64, field
+        for name in ("ddet", "hats", "grads"):
+            assert getattr(model, name) is getattr(model, name), name
+            assert getattr(model, name).dtype == np.float64, name
         shape = model.centroid_shape
         assert model.centroid_shape is shape
         centroid = [1 / 3, 1 / 3, 1 / 3]
@@ -456,8 +455,8 @@ class TestTileGeometry:
             [parent_hats(model, tiles, centroid),
              enrichment_values(tiles, centroid)], axis=-1))
         # one-element models compute their own and agree with the stack
-        eq(geom.grads, np.stack([
-            dataclasses.replace(model, tiles=ie).geometry.grads
+        eq(model.grads, np.stack([
+            dataclasses.replace(model, tiles=ie).grads
             for ie in model.integration]))
 
 

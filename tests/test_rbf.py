@@ -108,11 +108,18 @@ def coincident():
 
 
 @pytest.fixture(scope="module")
-def field():
+def design():
+    design = np.random.default_rng(7).uniform(-1, 1, 21 * 11)
+    design.setflags(write=False)
+    return design
+
+
+@pytest.fixture
+def field(design):
+    # a fresh field per test: the tests move its design
     mesh = structured_grid(2.0, 1.0, 21, 11)
     grid = RbfGrid.structured(2.0, 1.0, 21, 11)
-    rng = np.random.default_rng(7)
-    return LevelsetField(grid, mesh.nodes, rng.uniform(-1, 1, grid.n_centers))
+    return LevelsetField(grid, mesh.nodes, design)
 
 
 class TestTheta:
@@ -281,29 +288,28 @@ def test_theta_equals_the_dense_kernel_matrix_for_any_centers(centers, scale,
 
 
 class TestLevelsetField:
-    def test_nodal_values_match_matrix_product(self, field):
-        expected = field.theta.toarray() @ field.design
+    def test_nodal_values_match_matrix_product(self, field, design):
+        expected = field.theta.toarray() @ design
         np.testing.assert_allclose(field.nodal_values, expected, atol=1e-14)
 
-    def test_nodal_cache_identity_until_update(self, field):
+    def test_nodal_cache_identity_until_update(self, field, design):
         first = field.nodal_values
         assert field.nodal_values is first
-        field.update_design(field.design * 0.5)
+        field.update_design(design * 0.5)
         assert field.nodal_values is not first
 
-    def test_theta_is_kept_across_updates(self, field):
+    def test_theta_is_kept_across_updates(self, field, design):
         theta = field.theta
-        field.update_design(field.design * 0.5)
+        field.update_design(design * 0.5)
         assert field.theta is theta
 
-    def test_dphi_ds_matches_finite_differences(self, field):
+    def test_dphi_ds_matches_finite_differences(self, field, design):
         # theta is the design derivative of the nodal values
         h = 1e-6
         rng = np.random.default_rng(3)
         m = field.theta.toarray()
-        base = field.design.copy()
         for i in rng.choice(field.grid.n_centers, size=5, replace=False):
-            up, down = base.copy(), base.copy()
+            up, down = design.copy(), design.copy()
             up[i] += h
             down[i] -= h
             field.update_design(up)
@@ -311,15 +317,22 @@ class TestLevelsetField:
             field.update_design(down)
             fd = (phi_up - field.nodal_values) / (2 * h)
             np.testing.assert_allclose(m[:, i], fd, atol=1e-9)
-        field.update_design(base)
+
+    def test_field_keeps_no_view_of_the_design(self, field, design):
+        # the caller may reuse its array: the field keeps theta @ d alone
+        d = design.copy()
+        field.update_design(d)
+        before = field.nodal_values.copy()
+        d[:] = 0.0
+        np.testing.assert_array_equal(field.nodal_values, before)
 
     def test_design_shape_validated(self, field):
         with pytest.raises(ValueError):
             field.update_design(np.zeros(3))
 
-    def test_non_finite_design_rejected(self, field):
+    def test_non_finite_design_rejected(self, field, design):
         before = field.nodal_values
-        design = field.design.copy()
+        design = design.copy()
         design[1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             field.update_design(design)

@@ -100,14 +100,14 @@ class TestJacobianDerivatives:
             djac = jacobian_derivative(vertex, comp)
             moved = dataclasses.replace(ie, coords=coords, area=0.5 * float(
                 cross2(coords[1] - coords[0], coords[2] - coords[0])))
-            geom = dataclasses.replace(cut_triangle, tiles=moved).geometry
+            ddet = dataclasses.replace(cut_triangle, tiles=moved).ddet
 
             cp, cm = coords.copy(), coords.copy()
             cp[vertex, comp] += h
             cm[vertex, comp] -= h
             fd_det = (np.linalg.det(tri_jacobian(cp))
                       - np.linalg.det(tri_jacobian(cm))) / (2 * h)
-            np.testing.assert_allclose(geom.ddet[vertex, comp], fd_det,
+            np.testing.assert_allclose(ddet[vertex, comp], fd_det,
                                        rtol=1e-5, atol=1e-12)
 
             fd_inv = (np.linalg.inv(tri_jacobian(cp))
@@ -433,10 +433,10 @@ class TestStackedOperators:
         operators = {
             "tri_jacobian": lambda m: tri_jacobian(m.tiles.coords),
             "adj2": lambda m: adj2(tri_jacobian(m.tiles.coords)),
-            "ddet": lambda m: m.geometry.ddet,
-            "build_b": lambda m: build_b(m.geometry.grads, d),
-            "gradients": lambda m: m.geometry.grads,
-            "hats": lambda m: m.geometry.hats,
+            "ddet": lambda m: m.ddet,
+            "build_b": lambda m: build_b(m.grads, d),
+            "gradients": lambda m: m.grads,
+            "hats": lambda m: m.hats,
             "stiffness": lambda m: integration_element_stiffness(m, pair),
             "stiffness longdouble": lambda m: integration_element_stiffness(
                 m, pair, np.longdouble),
@@ -478,7 +478,7 @@ class TestDesignGradients:
         loads = LoadCase(point_loads=[
             (mesh.nearest_node((1.5, 0.5)), 1, -1.0)])
         fixed = node_dofs(mesh.boundary["left"], 2)
-        return mesh, grid, field, loads, fixed
+        return mesh, grid, field, loads, fixed, s
 
     @staticmethod
     def evaluate(mesh, field, loads, fixed, s):
@@ -490,8 +490,7 @@ class TestDesignGradients:
         return model, u, compliance(u, f), model.material_volume()
 
     def test_chain_rule_matches_fd(self, design_problem):
-        mesh, grid, field, loads, fixed = design_problem
-        s0 = field.design.copy()
+        mesh, grid, field, loads, fixed, s0 = design_problem
         model, u, c0, v0 = self.evaluate(mesh, field, loads, fixed, s0)
         dc = compliance_gradient(model, field, ELASTIC, loads, u)
         dv = volume_gradient(model, field)
@@ -515,8 +514,7 @@ class TestDesignGradients:
 
     def test_variable_with_no_cut_support_has_zero_gradient(self,
                                                             design_problem):
-        mesh, grid, field, loads, fixed = design_problem
-        s0 = field.design.copy()
+        mesh, grid, field, loads, fixed, s0 = design_problem
         model, u, _, _ = self.evaluate(mesh, field, loads, fixed, s0)
         dc = compliance_gradient(model, field, ELASTIC, loads, u)
         dv = volume_gradient(model, field)

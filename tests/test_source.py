@@ -127,8 +127,8 @@ def test_every_cut_band_field_is_read():
     fields = {cls.name: [stmt.target.id for stmt in cls.body
                          if isinstance(stmt, ast.AnnAssign)]
               for cls in records if cls.name not in results}
-    assert {"EnrichedModel", "IntegrationElement", "TileGeometry",
-            "MaterialPair", "PlaneStressElastic"} <= set(fields)
+    assert {"EnrichedModel", "IntegrationElement", "MaterialPair",
+            "PlaneStressElastic"} <= set(fields)
     unread = [f"{cls}.{name}" for cls, names in fields.items()
               for name in names if name not in loaded]
     assert not unread, f"record fields nothing reads: {unread}"
