@@ -347,6 +347,11 @@ class _Workspace:
         return dc, dv
 
 
+def _stages(problem: ProblemSpec) -> list:
+    """The (problem, analyses) stages that ``run`` analyses in turn."""
+    return [(problem, problem.budget)]
+
+
 def run(problem: ProblemSpec, *, budget: int | None = None,
         observer=None) -> RunResult:
     """Optimize a problem; returns the final design and iteration history.
@@ -361,39 +366,48 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         budget=problem.budget if budget is None else budget)
     budget = problem.budget
 
-    ws = _Workspace(problem)
-    s = ws.design()
-    opt = MmaOptimizer(ws.grid.n_centers, move_limit=problem.move_limit)
-    v_limit = problem.volume_fraction * ws.domain_volume
-
     history = []
-    c_ref = None
+    s = opt = ws = model = u = None
     stall = 0
+    it = -1
     try:
-        for it in range(budget):
-            # free the last analysis, with its model's cached geometry, first
-            model = u = f = None
-            model, u, f, c, vol = ws.analyze(s)
-            vf = vol / ws.domain_volume
-            history.append(HistoryRecord(
-                it, c, vf, problem.pair.field_dim * model.n_enriched))
-            if observer is not None:
-                observer(IterationState(it, s.copy(), model, u, c, vf))
-            if c_ref is None:
-                if not c > 0.0:
-                    raise SolverError(f"initial compliance {c} is not positive"
-                                      "; cannot normalize the objective")
-                c_ref = c
-            converged = stall >= STALL_ITERS
-            if converged or it == budget - 1:
-                break
+        for spec, analyses in _stages(problem):
+            # free the last stage, with its last model, before the next
+            ws = model = u = f = None
+            ws = _Workspace(spec)
+            if s is None:
+                s = ws.design()
+                opt = MmaOptimizer(ws.grid.n_centers,
+                                   move_limit=problem.move_limit)
+            v_limit = problem.volume_fraction * ws.domain_volume
+            c_ref = None
+            for _ in range(analyses):
+                it += 1
+                # free the last analysis, with its model's cached geometry
+                model = u = f = None
+                model, u, f, c, vol = ws.analyze(s)
+                vf = vol / ws.domain_volume
+                history.append(HistoryRecord(
+                    it, c, vf, problem.pair.field_dim * model.n_enriched))
+                if observer is not None:
+                    observer(IterationState(it, s.copy(), model, u, c, vf))
+                if c_ref is None:
+                    if not c > 0.0:
+                        raise SolverError(f"initial compliance {c} is not "
+                                          "positive; cannot normalize the "
+                                          "objective")
+                    c_ref = c
+                converged = stall >= STALL_ITERS
+                if converged or it == budget - 1:
+                    break
 
-            dc, dv = ws.gradients(model, u)
-            dc[ws.passive] = dv[ws.passive] = 0.0
-            fval = vol / v_limit - 1.0
-            s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
-            stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL else 0
-            s = s_new
+                dc, dv = ws.gradients(model, u)
+                dc[ws.passive] = dv[ws.passive] = 0.0
+                fval = vol / v_limit - 1.0
+                s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
+                stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL \
+                    else 0
+                s = s_new
     except NumericalError as err:
         err.iteration, err.design = it, s.copy()
         raise
