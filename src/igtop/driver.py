@@ -4,8 +4,8 @@ A problem bundles mesh extents, the design-kernel grid, materials, loads,
 supports, and the optimization budget. The loop alternates analysis on the
 exactly resolved interface geometry with an MMA update of the kernel
 coefficients; the objective passed to the optimizer is compliance normalized
-by its initial value so the constraint-relaxation pricing stays meaningful
-across physics and mesh sizes.
+by its initial value on each analysis mesh so the constraint-relaxation
+pricing stays meaningful across physics and mesh sizes.
 """
 
 from __future__ import annotations
@@ -249,10 +249,14 @@ def get_problem(name: str, **overrides) -> ProblemSpec:
 
 @dataclass
 class HistoryRecord:
+    """One analysis of a run; ``mesh`` names the mesh it was analysed on,
+    as ``"{nx}x{ny}"``."""
+
     iteration: int
     compliance: float
     volume_fraction: float
     enriched_dofs: int
+    mesh: str = ""
 
 
 @dataclass
@@ -348,8 +352,30 @@ class _Workspace:
 
 
 def _stages(problem: ProblemSpec) -> list:
-    """The (problem, analyses) stages that ``run`` analyses in turn."""
-    return [(problem, problem.budget)]
+    """The (problem, analyses) stages that ``run`` analyses in turn.
+
+    The design lives on the RBF centres, not on the mesh, so a design and
+    the optimizer's state carry from one mesh to another unchanged. A
+    problem runs its first ``budget * 5 // 6`` analyses on the structured
+    mesh with half its intervals (rounded up) and the rest on its own mesh,
+    when that coarse mesh is no coarser than the centres in x and in y,
+    and every point load and point support lands on a node with the same
+    coordinates on both meshes; otherwise it is one stage.
+    """
+    coarse = problem.with_overrides(nx=problem.nx // 2 + 1,
+                                    ny=problem.ny // 2 + 1)
+    analyses = problem.budget * 5 // 6
+    if not (analyses and problem.rbf_nx <= coarse.nx and
+            problem.rbf_ny <= coarse.ny and
+            (coarse.nx, coarse.ny) != (problem.nx, problem.ny)):
+        return [(problem, problem.budget)]
+    points = [p for p, _, _ in problem.point_loads] + [
+        rule.point for rule in problem.dirichlet if rule.point is not None]
+    fine, mesh = problem.build_mesh(), coarse.build_mesh()
+    if any((fine.nodes[fine.nearest_node(p)]
+            != mesh.nodes[mesh.nearest_node(p)]).any() for p in points):
+        return [(problem, problem.budget)]
+    return [(coarse, analyses), (problem, problem.budget - analyses)]
 
 
 def run(problem: ProblemSpec, *, budget: int | None = None,
@@ -357,10 +383,15 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     """Optimize a problem; returns the final design and iteration history.
 
     The history holds one record per analysis, starting with the initial
-    design at iteration 0, at most ``budget`` records in total. The loop
-    stops early once the design update stays below 1e-6 in the max norm for
-    ten consecutive iterations. A NumericalError from the loop leaves with
-    the iteration and a copy of the design it failed at.
+    design at iteration 0, at most ``budget`` records in total. The
+    analyses run in the stages of ``_stages``: one optimizer steps the
+    design across them, each stage normalizes the compliance by its own
+    first one, and the last record is always on the problem's own mesh.
+    The loop stops early once the design update stays below 1e-6 in the max
+    norm for ten consecutive iterations; a stage that stops so hands over
+    to the next, whose first analysis ends the run. A NumericalError from
+    the loop leaves with the iteration and a copy of the design it failed
+    at.
     """
     problem = problem.with_overrides(
         budget=problem.budget if budget is None else budget)
@@ -388,7 +419,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
                 model, u, f, c, vol = ws.analyze(s)
                 vf = vol / ws.domain_volume
                 history.append(HistoryRecord(
-                    it, c, vf, problem.pair.field_dim * model.n_enriched))
+                    it, c, vf, problem.pair.field_dim * model.n_enriched,
+                    f"{spec.nx}x{spec.ny}"))
                 if observer is not None:
                     observer(IterationState(it, s.copy(), model, u, c, vf))
                 if c_ref is None:

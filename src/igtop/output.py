@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 _FLOAT = "%.17g"
 HISTORY_FIELDS = ("iteration", "compliance", "volume_fraction",
-                  "enriched_dofs")
+                  "enriched_dofs", "mesh")
 
 
 @contextmanager
@@ -37,7 +37,7 @@ def write_history(path, records) -> None:
         w.writerow(HISTORY_FIELDS)
         for r in records:
             w.writerow([r.iteration, _FLOAT % r.compliance,
-                        _FLOAT % r.volume_fraction, r.enriched_dofs])
+                        _FLOAT % r.volume_fraction, r.enriched_dofs, r.mesh])
 
 
 def write_design(path, design: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Driver loop behavior on scaled-down problem instances."""
 
 import dataclasses
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,146 @@ class TestRunLoop:
         # once truncated silently to two iterations
         with pytest.raises(ConfigError, match="budget must be an integer"):
             run(small_cantilever(), budget=2.5)
+
+
+def small_mbb(**kw):
+    # coarse 16x6 mesh, as fine as the 16x6 centres
+    return mbb(31, 11, rbf_nx=16, rbf_ny=6, **kw)
+
+
+class TestStages:
+    def meshes(self, problem):
+        return [(spec.nx, spec.ny, analyses)
+                for spec, analyses in driver._stages(problem)]
+
+    def test_mbb_stages_on_half_its_intervals(self):
+        (coarse, n), (fine, rest) = driver._stages(mbb())
+        assert (coarse.nx, coarse.ny, n) == (76, 26, 250)
+        assert fine == mbb() and rest == 50
+        assert coarse == mbb(76, 26)
+
+    @pytest.mark.parametrize("problem", [
+        cantilever(), cantilever(41, 21), heat_sink(), mbb(51, 17)],
+        ids=["cantilever", "cantilever-41x21", "heat_sink", "mbb-51x17"])
+    def test_a_coarse_mesh_wider_than_the_centres_is_no_stage(self, problem):
+        # every centre spacing is finer than half the mesh's intervals
+        assert driver._stages(problem) == [(problem, problem.budget)]
+
+    def test_equal_spacing_stages(self):
+        assert self.meshes(small_mbb()) == [(16, 6, 250), (31, 11, 50)]
+
+    @pytest.mark.parametrize("budget, coarse", [(15, 12), (6, 5), (2, 1)])
+    def test_the_coarse_stage_takes_five_sixths(self, budget, coarse):
+        assert self.meshes(small_mbb(budget=budget)) \
+            == [(16, 6, coarse), (31, 11, budget - coarse)]
+
+    def test_a_budget_of_one_is_one_stage(self):
+        assert self.meshes(small_mbb(budget=1)) == [(31, 11, 1)]
+
+    def test_a_mesh_with_no_coarser_level_is_one_stage(self):
+        p = mbb(2, 2, rbf_nx=2, rbf_ny=2)
+        assert driver._stages(p) == [(p, p.budget)]
+
+    @pytest.mark.parametrize("change", [
+        {"point_loads": (((0.1, 1.0), 1, -1.0),)},
+        {"dirichlet": (DirichletRule(side="left", component=0),
+                       DirichletRule(point=(2.9, 0.0), component=1))}],
+        ids=["load", "support"])
+    def test_a_point_off_the_coarse_grid_is_no_stage(self, change):
+        # x = 0.1 and 2.9 are nodes of the 0.1 grid, not of the 0.2 one
+        p = small_mbb(**change)
+        assert driver._stages(p) == [(p, p.budget)]
+
+    @pytest.fixture(scope="class")
+    def staged(self):
+        seen = []
+        result = run(small_mbb(), budget=6, observer=seen.append)
+        return result, seen
+
+    def test_a_staged_run_records_each_mesh(self, staged):
+        result, seen = staged
+        assert [r.iteration for r in result.history] == list(range(6))
+        assert [r.mesh for r in result.history] == ["16x6"] * 5 + ["31x11"]
+        assert [state.model.mesh.n_nodes for state in seen] \
+            == [16 * 6] * 5 + [31 * 11]
+        assert result.mesh.n_nodes == 31 * 11
+        assert result.model.mesh is result.mesh
+        assert not result.converged
+
+    def test_a_staged_run_ends_on_the_problems_mesh(self, staged):
+        result, _ = staged
+        _, _, _, c, vol = analyze(small_mbb(), result.design)
+        assert c == pytest.approx(result.history[-1].compliance, rel=1e-14)
+        assert vol / 3.0 == pytest.approx(
+            result.history[-1].volume_fraction, rel=1e-14)
+
+    def test_no_step_across_the_switch_exceeds_the_move_limit(self, staged):
+        result, seen = staged
+        steps = np.abs(np.diff([state.design for state in seen], axis=0))
+        assert steps.max(axis=1)[4] > 0.0  # the step into the fine stage
+        assert steps.max() <= result.problem.move_limit * (1.0 + 1e-12)
+
+    def test_each_stage_normalizes_by_its_first_compliance(self, monkeypatch):
+        scales = []
+        step = MmaOptimizer.step
+
+        def record(self, s, dc, fval, dv):
+            scales.append(dc)
+            return step(self, s, dc, fval, dv)
+
+        monkeypatch.setattr(MmaOptimizer, "step", record)
+        seen = []
+        run(small_mbb(), budget=4, observer=seen.append)
+        # records 0-2 are coarse and step; record 3 is fine and ends the run
+        assert len(scales) == 3
+        ws = _Workspace(small_mbb().with_overrides(nx=16, ny=6))
+        model, u, _, c0, _ = ws.analyze(seen[2].design)
+        dc, _ = ws.gradients(model, u)
+        dc[ws.passive] = 0.0
+        assert np.array_equal(scales[2], dc / seen[0].compliance)
+
+    def test_an_mma_failure_in_the_coarse_stage(self, monkeypatch):
+        step = MmaOptimizer.step
+
+        def fail_third_step(self, *args):
+            if self.iteration == 2:
+                raise MmaStepError("forced failure")
+            return step(self, *args)
+
+        monkeypatch.setattr(MmaOptimizer, "step", fail_third_step)
+        seen = []
+        with pytest.raises(MmaStepError, match="forced failure") as info:
+            run(small_mbb(), budget=6, observer=seen.append)
+        assert info.value.iteration == 2
+        assert np.array_equal(info.value.design, seen[-1].design)
+        assert [state.iteration for state in seen] == [0, 1, 2]
+        assert seen[-1].model.mesh.n_nodes == 16 * 6
+
+    def test_a_stall_in_the_coarse_stage_ends_on_the_fine_mesh(self):
+        # (on 16x6 centres a 1e-7 step cuts within 1e-8 of a node, and
+        # the coarse stiffness fails its pivot check)
+        seen = []
+        result = run(mbb(31, 11, rbf_nx=13, rbf_ny=5, move_limit=1e-7),
+                     budget=50, observer=seen.append)
+        assert result.converged
+        assert [r.mesh for r in result.history] == ["16x6"] * 11 + ["31x11"]
+        assert [r.iteration for r in result.history] == list(range(12))
+        # the fine stage analyses the design the coarse stage stopped at
+        assert np.array_equal(seen[-1].design, seen[-2].design)
+
+    def test_the_coarse_workspace_is_freed_before_the_fine_one(
+            self, monkeypatch):
+        made, alive = [], []
+        init = _Workspace.__init__
+
+        def tracked(self, problem):
+            alive.append([ref() is not None for ref in made])
+            init(self, problem)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(_Workspace, "__init__", tracked)
+        run(small_mbb(), budget=3)
+        assert alive == [[], [False]]
 
 
 class TestAnalyze:

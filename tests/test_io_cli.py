@@ -27,7 +27,7 @@ def read_history(path):
     with open(path, newline="") as fh:
         return [HistoryRecord(int(r["iteration"]), float(r["compliance"]),
                               float(r["volume_fraction"]),
-                              int(r["enriched_dofs"]))
+                              int(r["enriched_dofs"]), r["mesh"])
                 for r in csv.DictReader(fh)]
 
 
@@ -145,7 +145,8 @@ class TestConfig:
 
 class TestHistoryFile:
     def test_roundtrip_is_exact(self, tmp_path):
-        records = [HistoryRecord(0, 52.43068512345678901, 1 / 3, 104),
+        records = [HistoryRecord(0, 52.43068512345678901, 1 / 3, 104,
+                                 "76x26"),
                    HistoryRecord(1, 1e-17, 0.5499999999999999, 88)]
         path = tmp_path / "history.csv"
         write_history(path, records)
@@ -156,7 +157,7 @@ class TestHistoryFile:
         path = tmp_path / "history.csv"
         write_history(path, [])
         assert path.read_text().splitlines()[0] \
-            == "iteration,compliance,volume_fraction,enriched_dofs"
+            == "iteration,compliance,volume_fraction,enriched_dofs,mesh"
 
 
 class TestDesignFile:
@@ -286,6 +287,22 @@ class TestCli:
         model, u, f, c, vol = analyze(load_config(tiny_config(tmp_path)).problem,
                                       design)
         assert c == pytest.approx(history[-1].compliance, rel=1e-14)
+
+    def test_a_staged_run_marks_each_records_mesh(self, tmp_path, capsys):
+        cfg = tmp_path / "mbb.cfg"
+        cfg.write_text("[problem]\nname = mbb\nnx = 31\nny = 11\n"
+                       "rbf_nx = 16\nrbf_ny = 6\nbudget = 6\n[output]\n"
+                       f"directory = {tmp_path / 'out'}\nsnapshot_every = 1\n")
+        assert main(["run", str(cfg)]) == 0
+        history = read_history(tmp_path / "out" / "history.csv")
+        assert [r.mesh for r in history] == ["16x6"] * 5 + ["31x11"]
+        # a snapshot of the coarse stage exports on the problem's own mesh
+        snapshot = tmp_path / "out" / "design_0004.txt"
+        assert main(["export", str(cfg), "--design", str(snapshot),
+                     "--vtk", str(tmp_path / "d.vtk")]) == 0
+        points = re.search(r"^POINTS (\d+) ", (tmp_path / "d.vtk").read_text(),
+                           re.M)
+        assert int(points.group(1)) > 31 * 11  # mesh nodes and enriched ones
 
     def test_run_with_builtin_problem_flag(self, tmp_path, capsys):
         rc = main(["run", "--problem", "cantilever", "--budget", "2",

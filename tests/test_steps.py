@@ -1,8 +1,10 @@
-"""The steps of tools/steps.py on a tiny cantilever: no benchmark runs
-here."""
+"""The steps of tools/steps.py on a tiny cantilever and a tiny staged MBB:
+no benchmark runs here."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from igtop.driver import cantilever
 
@@ -35,6 +37,29 @@ def test_resident_memory_and_solves_of_a_fresh_process():
     assert after_run >= after_setups > 0.0
     # one state solve per analysis, its factor and back-solves inside it
     assert len(solves) == budget
-    for solve, factor, back, n_back in solves:
+    for solve, factor, back, n_back, mesh in solves:
         assert n_back >= 1
         assert factor + back <= solve
+        assert mesh == "9x5"
+
+
+def test_a_staged_run_has_one_solve_row_per_mesh():
+    *_, solves = steps.resident_steps(
+        "mbb", {"nx": 31, "ny": 11, "rbf_nx": 16, "rbf_ny": 6}, budget=6,
+        setups=1)
+    assert [mesh for *_, mesh in solves] == ["16x6"] * 5 + ["31x11"]
+    rows = steps.solve_rows(solves)
+    assert [(mesh, n) for mesh, n, *_ in rows] == [("16x6", 5), ("31x11", 1)]
+    # the fine row is its one solve alone
+    solve, factor, back, n_back, _ = solves[-1]
+    assert rows[1][2:] == (1e3 * solve, 1e3 * factor, 1e3 * back,
+                           1e3 * (solve - factor - back), str(n_back))
+
+
+def test_solve_rows_give_the_range_of_back_solves():
+    solves = [[0.004, 0.002, 0.001, 1, "a"], [0.008, 0.004, 0.002, 2, "a"],
+              [0.002, 0.001, 0.0005, 1, "b"]]
+    rows = steps.solve_rows(solves)
+    assert [(mesh, n, counts) for mesh, n, *_, counts in rows] \
+        == [("a", 2, "1-2"), ("b", 1, "1")]
+    assert rows[0][2:4] == pytest.approx((6.0, 3.0))

@@ -20,10 +20,11 @@ native allocations.
 In that run the fresh process also times every state solve
 (``solve_system`` of the driver) and, inside it, the banded Cholesky factor
 (``cholesky_banded``) and the back-solves (``cho_solve_banded``). Per
-problem the tool prints, as medians over the solves in ms, the whole
-solve, its factor, its back-solves together and the rest (band fill,
-residuals and checks), and the range of back-solves per solve. Times are
-wall clock, so they carry the host's load.
+problem and analysis mesh (a run with a coarse stage solves on two), the
+tool prints, as medians over the solves in ms, the whole solve, its
+factor, its back-solves together and the rest (band fill, residuals and
+checks), and the range of back-solves per solve. Times are wall clock, so
+they carry the host's load.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def timed(owner, name: str, log: list):
 
 def time_solves() -> list:
     """Time the driver's state solves from now on; returns the list that
-    gets, per solve, [solve s, factor s, back-solves s, back-solves]."""
+    gets, per solve, [solve s, factor s, back-solves s, back-solves]; the
+    caller appends the mesh of the solve's history record."""
     import igtop.driver
     import igtop.fem
 
@@ -180,12 +182,30 @@ def resident_child(spec: str) -> int:
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     solves = time_solves()
-    igtop.run(problem, budget=budget)
+    result = igtop.run(problem, budget=budget)
+    for solve, record in zip(solves, result.history, strict=True):
+        solve.append(record.mesh)
     after_run = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"after_setups": after_setups / 1024.0,
                       "after_run": after_run / 1024.0, "budget": budget,
                       "solves": solves}))
     return 0
+
+
+def solve_rows(solves) -> list:
+    """Per analysis mesh, in the order the run reached them: (mesh, solves,
+    median ms of the solve, factor, back-solves and rest, back-solve counts
+    as "n" or "lo-hi")."""
+    rows = []
+    for mesh in dict.fromkeys(solve[-1] for solve in solves):
+        own = [solve for solve in solves if solve[-1] == mesh]
+        counts = sorted({n for *_, n, _ in own})
+        counts = f"{counts[0]}-{counts[-1]}" if len(counts) > 1 \
+            else str(counts[0])
+        ms = [1e3 * statistics.median(t) for t in zip(*(
+            (t, f, b, t - f - b) for t, f, b, _, _ in own))]
+        rows.append((mesh, len(own), *ms, counts))
+    return rows
 
 
 def main() -> int:
@@ -206,17 +226,14 @@ def main() -> int:
         print(f"{name:<11} ru_maxrss {setups:.2f} MB after "
               f"{run.SETUP_REPEATS} set-ups, {ran:.2f} MB after a run of "
               f"{budget} iterations")
-    print(f"\n{'problem':<11} {'solves':>6} {'solve ms':>9} {'factor ms':>10} "
-          f"{'back-solves ms':>15} {'rest ms':>8} {'back-solves':>12}")
+    print(f"\n{'problem':<11} {'mesh':>7} {'solves':>6} {'solve ms':>9} "
+          f"{'factor ms':>10} {'back-solves ms':>15} {'rest ms':>8} "
+          f"{'back-solves':>12}")
     for name in names:
-        solves = resident[name][3]
-        counts = sorted({n for *_, n in solves})
-        counts = f"{counts[0]}-{counts[-1]}" if len(counts) > 1 \
-            else str(counts[0])
-        ms = [1e3 * statistics.median(t) for t in zip(*(
-            (t, f, b, t - f - b) for t, f, b, _ in solves))]
-        print(f"{name:<11} {len(solves):>6} {ms[0]:>9.2f} {ms[1]:>10.2f} "
-              f"{ms[2]:>15.2f} {ms[3]:>8.2f} {counts:>12}")
+        for mesh, n, solve, factor, back, rest, counts in solve_rows(
+                resident[name][3]):
+            print(f"{name:<11} {mesh:>7} {n:>6} {solve:>9.2f} "
+                  f"{factor:>10.2f} {back:>15.2f} {rest:>8.2f} {counts:>12}")
     return 0
 
 
