@@ -371,9 +371,10 @@ def _stages(problem: ProblemSpec) -> list:
         return [(problem, problem.budget)]
     points = [p for p, _, _ in problem.point_loads] + [
         rule.point for rule in problem.dirichlet if rule.point is not None]
-    fine, mesh = problem.build_mesh(), coarse.build_mesh()
-    if any((fine.nodes[fine.nearest_node(p)]
-            != mesh.nodes[mesh.nearest_node(p)]).any() for p in points):
+    fine_mesh, coarse_mesh = problem.build_mesh(), coarse.build_mesh()
+    if any((fine_mesh.nodes[fine_mesh.nearest_node(p)]
+            != coarse_mesh.nodes[coarse_mesh.nearest_node(p)]).any()
+           for p in points):
         return [(problem, problem.budget)]
     return [(coarse, analyses), (problem, problem.budget - analyses)]
 
@@ -398,7 +399,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     budget = problem.budget
 
     history = []
-    s = opt = ws = model = u = None
+    s = opt = None
     stall = 0
     it = -1
     try:
@@ -437,8 +438,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
                 dc[ws.passive] = dv[ws.passive] = 0.0
                 fval = vol / v_limit - 1.0
                 s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
-                stall = stall + 1 if np.abs(s_new - s).max() < STALL_TOL \
-                    else 0
+                stall = (stall + 1 if np.abs(s_new - s).max() < STALL_TOL
+                         else 0)
                 s = s_new
     except NumericalError as err:
         err.iteration, err.design = it, s.copy()

@@ -359,10 +359,7 @@ class TestStages:
                 for spec, analyses in driver._stages(problem)]
 
     def test_mbb_stages_on_half_its_intervals(self):
-        (coarse, n), (fine, rest) = driver._stages(mbb())
-        assert (coarse.nx, coarse.ny, n) == (76, 26, 250)
-        assert fine == mbb() and rest == 50
-        assert coarse == mbb(76, 26)
+        assert driver._stages(mbb()) == [(mbb(76, 26), 250), (mbb(), 50)]
 
     @pytest.mark.parametrize("problem", [
         cantilever(), cantilever(41, 21), heat_sink(), mbb(51, 17)],
@@ -435,14 +432,17 @@ class TestStages:
 
         monkeypatch.setattr(MmaOptimizer, "step", record)
         seen = []
-        run(small_mbb(), budget=4, observer=seen.append)
-        # records 0-2 are coarse and step; record 3 is fine and ends the run
-        assert len(scales) == 3
-        ws = _Workspace(small_mbb().with_overrides(nx=16, ny=6))
-        model, u, _, c0, _ = ws.analyze(seen[2].design)
-        dc, _ = ws.gradients(model, u)
-        dc[ws.passive] = 0.0
-        assert np.array_equal(scales[2], dc / seen[0].compliance)
+        run(small_mbb(), budget=12, observer=seen.append)
+        # records 0-9 are coarse, 10-11 fine; the last one takes no step
+        assert len(scales) == 11
+        for problem, it, first in ((small_mbb().with_overrides(nx=16, ny=6),
+                                    9, 0),
+                                   (small_mbb(), 10, 10)):
+            ws = _Workspace(problem)
+            model, u, *_ = ws.analyze(seen[it].design)
+            dc, _ = ws.gradients(model, u)
+            dc[ws.passive] = 0.0
+            assert np.array_equal(scales[it], dc / seen[first].compliance)
 
     def test_an_mma_failure_in_the_coarse_stage(self, monkeypatch):
         step = MmaOptimizer.step
