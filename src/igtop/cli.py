@@ -68,8 +68,8 @@ def _cmd_run(args) -> int:
             write_design(outdir / ARTIFACTS["snapshot"].format(
                 state.iteration), state.design)
         if state.iteration % 10 == 0:
-            print(f"iter {state.iteration:4d}  compliance "
-                  f"{state.compliance:14.6g}  volume fraction "
+            print(f"iter {state.iteration:4d}  mesh {state.mesh:>7}  "
+                  f"compliance {state.compliance:14.6g}  volume fraction "
                   f"{state.volume_fraction:.4f}")
 
     try:

@@ -259,16 +259,13 @@ class HistoryRecord:
     mesh: str = ""
 
 
-@dataclass
-class IterationState:
-    """Snapshot handed to the observer after each analysis."""
+@dataclass(kw_only=True)
+class IterationState(HistoryRecord):
+    """A history record with a copy of its design, its model and solution u."""
 
-    iteration: int
     design: np.ndarray
     model: EnrichedModel
     u: np.ndarray
-    compliance: float
-    volume_fraction: float
 
 
 @dataclass
@@ -418,12 +415,14 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
                 # free the last analysis, with its model's cached geometry
                 model = u = f = None
                 model, u, f, c, vol = ws.analyze(s)
-                vf = vol / ws.domain_volume
-                history.append(HistoryRecord(
-                    it, c, vf, problem.pair.field_dim * model.n_enriched,
-                    f"{spec.nx}x{spec.ny}"))
+                record = HistoryRecord(
+                    it, c, vol / ws.domain_volume,
+                    problem.pair.field_dim * model.n_enriched,
+                    f"{spec.nx}x{spec.ny}")
+                history.append(record)
                 if observer is not None:
-                    observer(IterationState(it, s.copy(), model, u, c, vf))
+                    observer(IterationState(**vars(record), design=s.copy(),
+                                            model=model, u=u))
                 if c_ref is None:
                     if not c > 0.0:
                         raise SolverError(f"initial compliance {c} is not "

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from igtop import driver
-from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, IterationState,
-                          _Workspace, analyze, cantilever, check_gradients,
-                          get_problem, heat_sink, mbb, run)
+from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, HistoryRecord,
+                          IterationState, _Workspace, analyze, cantilever,
+                          check_gradients, get_problem, heat_sink, mbb, run)
 from igtop.errors import ConfigError, MmaStepError, NumericalError, SolverError
 from igtop.fem import Assembler
 from igtop.mma import S_MAX, S_MIN, MmaOptimizer
@@ -408,6 +408,23 @@ class TestStages:
         assert result.mesh.n_nodes == 31 * 11
         assert result.model.mesh is result.mesh
         assert not result.converged
+
+    def test_each_state_is_its_history_record_and_its_analysis(self, staged):
+        result, seen = staged
+        record_fields = [f.name for f in dataclasses.fields(HistoryRecord)]
+        assert [f.name for f in dataclasses.fields(IterationState)] \
+            == record_fields + ["design", "model", "u"]
+        assert len(seen) == len(result.history)
+        for state, record in zip(seen, result.history):
+            for name in record_fields:
+                assert getattr(state, name) == getattr(record, name), name
+            nx, ny = map(int, record.mesh.split("x"))
+            assert state.model.mesh.n_nodes == nx * ny
+            assert state.u.shape == (2 * nx * ny + record.enriched_dofs,)
+            assert state.design.shape == result.design.shape
+        # the last state is the analysis of the final design
+        assert np.array_equal(seen[-1].design, result.design)
+        assert seen[-1].model is result.model and seen[-1].u is result.u
 
     def test_a_staged_run_ends_on_the_problems_mesh(self, staged):
         result, _ = staged

@@ -304,6 +304,19 @@ class TestCli:
                            re.M)
         assert int(points.group(1)) > 31 * 11  # mesh nodes and enriched ones
 
+    def test_the_progress_line_names_the_mesh(self, tmp_path, capsys):
+        cfg = tmp_path / "mbb.cfg"
+        cfg.write_text("[problem]\nname = mbb\nnx = 31\nny = 11\n"
+                       "rbf_nx = 16\nrbf_ny = 6\nbudget = 12\n[output]\n"
+                       f"directory = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == 0
+        # iterations 0-9 run on 16x6 and 10-11 on 31x11
+        progress = [line.split() for line in
+                    capsys.readouterr().out.splitlines()
+                    if line.startswith("iter ")]
+        assert [(words[1], words[3]) for words in progress] \
+            == [("0", "16x6"), ("10", "31x11")]
+
     def test_run_with_builtin_problem_flag(self, tmp_path, capsys):
         rc = main(["run", "--problem", "cantilever", "--budget", "2",
                    "--output-dir", str(tmp_path / "o")])
