@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from igtop.driver import cantilever
+from igtop.driver import HistoryRecord, cantilever
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location(
@@ -63,3 +63,26 @@ def test_solve_rows_give_the_range_of_back_solves():
     assert [(mesh, n, counts) for mesh, n, *_, counts in rows] \
         == [("a", 2, "1-2"), ("b", 1, "1")]
     assert rows[0][2:4] == pytest.approx((6.0, 3.0))
+
+
+def test_state_solves_read_the_calls_right_under_each_state_solve():
+    spans = [["rbf.setup", 0.0, 1.0, -1],  # the RBF fit factors in set-up
+             ["cholesky_banded", 0.1, 0.3, 0],
+             ["cho_solve_banded", 0.3, 0.4, 0],
+             ["fem.solve", 2.0, 2.5, -1],
+             ["cholesky_banded", 2.1, 2.3, 3],
+             ["cho_solve_banded", 2.3, 2.35, 3],
+             ["cho_solve_banded", 2.35, 2.4, 3],
+             ["rbf.update", 3.0, 3.1, -1],
+             ["fem.solve", 4.0, 4.2, -1],
+             ["cholesky_banded", 4.05, 4.1, 8],
+             ["cho_solve_banded", 4.1, 4.15, 8]]
+    history = [HistoryRecord(0, 2.0, 0.6, 8, "16x6"),
+               HistoryRecord(1, 1.0, 0.5, 8, "31x11")]
+    solves = steps.state_solves(spans, history)
+    assert [solve[3:] for solve in solves] == [[2, "16x6"], [1, "31x11"]]
+    assert solves[0][:3] == pytest.approx([0.5, 0.2, 0.1])
+    assert solves[1][:3] == pytest.approx([0.2, 0.05, 0.05])
+    # one state solve per history record
+    with pytest.raises(ValueError):
+        steps.state_solves(spans, history[:1])

@@ -3,28 +3,28 @@ take memory, and where their state solves go.
 
     python3 tools/steps.py
 
-In its own process, for the cantilever, mbb
-and heat_sink problems of ``benchmarks/workloads.py`` it prints, in MB
-(2^20 bytes), the traced peak of each step and the bytes it keeps once it
-returns, each step traced on its own by ``tracemalloc`` so that its peak
-counts only what it allocates itself: the set-up pieces (the mesh with its
-element geometry, the initial design fit, the ``LevelsetField``, the
-``Assembler`` and the whole ``_Workspace``) and one analysis of the initial
-design (enriched model, assembly, solve and gradients). A fresh process,
-with BLAS pinned to one thread as in ``benchmarks/run.py``, then repeats
-the benchmark's set-up 15 times and runs the problem at the workload's
-budget; its ``ru_maxrss`` after each is the peak resident memory that the
-benchmark reports. Traced bytes leave out the interpreter's own and BLAS's
-native allocations.
+In its own process, for the cantilever, mbb and heat_sink problems of
+``benchmarks/workloads.py`` it prints, in MB (2^20 bytes), the traced peak
+of each step and the bytes it keeps once it returns, each step traced on
+its own by ``tracemalloc`` so that its peak counts only what it allocates
+itself: the set-up pieces (the mesh with its element geometry, the initial
+design fit, the ``LevelsetField``, the ``Assembler`` and the whole
+``_Workspace``) and one analysis of the initial design (enriched model,
+assembly, solve and gradients). A fresh process, with BLAS pinned to one
+thread as in ``benchmarks/run.py``, then repeats the benchmark's set-up 15
+times and runs the problem at the workload's budget; its ``ru_maxrss``
+after each is the peak resident memory that the benchmark reports. Traced
+bytes leave out the interpreter's own and BLAS's native allocations.
 
-In that run the fresh process also times every state solve
-(``solve_system`` of the driver) and, inside it, the banded Cholesky factor
-(``cholesky_banded``) and the back-solves (``cho_solve_banded``). Per
-problem and analysis mesh (a run with a coarse stage solves on two), the
-tool prints, as medians over the solves in ms, the whole solve, its
-factor, its back-solves together and the rest (band fill, residuals and
-checks), and the range of back-solves per solve. Times are wall clock, so
-they carry the host's load.
+In that run the fresh process installs the benchmark's ``Tracer``
+(``benchmarks/tracing.py``), which spans each state solve (``fem.solve``),
+and traces with it the banded Cholesky factor (``cholesky_banded``) and
+back-solves (``cho_solve_banded``), whose spans nest under their caller's.
+Per problem and analysis mesh (a run with a coarse stage solves on two),
+it prints from those spans, as medians over the solves in ms, the whole
+solve, its factor, its back-solves together and the rest (band fill,
+residuals and checks), and the range of back-solves per solve. Times are
+wall clock, so they carry the host's load.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 MB = 2.0 ** 20
+BANDED = ("cholesky_banded", "cho_solve_banded")  # traced in the solve
 
 
 def use_benchmark_sources() -> None:
@@ -106,46 +106,20 @@ def analysis_steps(problem) -> list:
     return rows
 
 
-def timed(owner, name: str, log: list):
-    """Replace ``owner.name`` by a wrapper that appends each call's wall
-    time to ``log``."""
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            log.append(time.perf_counter() - start)
-
-    setattr(owner, name, wrapper)
-
-
-def time_solves() -> list:
-    """Time the driver's state solves from now on; returns the list that
-    gets, per solve, [solve s, factor s, back-solves s, back-solves]; the
-    caller appends the mesh of the solve's history record."""
-    import igtop.driver
-    import igtop.fem
-
-    factors, back, solves = [], [], []
-    timed(igtop.fem, "cholesky_banded", factors)
-    timed(igtop.fem, "cho_solve_banded", back)
-    state_solve = igtop.driver.solve_system
-
-    def solve_system(*args, **kwargs):
-        # the RBF fit factors and back-solves too: count only the calls
-        # made inside this state solve
-        factors.clear()
-        back.clear()
-        start = time.perf_counter()
-        result = state_solve(*args, **kwargs)
-        solves.append([time.perf_counter() - start, sum(factors), sum(back),
-                       len(back)])
-        return result
-
-    igtop.driver.solve_system = solve_system
-    return solves
+def state_solves(spans, history) -> list:
+    """[solve s, factor s, back-solves s, back-solves, mesh] per top-level
+    ``fem.solve`` span, with the history's records in turn. Only the factor
+    and back-solve spans right under one count, not the RBF fit's."""
+    solves = {i: [end - start, 0.0, 0.0, 0]
+              for i, (name, start, end, parent) in enumerate(spans)
+              if name == "fem.solve" and parent == -1}
+    for name, start, end, parent in spans:
+        if parent in solves and name in BANDED:
+            back = name == "cho_solve_banded"
+            solves[parent][1 + back] += end - start
+            solves[parent][3] += back
+    return [solve + [record.mesh]
+            for solve, record in zip(solves.values(), history, strict=True)]
 
 
 def resident_steps(workload: str, overrides=None, budget=None,
@@ -153,7 +127,7 @@ def resident_steps(workload: str, overrides=None, budget=None,
     """``ru_maxrss`` in MB of a fresh process after ``setups`` (by default
     the benchmark's count) of the benchmark's set-ups of a workload's
     problem, with ``overrides``, and after a run at ``budget`` (by default
-    the workload's); that budget; and the run's solves as ``time_solves``
+    the workload's); that budget; and the run's solves as ``state_solves``
     lists them. Linux counts the resident memory of the process that starts
     the child in the child's maximum, so call this before the caller itself
     grows."""
@@ -172,6 +146,8 @@ def resident_child(spec: str) -> int:
     use_benchmark_sources()
     import igtop
     import run
+    from igtop import fem
+    from tracing import Tracer
     from workloads import build_setup, workloads
 
     spec = json.loads(spec)
@@ -181,10 +157,16 @@ def resident_child(spec: str) -> int:
     for _ in range(spec["setups"] or run.SETUP_REPEATS):
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    solves = time_solves()
-    result = igtop.run(problem, budget=budget)
-    for solve, record in zip(solves, result.history, strict=True):
-        solve.append(record.mesh)
+    tracer, solves = Tracer(), []
+    for name in BANDED:  # spans of the same tracer, so that they nest
+        setattr(fem, name, tracer._wrap(name, getattr(fem, name), None))
+
+    def observer(state):  # drop spans once read, or they add to ru_maxrss
+        solves.extend(state_solves(tracer.spans, [state]))
+        tracer.spans.clear()
+
+    with tracer.installed():
+        igtop.run(problem, budget=budget, observer=observer)
     after_run = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"after_setups": after_setups / 1024.0,
                       "after_run": after_run / 1024.0, "budget": budget,
