@@ -19,11 +19,9 @@ digests computed the same bits. The benchmark is imported, not changed.
 The five digests of float64 paths (the four workloads and ``setup``) read
 cantilever 5752d20b..., mbb ceb04a6b..., heat_sink 14d5fc9f..., gradcheck
 69a034a3... and setup c1ba952f...; a change that keeps float64 results
-must not move them. (mbb read c65a39ff... before its coarse stage, while
-every analysis was on the problem's own mesh.) The two longdouble checks
-read compliance_check f6320e33... and heat_sink_compliance_check
-3eedd97b..., both at one BLAS thread, since the longdouble assembly casts
-the float64 tile geometry.
+must not move them. The two longdouble checks read compliance_check
+f6320e33... and heat_sink_compliance_check 3eedd97b..., both at one BLAS
+thread, since the longdouble assembly casts the float64 tile geometry.
 """
 
 from __future__ import annotations
