@@ -94,14 +94,13 @@ def _cmd_run(args) -> int:
     print(f"artifacts in {outdir}")
     if out.gradient_check:
         print("gradient check on the final design:")
-        rows = check_gradients(cfg.problem, design=result.design)
-        if not _report_gradient_rows(rows):
-            print("gradient check FAILED", file=sys.stderr)
-            return 3
+        return _report_gradient_rows(
+            check_gradients(cfg.problem, design=result.design))
     return 0
 
 
-def _report_gradient_rows(rows) -> bool:
+def _report_gradient_rows(rows) -> int:
+    """Print the rows and the verdict; return the exit status."""
     print(f"{'var':>6} {'analytic':>24} {'finite diff':>24} "
           f"{'rel err':>10}  note")
     for r in rows:
@@ -113,17 +112,17 @@ def _report_gradient_rows(rows) -> bool:
     flagged = len(rows) - len(clean)
     print(f"{len(ok)}/{len(clean)} within {GRADIENT_TOLERANCE:g}"
           + (f" ({flagged} topology events excluded)" if flagged else ""))
-    return bool(clean) and len(ok) >= 0.95 * len(clean)
+    if clean and len(ok) >= 0.95 * len(clean):
+        return 0
+    print("gradient check FAILED", file=sys.stderr)
+    return 3
 
 
 def _cmd_check_gradients(args) -> int:
     cfg = _resolve(args)
-    rows = check_gradients(cfg.problem, n_sample=args.samples, seed=args.seed,
-                           quantity=args.quantity)
-    if not _report_gradient_rows(rows):
-        print("gradient check FAILED", file=sys.stderr)
-        return 3
-    return 0
+    return _report_gradient_rows(check_gradients(
+        cfg.problem, n_sample=args.samples, seed=args.seed,
+        quantity=args.quantity))
 
 
 def _cmd_export(args) -> int:

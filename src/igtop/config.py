@@ -25,20 +25,14 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .driver import ProblemSpec, get_problem
 from .errors import ConfigError
 
-_PROBLEM_KEYS = {
-    "name": str,
-    "nx": int,
-    "ny": int,
-    "rbf_nx": int,
-    "rbf_ny": int,
-    "budget": int,
-    "move_limit": float,
-    "volume_fraction": float,
-}
+_PROBLEM_KEYS = {k: t for k, t in get_type_hints(ProblemSpec).items()
+                 if k in ("name", "nx", "ny", "rbf_nx", "rbf_ny", "budget",
+                          "move_limit", "volume_fraction")}
 
 _OUTPUT_KEYS = {
     "directory": str,

@@ -249,8 +249,8 @@ def get_problem(name: str, **overrides) -> ProblemSpec:
 
 @dataclass
 class HistoryRecord:
-    """One analysis of a run; ``mesh`` names the mesh it was analysed on,
-    as ``"{nx}x{ny}"``."""
+    """One analysis of a run; its fields, in order, are history.csv's
+    columns. ``mesh`` names the mesh it was analysed on, as ``"{nx}x{ny}"``."""
 
     iteration: int
     compliance: float

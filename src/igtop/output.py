@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
+from .driver import HistoryRecord
 from .enrich import CUT, MATERIAL, EnrichedModel
 from .errors import ConfigError
 
 _FLOAT = "%.17g"
-HISTORY_FIELDS = ("iteration", "compliance", "volume_fraction",
-                  "enriched_dofs", "mesh")
 
 
 @contextmanager
@@ -33,11 +33,12 @@ def _writing(path, **kw):
 
 def write_history(path, records) -> None:
     with _writing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HISTORY_FIELDS)
+        w = csv.DictWriter(fh, [f.name for f in fields(HistoryRecord)])
+        w.writeheader()
         for r in records:
-            w.writerow([r.iteration, _FLOAT % r.compliance,
-                        _FLOAT % r.volume_fraction, r.enriched_dofs, r.mesh])
+            row = {k: getattr(r, k) for k in w.fieldnames}
+            w.writerow({k: _FLOAT % v if isinstance(v, float) else v
+                        for k, v in row.items()})
 
 
 def write_design(path, design: np.ndarray) -> None:

@@ -10,7 +10,8 @@ import pytest
 
 from igtop.cli import build_parser, main
 from igtop.config import load_config, parse_config
-from igtop.driver import HistoryRecord, analyze, cantilever, run
+from igtop.driver import (GradientCheckRow, HistoryRecord, analyze,
+                          cantilever, get_problem, run)
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, MmaStepError, SolverError
 from igtop.mesh import structured_grid
@@ -54,6 +55,13 @@ def run_not_reached(*args, **kwargs):
 
 def analyze_not_reached(*args, **kwargs):
     raise AssertionError("the design was analyzed")
+
+
+def two_of_twenty_off(*args, **kwargs):
+    """Twenty gradient-check rows with no topology event, the first two
+    outside the tolerance."""
+    return [GradientCheckRow(i, 1.0, 1.0 + err, err, False)
+            for i, err in enumerate([0.01] * 2 + [0.0] * 18)]
 
 
 class TestConfig:
@@ -124,7 +132,7 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["cantilever", "mbb", "heat_sink"])
     def test_shipped_configs_parse(self, name):
         cfg = load_config(REPO_CONFIGS / f"{name}.cfg")
-        assert cfg.problem.name == name
+        assert cfg.problem == get_problem(name)
 
     def test_readme_example_parses(self):
         readme = (REPO / "README.md").read_text()
@@ -476,6 +484,24 @@ class TestCli:
         assert rc == 0
         assert "gradient check on the final design" in out
         assert "within 0.001" in out
+
+    def test_failed_gradient_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("igtop.cli.check_gradients", two_of_twenty_off)
+        assert main(["check-gradients", "--problem", "cantilever"]) == 3
+        out, err = capsys.readouterr()
+        assert "18/20 within 0.001" in out
+        assert "gradient check FAILED" in err
+
+    def test_failed_gradient_check_after_run_exits_3(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr("igtop.cli.check_gradients", two_of_twenty_off)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "gradient_check = yes\n")
+        assert main(["run", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert "18/20 within 0.001" in out
+        assert "gradient check FAILED" in err
+        assert len(read_history(tmp_path / "out" / "history.csv")) == 3
 
     def test_artifacts_are_byte_stable_across_runs(self, tmp_path, capsys):
         paths = []

@@ -26,6 +26,7 @@ thread, since the longdouble assembly casts the float64 tile geometry.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 
@@ -49,8 +50,7 @@ def main() -> int:
                            ("heat_sink_compliance_check", igtop.heat_sink())):
         rows = igtop.check_gradients(problem, quantity="compliance",
                                      n_sample=10, seed=0)
-        rows = np.array([(r.index, r.analytic, r.fd, r.rel_err,
-                          r.topology_event) for r in rows])
+        rows = np.array([dataclasses.astuple(r) for r in rows])
         print(f"{label} {hashlib.sha256(rows.tobytes()).hexdigest()}")
     print(f"setup {setup_digest()}")
     return status
