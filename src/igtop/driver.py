@@ -280,9 +280,10 @@ class RunResult:
 
 
 class _Workspace:
-    """Mesh, kernels, loads, and assembler for one problem instance."""
+    """Mesh, kernels, loads, and assembler for one problem instance; its
+    initial design is ``start`` as ``design`` checks it, or the fit if None."""
 
-    def __init__(self, problem: ProblemSpec):
+    def __init__(self, problem: ProblemSpec, start: np.ndarray | None = None):
         self.problem = problem
         self.mesh = problem.build_mesh()
         self.grid = problem.build_rbf()
@@ -292,10 +293,12 @@ class _Workspace:
         cover = build_theta(self.grid, self.mesh.nodes[
             [node for node, _, _ in self.loads.point_loads]])
         self.passive = np.unique(cover.indices[cover.data > 0.0])
-        design = problem.initial_design(self.grid)
-        design[self.passive] = S_MAX
-        self.initial = design
-        self.field = LevelsetField(self.grid, self.mesh.nodes, design)
+        if start is None:
+            self.initial = problem.initial_design(self.grid)
+            self.initial[self.passive] = S_MAX
+        else:
+            self.initial = self.design(start)
+        self.field = LevelsetField(self.grid, self.mesh.nodes, self.initial)
         self.fixed = problem.fixed_dofs(self.mesh)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
@@ -403,7 +406,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         for spec, analyses in _stages(problem):
             # free the last stage, with its last model, before the next
             ws = model = u = f = None
-            ws = _Workspace(spec)
+            ws = _Workspace(spec, s)
             if s is None:
                 s = ws.design()
                 opt = MmaOptimizer(ws.grid.n_centers,
@@ -450,8 +453,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
 
 def analyze(problem: ProblemSpec, design: np.ndarray | None = None):
     """Single analysis of a problem at a given (or the initial) design."""
-    ws = _Workspace(problem)
-    return ws.analyze(ws.design(design))
+    ws = _Workspace(problem, design)
+    return ws.analyze(ws.initial)
 
 
 @dataclass
@@ -514,8 +517,8 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         problems.append(f"seed must be an integer of at least 0, got {seed!r}")
     if problems:
         raise ConfigError(problems)
-    ws = _Workspace(problem)
-    s0 = ws.design(design)
+    ws = _Workspace(problem, design)
+    s0 = ws.initial
     model0, u0, f0, c0, vol0 = ws.analyze(s0)
     dc, dv = ws.gradients(model0, u0)
     grad, ref = (dc, c0) if quantity == "compliance" else (dv, vol0)

@@ -83,15 +83,15 @@ def cut_values(phij, phik):
 def intersect_edge(xj, xk, phij, phik):
     """Zero-contour crossings of the segments from ``xj`` to ``xk``.
 
-    Returns ``(point, t)`` with ``point = xj + t (xk - xj)`` and
-    ``t = phij / (phij - phik)``. Requires strictly opposite nonzero signs.
-    Broadcasts over leading axes: points (..., 2), levelset values (...).
+    Returns the points ``xj + t (xk - xj)`` with ``t = phij / (phij -
+    phik)``. Requires strictly opposite nonzero signs. Broadcasts over
+    leading axes: points (..., 2), levelset values (...).
     """
     phij, phik = cut_values(phij, phik)
     t = phij / (phij - phik)
     xj = np.asarray(xj, dtype=float)
     xk = np.asarray(xk, dtype=float)
-    return xj + t[..., None] * (xk - xj), t
+    return xj + t[..., None] * (xk - xj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +261,8 @@ def build_enriched_model(mesh: Mesh, phi: np.ndarray) -> EnrichedModel:
     keys = keys[keys != np.append(keys[1:], -1)]
     enr = np.searchsorted(keys, pair_keys)
     edges = np.stack(np.divmod(keys, n), axis=1)
-    enr_coords, _ = intersect_edge(*mesh.nodes.take(edges.T, axis=0),
-                                   *phi[edges.T])
+    enr_coords = intersect_edge(*mesh.nodes.take(edges.T, axis=0),
+                                *phi[edges.T])
 
     # canonical edge order puts ab first only when a is local vertex 0
     flip = _FLIP[code]

@@ -166,8 +166,8 @@ def build_enriched_model(mesh, phi: np.ndarray) -> EnrichedModel:
     keys = np.unique(pair_keys)
     edges = np.stack(np.divmod(keys, mesh.n_nodes), axis=1)
     ej, ek = edges[:, 0], edges[:, 1]
-    enr_coords, _ = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
-                                   phi[ej], phi[ek])
+    enr_coords = intersect_edge(mesh.nodes[ej], mesh.nodes[ek],
+                                phi[ej], phi[ek])
     enr = np.searchsorted(keys, pair_keys)
 
     # canonical edge order puts ab first only when a is local vertex 0

@@ -88,10 +88,11 @@ def test_no_gain_with_more_failed_operations():
 
 def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     trees = []
-    for side in ("a", "b"):
+    for side, pin in (("a", '"1"'), ("b", '"2"')):
         tree = tmp_path / side
         (tree / "benchmarks" / "out").mkdir(parents=True)
         (tree / "benchmarks" / "out" / "spans.json").write_text("[]")
+        (tree / "benchmarks" / "run.py").write_text(f"BLAS_THREADS = {pin}\n")
         (tree / "marker").write_text(side)
         trees.append(tree)
     root = tmp_path / "root"
@@ -124,11 +125,23 @@ def test_main_writes_the_record(tmp_path, monkeypatch, capsys):
     assert {"a", "b", "nproc", "blas_threads", "python", "numpy", "scipy",
             "run_seconds", "runs", "summary", "traced"} <= set(record)
     assert record["run_seconds"] == 15 and len(record["runs"]["mbb"]) == 2
+    # the BLAS threads each side's runs were pinned to, not the tool's own
+    assert record["blas_threads"] == {
+        side: dict.fromkeys(bench_pairs.BLAS_VARS, pin)
+        for side, pin in (("A", "1"), ("B", "2"))}
     assert record["summary"]["mbb"]["peak_rss_mb"]["wins"] == 2
     layers = {side: record["traced"]["mbb"][side]["metrics"]
               ["enrich.build.p50_s"]["value"] for side in "AB"}
     assert layers == {"A": 2e-4, "B": 1e-4}
     assert "enrich.build.p50_s" in capsys.readouterr().out
+
+
+def test_the_pinned_blas_threads_are_read_from_the_runner(tmp_path):
+    # benchmarks/run.py sets each variable to its BLAS_THREADS in every run
+    assert bench_pairs.pinned_blas_threads(ROOT) == \
+        dict.fromkeys(bench_pairs.BLAS_VARS, "1")
+    assert bench_pairs.pinned_blas_threads(tmp_path) == \
+        dict.fromkeys(bench_pairs.BLAS_VARS)
 
 
 def test_run_benchmark_passes_the_trace_flag(tmp_path, monkeypatch):

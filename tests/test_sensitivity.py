@@ -64,8 +64,8 @@ class TestDesignVelocity:
             pk = rng.uniform(0.1, 2.0)
             for (a, b, pa, pb) in [(xj, xk, pj, pk), (xk, xj, pk, pj)]:
                 v = design_velocity(a, b, pa, pb)
-                xp, _ = intersect_edge(a, b, pa + h, pb)
-                xm, _ = intersect_edge(a, b, pa - h, pb)
+                xp = intersect_edge(a, b, pa + h, pb)
+                xm = intersect_edge(a, b, pa - h, pb)
                 fd = (xp - xm) / (2 * h)
                 np.testing.assert_allclose(v, fd, rtol=1e-6, atol=1e-10)
 

@@ -23,12 +23,15 @@ workload once more with ``--trace 1``, whose per-layer medians (the
 ``*.p50_s`` metrics) it prints side by side. It writes ``BENCH_<T>.json``
 at the repository root with every run's result object, the traced ones
 under ``traced``, both commits, the core count, the BLAS-thread
-variables, the Python, numpy and scipy versions and the run seconds.
+variables as each side's ``benchmarks/run.py`` sets them for its runs (its
+``BLAS_THREADS``), the Python, numpy and scipy versions and the run
+seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -53,6 +56,19 @@ def commit(tree: Path) -> str | None:
                           "--abbrev=40"], cwd=tree, capture_output=True,
                          text=True)
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def pinned_blas_threads(tree: Path) -> dict:
+    """The BLAS-thread variables as the tree's ``benchmarks/run.py`` pins
+    them in every run, from its ``BLAS_THREADS``; None when it pins none."""
+    path = tree / "benchmarks" / "run.py"
+    value = None
+    if path.is_file():
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1 and
+                    getattr(node.targets[0], "id", None) == "BLAS_THREADS"):
+                value = ast.literal_eval(node.value)
+    return dict.fromkeys(BLAS_VARS, value)
 
 
 def run_benchmark(tree: Path, workload: str, seconds: float,
@@ -172,6 +188,7 @@ def main(argv=None) -> int:
             trees[side] = Path(tmp) / side.lower()
             commits[side] = {"path": str(src), "commit": commit(src)}
             shutil.copytree(src, trees[side], ignore=SKIP)
+        blas = {side: pinned_blas_threads(trees[side]) for side in "AB"}
         runs = alternate(workloads, args.pairs, lambda side, workload:
                          run_benchmark(trees[side], workload, seconds))
         traced = {workload: {side: run_benchmark(trees[side], workload,
@@ -197,7 +214,7 @@ def main(argv=None) -> int:
               "a": commits["A"], "b": commits["B"],
               "pairs": args.pairs, "run_seconds": seconds,
               "nproc": os.cpu_count(),
-              "blas_threads": {v: os.environ.get(v) for v in BLAS_VARS},
+              "blas_threads": blas,
               **versions(), "summary": summary, "unusable": reports,
               "runs": runs, "traced": traced}
     path = ROOT / f"BENCH_{args.tag}.json"
