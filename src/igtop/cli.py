@@ -14,12 +14,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import OutputConfig, RunConfig, load_config
-from .driver import (BUILTIN_PROBLEMS, S_MAX, S_MIN, analyze, check_gradients,
-                     get_problem, run)
+from .driver import (BUILTIN_PROBLEMS, analyze, check_gradients, get_problem,
+                     run)
 from .errors import ConfigError, MmaStepError, NumericalError
 from .output import (read_design, write_contour, write_design, write_history,
                      write_vtk)
@@ -138,12 +136,6 @@ def _cmd_export(args) -> int:
         raise ConfigError("--design needs a file, got an empty path")
     cfg = _resolve(args)
     design = read_design(args.design) if args.design else None
-    if design is not None:
-        outside = np.flatnonzero((design < S_MIN) | (design > S_MAX))
-        if outside.size:
-            i = int(outside[0])
-            raise ConfigError(f"design value {design[i]:g} at index {i} lies "
-                              f"outside [{S_MIN:g}, {S_MAX:g}]")
     model, u, f, c, vol = analyze(cfg.problem, design)
     domain = cfg.problem.width * cfg.problem.height
     if args.vtk:

@@ -281,7 +281,8 @@ class RunResult:
 
 class _Workspace:
     """Mesh, kernels, loads, and assembler for one problem instance; its
-    initial design is ``start`` as ``design`` checks it, or the fit if None."""
+    initial design is a float copy of ``start``, which must hold one number
+    in [S_MIN, S_MAX] per kernel, or the fit if None."""
 
     def __init__(self, problem: ProblemSpec, start: np.ndarray | None = None):
         self.problem = problem
@@ -297,34 +298,28 @@ class _Workspace:
             self.initial = problem.initial_design(self.grid)
             self.initial[self.passive] = S_MAX
         else:
-            self.initial = self.design(start)
+            n = self.grid.n_centers
+            expects = f"problem {problem.name!r} expects {n} values"
+            try:
+                start = np.asarray(start)
+                numeric = start.dtype.kind in "iuf"  # no strings, no bools
+            except ValueError:  # a ragged design
+                numeric = False
+            if not numeric:
+                raise ConfigError([f"design is not numeric; {expects}"])
+            s = self.initial = start.astype(float)
+            if s.shape != (n,):
+                raise ConfigError([f"design has shape {s.shape}; {expects}"])
+            # NaN and +-inf fail the range test too
+            outside = np.flatnonzero(~((s >= S_MIN) & (s <= S_MAX)))
+            if outside.size:
+                i = outside[0]
+                raise ConfigError(f"design value {s[i]:g} at index {i} lies "
+                                  f"outside [{S_MIN:g}, {S_MAX:g}]")
         self.field = LevelsetField(self.grid, self.mesh.nodes, self.initial)
         self.fixed = problem.fixed_dofs(self.mesh)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
         self.domain_volume = problem.width * problem.height
-
-    def design(self, design: np.ndarray | None = None) -> np.ndarray:
-        """A float copy of ``design``, or of the initial design when None;
-        a design that is not one finite number per kernel is a
-        ConfigError."""
-        if design is None:
-            return self.initial.copy()
-        n = self.grid.n_centers
-        expects = f"problem {self.problem.name!r} expects {n} values"
-        try:
-            design = np.asarray(design)
-            numeric = design.dtype.kind in "iuf"  # no strings, no bools
-        except ValueError:  # a ragged design
-            numeric = False
-        if not numeric:
-            raise ConfigError([f"design is not numeric; {expects}"])
-        design = design.astype(float)
-        if design.shape != (n,):
-            raise ConfigError([f"design has shape {design.shape}; {expects}"])
-        if not np.isfinite(design).all():
-            raise ConfigError([f"design is not finite at entry "
-                               f"{np.flatnonzero(~np.isfinite(design))[0]}"])
-        return design
 
     def levelset(self, design: np.ndarray) -> np.ndarray:
         """Snapped nodal levelset of one design."""
@@ -408,7 +403,7 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
             ws = model = u = f = None
             ws = _Workspace(spec, s)
             if s is None:
-                s = ws.design()
+                s = ws.initial
                 opt = MmaOptimizer(ws.grid.n_centers,
                                    move_limit=problem.move_limit)
             v_limit = problem.volume_fraction * ws.domain_volume
@@ -557,6 +552,7 @@ def check_gradients(problem: ProblemSpec, *, design: np.ndarray | None = None,
         vp, vm, topo = probes(sp, sm)
         fd = (vp - vm) / (2.0 * h)
         scale = max(abs(grad[i]), abs(fd), 1e-6 * abs(ref))
-        rows.append(GradientCheckRow(i, float(grad[i]), float(fd),
-                                     float(abs(grad[i] - fd) / scale), topo))
+        err = abs(grad[i] - fd) / scale if scale else 0.0  # both sides 0
+        rows.append(GradientCheckRow(i, float(grad[i]), float(fd), float(err),
+                                     topo))
     return rows

@@ -59,8 +59,6 @@ def read_design(path) -> np.ndarray:
         values = np.array([float(line) for line in lines[1:] if line.strip()])
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{path}: design values must be finite")
     return values
 
 

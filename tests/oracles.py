@@ -280,8 +280,8 @@ def whole_mesh_volume_check(problem, design=None, n_sample=50, h=1e-6,
         return (model.enr_edges.tobytes(), t.parent.tobytes(),
                 t.vertex_ids.tobytes(), t.material.tobytes())
 
-    ws = _Workspace(problem)
-    s0 = ws.design(design)
+    ws = _Workspace(problem, design)
+    s0 = ws.initial
     model0 = ws.model(s0)
     grad = sensitivity.volume_gradient(model0, ws.field)
     ref = model0.material_volume()

@@ -446,9 +446,9 @@ class TestCriterion9MatchingMesh:
         t0 = time.perf_counter()
         checks = []
         for problem, design in self.DESIGNS:
-            ws = _Workspace(problem())
-            model = ws.model(ws.design(
-                None if design is None else np.loadtxt(DATA / design)))
+            ws = _Workspace(problem(), None if design is None
+                            else np.loadtxt(DATA / design))
+            model = ws.model(ws.initial)
             k, f = ws.assembler.assemble(model)
             k_conf, f_conf = conforming_system(model, ws.problem.pair,
                                                ws.loads)

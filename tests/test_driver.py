@@ -1,6 +1,7 @@
 """Driver loop behavior on scaled-down problem instances."""
 
 import dataclasses
+import re
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from igtop import driver
+from igtop.cli import _report_gradient_rows
 from igtop.driver import (BUILTIN_PROBLEMS, DirichletRule, HistoryRecord,
                           IterationState, _Workspace, analyze, cantilever,
                           check_gradients, get_problem, heat_sink, mbb, run)
@@ -322,7 +324,7 @@ class TestRunLoop:
         with pytest.raises(SolverError, match="initial compliance") as info:
             run(p, observer=seen.append)
         assert info.value.iteration == 0
-        assert np.array_equal(info.value.design, _Workspace(p).design())
+        assert np.array_equal(info.value.design, _Workspace(p).initial)
         assert [state.iteration for state in seen] == [0]
         assert seen[0].model is not None and seen[0].u is not None
 
@@ -525,8 +527,10 @@ class TestAnalyze:
         assert vol / (p.width * p.height) \
             == pytest.approx(rec0.volume_fraction, rel=1e-14)
 
-    def test_design_of_wrong_length_is_a_config_error(self, monkeypatch):
-        # refused before the levelset and the assembler are built
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The names of the Assembler and LevelsetField classes, once for
+        each instance built from now on."""
         built = []
 
         def counting(cls):
@@ -539,8 +543,26 @@ class TestAnalyze:
 
         for cls in (Assembler, driver.LevelsetField):
             monkeypatch.setattr(cls, "__init__", counting(cls))
+        return built
+
+    def test_design_of_wrong_length_is_a_config_error(self, built):
+        # refused before the levelset and the assembler are built
         with pytest.raises(ConfigError, match="expects 66 values"):
             analyze(small_cantilever(), np.zeros(2))
+        assert built == []
+
+    @pytest.mark.parametrize("analysis", [
+        lambda p, d: analyze(p, d),
+        lambda p, d: check_gradients(p, design=d)],
+        ids=["analyze", "check_gradients"])
+    def test_design_outside_the_box_is_a_config_error(self, built, analysis):
+        # the rule that ``igtop export`` applies to a design file, before
+        # the levelset and the assembler are built
+        design = np.zeros(66)
+        design[7] = 1.5
+        with pytest.raises(ConfigError, match=re.escape(
+                "design value 1.5 at index 7 lies outside [-1, 1]")):
+            analysis(small_cantilever(), design)
         assert built == []
 
     @pytest.mark.parametrize("design, message", [
@@ -548,8 +570,8 @@ class TestAnalyze:
         (["0.5"] * 66, "design is not numeric"),
         ([True] * 66, "design is not numeric"),
         ([[0.0]] * 65 + [[0.0, 1.0]], "design is not numeric"),
-        (np.full(66, np.nan), "design is not finite at entry 0"),
-        (np.r_[np.zeros(65), np.inf], "design is not finite at entry 65"),
+        (np.full(66, np.nan), "at index 0 lies outside"),
+        (np.r_[np.zeros(65), np.inf], "at index 65 lies outside"),
     ], ids=["strings", "numeric-strings", "bools", "ragged", "nan", "inf"])
     def test_design_of_non_finite_numbers_is_a_config_error(self, design,
                                                             message):
@@ -558,9 +580,9 @@ class TestAnalyze:
 
     def test_initial_design_outlasts_analyses(self):
         ws = _Workspace(cantilever(nx=9, ny=5))
-        s0 = ws.design()
+        s0 = ws.initial.copy()
         ws.analyze(s0 * 0 + 0.5)
-        assert np.array_equal(ws.design(), s0)
+        assert np.array_equal(ws.initial, s0)
 
     def test_explicit_design_roundtrip(self):
         p = small_cantilever()
@@ -600,7 +622,7 @@ class TestAnalyze:
                     monkeypatch.setattr(module, name, counted(
                         name, getattr(module, name)))
         ws = _Workspace(problem)
-        model, u, *_ = ws.analyze(ws.design())
+        model, u, *_ = ws.analyze(ws.initial)
         assert model.n_cut > 0
         assert {"hats", "grads"} <= set(vars(model))
         assert "ddet" not in vars(model)
@@ -640,7 +662,7 @@ class TestStartingDesign:
 
     def test_a_given_design_is_not_fitted(self, fits):
         p = small_cantilever()
-        design = _Workspace(p).design()
+        design = _Workspace(p).initial
         fits.clear()
         _, _, _, c, _ = analyze(p, design)
         rows = check_gradients(p, design=design, quantity="volume",
@@ -677,7 +699,7 @@ class TestSupportsAndLoads:
     def test_enriched_dofs_on_fixed_edges_are_fixed(self, problem):
         ws = _Workspace(problem)
         a, _ = np.loadtxt(DATA / "cantilever_clamp_crossing.txt")
-        design = a if problem.name == "cantilever" else ws.design()
+        design = a if problem.name == "cantilever" else ws.initial
         model, u, *_ = ws.analyze(design)
         d = problem.pair.field_dim
         fixed = np.zeros(d * ws.mesh.n_nodes, dtype=bool)
@@ -696,13 +718,13 @@ class TestSupportsAndLoads:
         covering = ws.field.theta[load]
         assert ws.passive.size and np.array_equal(
             ws.passive, np.sort(covering.indices[covering.data > 0.0]))
-        assert np.all(ws.design()[ws.passive] == S_MAX)
+        assert np.all(ws.initial[ws.passive] == S_MAX)
         assert ws.field.nodal_values[load] > 0.0
         designs = []
         run(problem, observer=lambda state: designs.append(state.design))
         assert np.all(np.array(designs)[:, ws.passive] == S_MAX)
         # the gradients of the analysis stay exact there
-        model, u, *_ = ws.analyze(ws.design())
+        model, u, *_ = ws.analyze(ws.initial)
         dc, dv = ws.gradients(model, u)
         assert np.any(dc[ws.passive] != 0.0) or np.any(dv[ws.passive] != 0.0)
 
@@ -815,7 +837,7 @@ class TestGradientCheck:
         problem = small_cantilever()
         ws = _Workspace(problem)
         theta = ws.field.theta.toarray()
-        s = ws.design()
+        s = ws.initial.copy()
         phi = theta @ s
         m = int(np.argmax(np.abs(phi)))
         i = int(np.argmax(theta[m]))
@@ -848,6 +870,20 @@ class TestGradientCheck:
         assert [m.n_elements for m in meshes[1:]] == [0] * 10
         assert all(r.fd == 0.0 and not r.topology_event for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem", [
+        cantilever(9, 5), heat_sink(nx=9, ny=9, rbf_nx=7, rbf_ny=7)],
+        ids=["cantilever", "heat_sink"])
+    def test_an_all_void_volume_check_agrees(self, problem):
+        # with no material the volume and both sides of every row are
+        # exactly 0, which agree
+        design = -np.ones(problem.rbf_nx * problem.rbf_ny)
+        rows = check_gradients(problem, design=design, n_sample=3,
+                               quantity="volume")
+        assert len(rows) == 3
+        assert all(r.analytic == r.fd == r.rel_err == 0.0 for r in rows)
+        assert _report_gradient_rows(rows) == 0
+
     def test_sample_capped_by_design_size(self):
         p = small_cantilever()
         rows = check_gradients(p, n_sample=10_000, seed=0)
@@ -864,7 +900,7 @@ class TestGradientCheck:
         (dict(n_sample=True, quantity="volume"), "n_sample must be an integer"),
         (dict(seed=False, quantity="volume"), "seed must be an integer"),
         (dict(design=np.full(66, np.nan), quantity="volume"),
-         "design is not finite"),
+         "at index 0 lies outside"),
     ], ids=["h-zero", "h-nan", "no-samples", "unknown-quantity",
             "negative-seed", "wrong-length-design", "fractional-samples",
             "fractional-seed", "h-string", "bool-samples", "bool-seed",

@@ -306,8 +306,7 @@ def assert_matches_oracle(mesh, phi):
 
 
 def benchmark_levelset(problem, design=None):
-    ws = _Workspace(problem)
-    ws.field.update_design(ws.design(design))
+    ws = _Workspace(problem, design)
     return ws.mesh, snap_nodal_levelset(ws.field.nodal_values)
 
 

@@ -368,9 +368,9 @@ class TestBandedCholesky:
     @pytest.mark.parametrize("problem, design", DESIGNS)
     def test_workspace_order_matches_reverse_cuthill_mckee(self, problem,
                                                            design):
-        ws = _Workspace(problem())
-        model = ws.model(ws.design(
-            None if design is None else np.loadtxt(DATA / design)))
+        ws = _Workspace(problem(), None if design is None
+                        else np.loadtxt(DATA / design))
+        model = ws.model(ws.initial)
         k, f = ws.assembler.assemble(model)
         ref = solve_system(k, f, ws.fixed).u
         res = solve_system(k, f, ws.fixed, ws.assembler.band_key(model))
@@ -382,9 +382,9 @@ class TestBandedCholesky:
         # the refinement's first correction takes u on the elastic designs
         # from about 1e-10 of the longdouble-refined solve to 7e-14 or less:
         # the stop rule must never skip it
-        ws = _Workspace(problem())
-        model = ws.model(ws.design(
-            None if design is None else np.loadtxt(DATA / design)))
+        ws = _Workspace(problem(), None if design is None
+                        else np.loadtxt(DATA / design))
+        model = ws.model(ws.initial)
         k, f = ws.assembler.assemble(model)
         key = ws.assembler.band_key(model)
         ref = solve_system(k.astype(np.longdouble), f, ws.fixed, key).u

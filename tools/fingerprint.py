@@ -71,7 +71,7 @@ def setup_digest() -> str:
                          theta.indices.astype(np.int64), theta.data):
                 digest.update(part.tobytes())
         digest.update(ws.problem.initial_design(ws.grid).tobytes())
-        model = ws.model(ws.design())
+        model = ws.model(ws.initial)
         k, f = ws.assembler.assemble(model)
         res = igtop.fem.solve_system(k, f,
                                      ws.assembler.fixed_dofs(model, ws.fixed))

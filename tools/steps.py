@@ -98,7 +98,7 @@ def analysis_steps(problem) -> list:
 
     ws = _Workspace(problem)
     asm, rows = ws.assembler, []
-    model = traced(lambda: ws.model(ws.design()), rows, "model")
+    model = traced(lambda: ws.model(ws.initial), rows, "model")
     k, f = traced(lambda: asm.assemble(model), rows, "assemble")
     u = traced(lambda: solve_system(k, f, asm.fixed_dofs(model, ws.fixed),
                                     asm.band_key(model)).u, rows, "solve")
