@@ -552,8 +552,7 @@ class TestAnalyze:
         assert built == []
 
     @pytest.mark.parametrize("analysis", [
-        lambda p, d: analyze(p, d),
-        lambda p, d: check_gradients(p, design=d)],
+        analyze, lambda p, d: check_gradients(p, design=d)],
         ids=["analyze", "check_gradients"])
     def test_design_outside_the_box_is_a_config_error(self, built, analysis):
         # the rule that ``igtop export`` applies to a design file, before
