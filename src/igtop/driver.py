@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sensitivity
-from .enrich import EnrichedModel, build_enriched_model, snap_nodal_levelset
+from .enrich import (EnrichedModel, build_enriched_model, flip_lone_nodes,
+                     snap_nodal_levelset)
 from .errors import ConfigError, NumericalError, SolverError, finite_number
 from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
@@ -322,9 +323,11 @@ class _Workspace:
         self.domain_volume = problem.width * problem.height
 
     def levelset(self, design: np.ndarray) -> np.ndarray:
-        """Snapped nodal levelset of one design."""
+        """Snapped nodal levelset of one design, its lone nodes flipped
+        first (``flip_lone_nodes``)."""
         self.field.update_design(design)
-        return snap_nodal_levelset(self.field.nodal_values)
+        return snap_nodal_levelset(flip_lone_nodes(self.field.nodal_values,
+                                                   self.mesh.neighbours))
 
     def model(self, design: np.ndarray) -> EnrichedModel:
         """Enriched model of one design."""

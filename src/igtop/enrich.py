@@ -23,6 +23,7 @@ VOID, MATERIAL, CUT = 0, 1, 2
 
 _DIAG_TIE_REL = 1e-12
 _SNAP_REL = 1e-10
+_LONE_REL = 1e-5
 
 # A cut parent's five local points are the lone-sign vertex a, the vertices
 # b and c that follow it counterclockwise, and the enriched nodes on ab and
@@ -66,6 +67,36 @@ def snap_nodal_levelset(phi: np.ndarray) -> np.ndarray:
     eps = _SNAP_REL * scale
     out = phi.copy()
     out[np.abs(out) < eps] = eps
+    return out
+
+
+def flip_lone_nodes(phi: np.ndarray, neighbours) -> np.ndarray:
+    """``phi`` with each lone node flipped (phi -> -phi): a node whose sign
+    differs from that of every mesh neighbour and whose |phi| is below
+    ``1e-5`` of the smallest |phi| among them. Every edge around such a node
+    is cut close to it, into slivers whose enrichments nearly sum to the
+    node's own hat function, which the solve's pivot check refuses.
+    ``neighbours`` is ``Mesh.neighbours``. Only a node below 1e-5 of
+    max|phi| can be lone; ``phi`` itself is returned when none flips.
+    """
+    phi = np.asarray(phi, dtype=float)
+    near = np.flatnonzero(np.abs(phi) < _LONE_REL * np.abs(phi).max())
+    if near.size == 0:
+        return phi
+    indptr, indices = neighbours
+    count = indptr[near + 1] - indptr[near]
+    first = np.cumsum(count) - count
+    around = phi[indices[np.arange(count.sum())
+                         + np.repeat(indptr[near] - first, count)]]
+    positive = phi[near] > 0.0
+    lone = np.logical_and.reduceat(
+        (around > 0.0) != np.repeat(positive, count), first) \
+        & (np.abs(phi[near])
+           < _LONE_REL * np.minimum.reduceat(np.abs(around), first))
+    if not lone.any():
+        return phi
+    out = phi.copy()
+    out[near[lone]] *= -1.0
     return out
 
 

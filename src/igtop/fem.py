@@ -302,6 +302,10 @@ class Assembler:
         return k, f
 
 
+# the rows of K that the refinement's residual multiplies at a time
+_BLOCK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class SolveResult:
     u: np.ndarray
@@ -321,14 +325,45 @@ def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
             f"nonpositive stiffness diagonal at dof {at[np.argmin(diag)]}; "
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
+    # the band is the largest array of a solve: free the nnz-sized arrays
+    # before it exists, so that it alone adds to the process's peak
     i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
     lower = np.flatnonzero((j >= 0) & (i >= j))
-    row, col, data = i[lower], j[lower], k.data[lower]
-    offset = row - col
-    rows = int(offset.max()) + 1
-    band = np.zeros(rows * at.size)
-    band[offset + rows * col] = scale[row] * data * scale[col]
+    row, col = i[lower], j[lower]
+    del i, j
+    data = k.data[lower]
+    del lower
+    data *= scale[row]
+    data *= scale[col]
+    # the flat band position of each entry, (row - col) + rows col
+    row -= col
+    rows = int(row.max()) + 1
+    col *= rows
+    row += col
+    del col
+    # K is canonical, so each position is hit once: the sum adds each value
+    # to 0.0, after rounding a longdouble product to float64 as a store does
+    band = np.bincount(row, weights=data.astype(np.float64, copy=False),
+                       minlength=rows * at.size)
     return band.reshape((rows, at.size), order="F"), scale
+
+
+def _product(k: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """K @ x, formed _BLOCK_ROWS rows at a time when K has more, each block
+    a view of K's arrays: scipy copies a float64 K to a longdouble x's type,
+    and so copies one block instead of all of K. Each row sums its entries
+    in stored order, so the blocks give the bits of the whole product."""
+    n = k.shape[0]
+    if n <= _BLOCK_ROWS:
+        return k @ x
+    out = np.empty(n, dtype=np.result_type(k.dtype, x.dtype))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        lo, hi = k.indptr[start], k.indptr[stop]
+        out[start:stop] = sparse.csr_matrix(
+            (k.data[lo:hi], k.indices[lo:hi], k.indptr[start:stop + 1] - lo),
+            shape=(stop - start, k.shape[1])) @ x
+    return out
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
@@ -395,7 +430,8 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # dofs, and its Jacobi-scaled norm decides the stop; so does the next
     # correction, predicted from the last two as |dy|^2 / |dy_prev|
     # (max-norm), once below an ulp of the scaled solution y. K @ x runs in
-    # longdouble: scipy promotes a float64 K to x's dtype in a copy
+    # longdouble: scipy promotes a float64 K to x's dtype in a copy, one
+    # block of rows at a time (_product)
     fb = f[at]
     fs = fb * s
     fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
@@ -404,7 +440,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     x[at] = s * y
     last = np.inf
     for _ in range(6):
-        rs = s * (fb - (k @ x)[at])
+        rs = s * (fb - _product(k, x)[at])
         rnorm = float(np.linalg.norm(rs.astype(np.float64)))
         if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
             break

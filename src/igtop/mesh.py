@@ -96,6 +96,18 @@ class Mesh:
         """
         return cofactor_hat_gradients(self.nodes.take(self.elements, axis=0))
 
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes joined to each node by an element edge, as CSR arrays
+        (indptr, indices): node i's are ``indices[indptr[i]:indptr[i + 1]]``,
+        ascending."""
+        n = self.n_nodes
+        a = self.elements.astype(np.int64)
+        b = np.roll(a, -1, axis=1)
+        node, other = np.divmod(np.unique(np.concatenate(
+            [a * n + b, b * n + a], axis=None)), n)
+        return np.searchsorted(node, np.arange(n + 1)), other
+
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""
         p = np.asarray(point, dtype=float)

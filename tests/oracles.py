@@ -26,6 +26,11 @@ as a conforming mesh without remeshing.
 :func:`whole_mesh_volume_check` is the volume gradient check as it was
 before its probes tiled only the elements their kernel moves: every probe
 tiles the whole mesh, and the flags compare whole-mesh cut topologies.
+
+:func:`scaled_band` is the solve's band fill as one scatter of the scaled
+lower entries of K, with every index array alive beside the band; the
+package's fill, which frees them first and sums into the band, must give
+the same band bit for bit.
 """
 
 import dataclasses
@@ -301,3 +306,17 @@ def whole_mesh_volume_check(problem, design=None, n_sample=50, h=1e-6,
         rows.append(GradientCheckRow(i, float(grad[i]), float(fd),
                                      float(abs(grad[i] - fd) / scale), topo))
     return rows
+
+
+def scaled_band(k, pos, at):
+    """(band, scale) of :func:`igtop.fem._scaled_band` for a K with a
+    positive diagonal at ``at``, by one scatter into a zeroed band."""
+    scale = 1.0 / np.sqrt(k.diagonal()[at])
+    i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
+    lower = np.flatnonzero((j >= 0) & (i >= j))
+    row, col, data = i[lower], j[lower], k.data[lower]
+    offset = row - col
+    rows = int(offset.max()) + 1
+    band = np.zeros(rows * at.size)
+    band[offset + rows * col] = scale[row] * data * scale[col]
+    return band.reshape((rows, at.size), order="F"), scale

@@ -13,12 +13,14 @@ from igtop.driver import _Workspace, cantilever, heat_sink, mbb
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, SolverError
 import igtop.fem
-from igtop.fem import (CUT, MATERIAL, Assembler, Conduction, LoadCase,
-                       MaterialPair, PlaneStressElastic, build_b,
+from igtop.fem import (_BLOCK_ROWS, CUT, MATERIAL, Assembler, Conduction,
+                       LoadCase, MaterialPair, PlaneStressElastic, _product,
+                       build_b,
                        compliance, cut_parent_dofs,
                        integration_element_stiffness, node_dofs, solve_system)
 from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients,
                         structured_grid, tri_jacobian)
+import oracles
 from oracles import edge_traction_loads, enrichment_values, parent_hats
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -642,6 +644,47 @@ class TestScaledBand:
             expected = np.zeros((offset.max() + 1, free.size))
             expected[offset[lower], ordered.col[lower]] = ordered.data[lower]
             np.testing.assert_array_equal(band, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("problem", [
+        cantilever(), heat_sink(), mbb(76, 26), mbb()],
+        ids=["cantilever", "heat_sink", "mbb-76x26", "mbb-151x51"])
+    def test_fill_equals_the_scatter_reference(self, monkeypatch, problem,
+                                               dtype):
+        # the band and scale of the initial design's solve, bit for bit
+        # those of one scatter of the scaled lower entries (tests/oracles.py)
+        ws = _Workspace(problem)
+        model = ws.model(ws.initial)
+        k, f = Assembler(ws.mesh, problem.pair, ws.loads,
+                         dtype=dtype).assemble(model)
+        calls = []
+        fill = igtop.fem._scaled_band
+        monkeypatch.setattr(igtop.fem, "_scaled_band",
+                            lambda *args: calls.append(args) or fill(*args))
+        solve_system(k, f, ws.assembler.fixed_dofs(model, ws.fixed),
+                     ws.assembler.band_key(model))
+        (args,) = calls
+        (band, scale), (ref_band, ref_scale) = fill(*args), \
+            oracles.scaled_band(*args)
+        assert band.flags.f_contiguous and band.shape == ref_band.shape
+        assert band.tobytes(order="F") == ref_band.tobytes(order="F")
+        # the scale has K's dtype: longdouble padding bytes vary
+        assert scale.dtype == ref_scale.dtype
+        np.testing.assert_array_equal(scale, ref_scale)
+
+    @pytest.mark.parametrize("problem, blocks", [(heat_sink(), 1), (mbb(), 5)],
+                             ids=["heat_sink", "mbb-151x51"])
+    def test_blocked_product_equals_the_whole_product(self, problem, blocks):
+        # a longdouble x, as in the refinement; compared by value and sign,
+        # since longdouble padding bytes vary
+        _, _, k, _ = initial_analysis(problem)
+        assert -(-k.shape[0] // _BLOCK_ROWS) == blocks
+        x = np.random.default_rng(0).standard_normal(k.shape[0]).astype(
+            np.longdouble) / 3
+        got, want = _product(k, x), k @ x
+        assert got.dtype == want.dtype == np.longdouble
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("dtype, solves", [(np.float64, 2),
                                                (np.longdouble, 2)])

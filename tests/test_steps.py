@@ -35,11 +35,13 @@ def test_resident_memory_and_solves_of_a_fresh_process():
         "cantilever", TINY, budget=2, setups=2)
     assert budget == 2
     assert after_run >= after_setups > 0.0
-    # one state solve per analysis, its factor and back-solves inside it
+    # one state solve per analysis, its factor and back-solves inside it,
+    # and how much it raised the peak resident memory
     assert len(solves) == budget
-    for solve, factor, back, n_back, mesh in solves:
+    for solve, factor, back, n_back, rise, mesh in solves:
         assert n_back >= 1
         assert factor + back <= solve
+        assert rise >= 0.0
         assert mesh == "9x5"
 
 
@@ -51,17 +53,18 @@ def test_a_staged_run_has_one_solve_row_per_mesh():
     rows = steps.solve_rows(solves)
     assert [(mesh, n) for mesh, n, *_ in rows] == [("16x6", 5), ("31x11", 1)]
     # the fine row is its one solve alone
-    solve, factor, back, n_back, _ = solves[-1]
+    solve, factor, back, n_back, rise, _ = solves[-1]
     assert rows[1][2:] == (1e3 * solve, 1e3 * factor, 1e3 * back,
-                           1e3 * (solve - factor - back), str(n_back))
+                           1e3 * (solve - factor - back), rise, str(n_back))
 
 
 def test_solve_rows_give_the_range_of_back_solves():
-    solves = [[0.004, 0.002, 0.001, 1, "a"], [0.008, 0.004, 0.002, 2, "a"],
-              [0.002, 0.001, 0.0005, 1, "b"]]
+    solves = [[0.004, 0.002, 0.001, 1, 0.0, "a"],
+              [0.008, 0.004, 0.002, 2, 1.5, "a"],
+              [0.002, 0.001, 0.0005, 1, 0.25, "b"]]
     rows = steps.solve_rows(solves)
-    assert [(mesh, n, counts) for mesh, n, *_, counts in rows] \
-        == [("a", 2, "1-2"), ("b", 1, "1")]
+    assert [(mesh, n, rise, counts) for mesh, n, *_, rise, counts in rows] \
+        == [("a", 2, 1.5, "1-2"), ("b", 1, 0.25, "1")]
     assert rows[0][2:4] == pytest.approx((6.0, 3.0))
 
 
@@ -79,10 +82,13 @@ def test_state_solves_read_the_calls_right_under_each_state_solve():
              ["cho_solve_banded", 4.1, 4.15, 8]]
     history = [HistoryRecord(0, 2.0, 0.6, 8, "16x6"),
                HistoryRecord(1, 1.0, 0.5, 8, "31x11")]
-    solves = steps.state_solves(spans, history)
-    assert [solve[3:] for solve in solves] == [[2, "16x6"], [1, "31x11"]]
+    solves = steps.state_solves(spans, history, [0.5, 0.0])
+    assert [solve[3:] for solve in solves] == [[2, 0.5, "16x6"],
+                                               [1, 0.0, "31x11"]]
     assert solves[0][:3] == pytest.approx([0.5, 0.2, 0.1])
     assert solves[1][:3] == pytest.approx([0.2, 0.05, 0.05])
-    # one state solve per history record
+    # one state solve per history record and per peak rise
     with pytest.raises(ValueError):
-        steps.state_solves(spans, history[:1])
+        steps.state_solves(spans, history[:1], [0.5])
+    with pytest.raises(ValueError):
+        steps.state_solves(spans, history, [0.5])

@@ -20,11 +20,14 @@ In that run the fresh process installs the benchmark's ``Tracer``
 (``benchmarks/tracing.py``), which spans each state solve (``fem.solve``),
 and traces with it the banded Cholesky factor (``cholesky_banded``) and
 back-solves (``cho_solve_banded``), whose spans nest under their caller's.
-Per problem and analysis mesh (a run with a coarse stage solves on two),
-it prints from those spans, as medians over the solves in ms, the whole
-solve, its factor, its back-solves together and the rest (band fill,
-residuals and checks), and the range of back-solves per solve. Times are
-wall clock, so they carry the host's load.
+Under the tracer's span of each state solve it reads ``ru_maxrss`` before
+and after the solve: the rise is how much that solve raised the process's
+peak resident memory. Per problem and analysis mesh (a run with a coarse
+stage solves on two), it prints from those spans, as medians over the
+solves in ms, the whole solve, its factor, its back-solves together and the
+rest (band fill, residuals and checks), the largest rise in MB and the
+range of back-solves per solve. Times are wall clock, so they carry the
+host's load.
 """
 
 from __future__ import annotations
@@ -106,10 +109,11 @@ def analysis_steps(problem) -> list:
     return rows
 
 
-def state_solves(spans, history) -> list:
-    """[solve s, factor s, back-solves s, back-solves, mesh] per top-level
-    ``fem.solve`` span, with the history's records in turn. Only the factor
-    and back-solve spans right under one count, not the RBF fit's."""
+def state_solves(spans, history, rises) -> list:
+    """[solve s, factor s, back-solves s, back-solves, rise MB, mesh] per
+    top-level ``fem.solve`` span, with the history's records and the peak
+    rises of the solves in turn. Only the factor and back-solve spans right
+    under one count, not the RBF fit's."""
     solves = {i: [end - start, 0.0, 0.0, 0]
               for i, (name, start, end, parent) in enumerate(spans)
               if name == "fem.solve" and parent == -1}
@@ -118,8 +122,8 @@ def state_solves(spans, history) -> list:
             back = name == "cho_solve_banded"
             solves[parent][1 + back] += end - start
             solves[parent][3] += back
-    return [solve + [record.mesh]
-            for solve, record in zip(solves.values(), history, strict=True)]
+    return [solve + [rise, record.mesh] for solve, record, rise in zip(
+        solves.values(), history, rises, strict=True)]
 
 
 def resident_steps(workload: str, overrides=None, budget=None,
@@ -146,7 +150,7 @@ def resident_child(spec: str) -> int:
     use_benchmark_sources()
     import igtop
     import run
-    from igtop import fem
+    from igtop import driver, fem
     from tracing import Tracer
     from workloads import build_setup, workloads
 
@@ -157,13 +161,24 @@ def resident_child(spec: str) -> int:
     for _ in range(spec["setups"] or run.SETUP_REPEATS):
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    tracer, solves = Tracer(), []
+    tracer, solves, rises = Tracer(), [], []
     for name in BANDED:  # spans of the same tracer, so that they nest
         setattr(fem, name, tracer._wrap(name, getattr(fem, name), None))
+    solve = driver.solve_system
+
+    def measured(*args, **kwargs):  # the tracer wraps it in its span
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        result = solve(*args, **kwargs)
+        rises.append((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                      - before) / 1024.0)
+        return result
+
+    driver.solve_system = measured
 
     def observer(state):  # drop spans once read, or they add to ru_maxrss
-        solves.extend(state_solves(tracer.spans, [state]))
+        solves.extend(state_solves(tracer.spans, [state], rises))
         tracer.spans.clear()
+        rises.clear()
 
     with tracer.installed():
         igtop.run(problem, budget=budget, observer=observer)
@@ -176,17 +191,18 @@ def resident_child(spec: str) -> int:
 
 def solve_rows(solves) -> list:
     """Per analysis mesh, in the order the run reached them: (mesh, solves,
-    median ms of the solve, factor, back-solves and rest, back-solve counts
-    as "n" or "lo-hi")."""
+    median ms of the solve, factor, back-solves and rest, the largest peak
+    rise in MB, back-solve counts as "n" or "lo-hi")."""
     rows = []
     for mesh in dict.fromkeys(solve[-1] for solve in solves):
         own = [solve for solve in solves if solve[-1] == mesh]
-        counts = sorted({n for *_, n, _ in own})
+        counts = sorted({n for *_, n, _, _ in own})
         counts = f"{counts[0]}-{counts[-1]}" if len(counts) > 1 \
             else str(counts[0])
         ms = [1e3 * statistics.median(t) for t in zip(*(
-            (t, f, b, t - f - b) for t, f, b, _, _ in own))]
-        rows.append((mesh, len(own), *ms, counts))
+            (t, f, b, t - f - b) for t, f, b, *_ in own))]
+        rows.append((mesh, len(own), *ms, max(rise for *_, rise, _ in own),
+                     counts))
     return rows
 
 
@@ -210,12 +226,13 @@ def main() -> int:
               f"{budget} iterations")
     print(f"\n{'problem':<11} {'mesh':>7} {'solves':>6} {'solve ms':>9} "
           f"{'factor ms':>10} {'back-solves ms':>15} {'rest ms':>8} "
-          f"{'back-solves':>12}")
+          f"{'rise MB':>8} {'back-solves':>12}")
     for name in names:
-        for mesh, n, solve, factor, back, rest, counts in solve_rows(
+        for mesh, n, solve, factor, back, rest, rise, counts in solve_rows(
                 resident[name][3]):
             print(f"{name:<11} {mesh:>7} {n:>6} {solve:>9.2f} "
-                  f"{factor:>10.2f} {back:>15.2f} {rest:>8.2f} {counts:>12}")
+                  f"{factor:>10.2f} {back:>15.2f} {rest:>8.2f} {rise:>8.2f} "
+                  f"{counts:>12}")
     return 0
 
 
