@@ -77,10 +77,15 @@ def flip_lone_nodes(phi: np.ndarray, neighbours) -> np.ndarray:
     is cut close to it, into slivers whose enrichments nearly sum to the
     node's own hat function, which the solve's pivot check refuses.
     ``neighbours`` is ``Mesh.neighbours``. Only a node below 1e-5 of
-    max|phi| can be lone; ``phi`` itself is returned when none flips.
+    max|phi| can be lone, and one below the snap's 1e-10 of max|phi| is
+    left as it is, since the snap gives it the same value whichever its
+    sign; ``phi`` itself is returned when no node flips.
     """
     phi = np.asarray(phi, dtype=float)
-    near = np.flatnonzero(np.abs(phi) < _LONE_REL * np.abs(phi).max())
+    magnitude = np.abs(phi)
+    top = magnitude.max()
+    near = np.flatnonzero((magnitude < _LONE_REL * top)
+                          & (magnitude >= _SNAP_REL * top))
     if near.size == 0:
         return phi
     indptr, indices = neighbours
@@ -88,10 +93,9 @@ def flip_lone_nodes(phi: np.ndarray, neighbours) -> np.ndarray:
     first = np.cumsum(count) - count
     around = phi[indices[np.arange(count.sum())
                          + np.repeat(indptr[near] - first, count)]]
-    positive = phi[near] > 0.0
     lone = np.logical_and.reduceat(
-        (around > 0.0) != np.repeat(positive, count), first) \
-        & (np.abs(phi[near])
+        (around > 0.0) != np.repeat(phi[near] > 0.0, count), first) \
+        & (magnitude[near]
            < _LONE_REL * np.minimum.reduceat(np.abs(around), first))
     if not lone.any():
         return phi

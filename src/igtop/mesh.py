@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, finite_number
 
@@ -101,12 +102,15 @@ class Mesh:
         """The nodes joined to each node by an element edge, as CSR arrays
         (indptr, indices): node i's are ``indices[indptr[i]:indptr[i + 1]]``,
         ascending."""
-        n = self.n_nodes
-        a = self.elements.astype(np.int64)
+        a = self.elements
         b = np.roll(a, -1, axis=1)
-        node, other = np.divmod(np.unique(np.concatenate(
-            [a * n + b, b * n + a], axis=None)), n)
-        return np.searchsorted(node, np.arange(n + 1)), other
+        graph = sparse.csr_matrix(
+            (np.ones(2 * a.size, dtype=bool),
+             (np.concatenate([a, b], axis=None),
+              np.concatenate([b, a], axis=None))),
+            shape=(self.n_nodes, self.n_nodes))
+        graph.sum_duplicates()
+        return graph.indptr, graph.indices
 
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""

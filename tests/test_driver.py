@@ -814,10 +814,13 @@ class TestLoneNodes:
         # two adjacent near-zero nodes of one sign: neither is lone
         phi[6] = -1e-9
         assert flip_lone_nodes(phi, mesh.neighbours) is phi
-        # a lone corner node of the other sign flips
+        # a lone corner node of the other sign flips, but not inside the
+        # snap band, where the snap gives it 1e-10 of max|phi| either way
         phi = -np.ones(mesh.n_nodes)
         phi[0] = 1e-9
         assert flip_lone_nodes(phi, mesh.neighbours)[0] == -1e-9
+        phi[0] = 9e-11
+        assert flip_lone_nodes(phi, mesh.neighbours) is phi
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(LONE_PROBLEMS)),
