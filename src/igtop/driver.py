@@ -327,7 +327,7 @@ class _Workspace:
         first (``flip_lone_nodes``)."""
         self.field.update_design(design)
         return snap_nodal_levelset(flip_lone_nodes(self.field.nodal_values,
-                                                   self.mesh.neighbours))
+                                                   self.mesh))
 
     def model(self, design: np.ndarray) -> EnrichedModel:
         """Enriched model of one design."""

@@ -70,16 +70,16 @@ def snap_nodal_levelset(phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def flip_lone_nodes(phi: np.ndarray, neighbours) -> np.ndarray:
+def flip_lone_nodes(phi: np.ndarray, mesh: Mesh) -> np.ndarray:
     """``phi`` with each lone node flipped (phi -> -phi): a node whose sign
     differs from that of every mesh neighbour and whose |phi| is below
     ``1e-5`` of the smallest |phi| among them. Every edge around such a node
     is cut close to it, into slivers whose enrichments nearly sum to the
-    node's own hat function, which the solve's pivot check refuses.
-    ``neighbours`` is ``Mesh.neighbours``. Only a node below 1e-5 of
-    max|phi| can be lone, and one below the snap's 1e-10 of max|phi| is
-    left as it is, since the snap gives it the same value whichever its
-    sign; ``phi`` itself is returned when no node flips.
+    node's own hat function, which the solve's pivot check refuses. Only a
+    node below 1e-5 of max|phi| can be lone, and one below the snap's 1e-10
+    of max|phi| is left as it is, since the snap gives it the same value
+    whichever its sign; so ``mesh.neighbours`` is read only when some node
+    lies between, and ``phi`` itself is returned when no node flips.
     """
     phi = np.asarray(phi, dtype=float)
     magnitude = np.abs(phi)
@@ -88,7 +88,7 @@ def flip_lone_nodes(phi: np.ndarray, neighbours) -> np.ndarray:
                           & (magnitude >= _SNAP_REL * top))
     if near.size == 0:
         return phi
-    indptr, indices = neighbours
+    indptr, indices = mesh.neighbours
     count = indptr[near + 1] - indptr[near]
     first = np.cumsum(count) - count
     around = phi[indices[np.arange(count.sum())

@@ -350,8 +350,8 @@ class TestRunLoop:
         flips = []
         flip = driver.flip_lone_nodes
 
-        def counted(phi, neighbours):
-            out = flip(phi, neighbours)
+        def counted(phi, mesh):
+            out = flip(phi, mesh)
             flips.append(np.count_nonzero(out != phi))
             return out
 
@@ -804,23 +804,23 @@ class TestLoneNodes:
     def test_a_lone_node_takes_the_sign_of_its_neighbours(self):
         mesh = cantilever(4, 3).build_mesh()
         phi = np.ones(mesh.n_nodes)
-        assert flip_lone_nodes(phi, mesh.neighbours) is phi
+        assert flip_lone_nodes(phi, mesh) is phi
         phi[5] = -9e-6  # interior, its neighbours at 1
         # a corner whose neighbours sit at 1e-2: above 1e-5 of them
         phi[[2, 7]], phi[3] = 1e-2, -5e-7
-        out = flip_lone_nodes(phi, mesh.neighbours)
+        out = flip_lone_nodes(phi, mesh)
         assert out[5] == 9e-6 and out[3] == -5e-7
         assert np.array_equal(np.delete(out, 5), np.delete(phi, 5))
         # two adjacent near-zero nodes of one sign: neither is lone
         phi[6] = -1e-9
-        assert flip_lone_nodes(phi, mesh.neighbours) is phi
+        assert flip_lone_nodes(phi, mesh) is phi
         # a lone corner node of the other sign flips, but not inside the
         # snap band, where the snap gives it 1e-10 of max|phi| either way
         phi = -np.ones(mesh.n_nodes)
         phi[0] = 1e-9
-        assert flip_lone_nodes(phi, mesh.neighbours)[0] == -1e-9
+        assert flip_lone_nodes(phi, mesh)[0] == -1e-9
         phi[0] = 9e-11
-        assert flip_lone_nodes(phi, mesh.neighbours) is phi
+        assert flip_lone_nodes(phi, mesh) is phi
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(LONE_PROBLEMS)),
