@@ -862,6 +862,7 @@ class TestLoneNodes:
         # relative residual reads 2.7e-6 against the solve's 1e-6. No design
         # reaches it: the passive kernels hold the load node's phi
         ws, phi = solved_levelset("cantilever")
+        assert [node for node, _, _ in ws.loads.point_loads] == [26]
         phi = phi.copy()
         top = np.abs(phi).max()
         phi[17], phi[26] = 1e-6 * top, -1e-9 * top
