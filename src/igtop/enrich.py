@@ -78,29 +78,28 @@ def flip_lone_nodes(phi: np.ndarray, mesh: Mesh) -> np.ndarray:
     node's own hat function, which the solve's pivot check refuses. Only a
     node below 1e-5 of max|phi| can be lone, and one below the snap's 1e-10
     of max|phi| is left as it is, since the snap gives it the same value
-    whichever its sign; so ``mesh.neighbours`` is read only when some node
-    lies between, and ``phi`` itself is returned when no node flips.
+    whichever its sign. A node's neighbours are the other two corners of
+    each element at it; ``phi`` itself is returned when no node flips.
     """
     phi = np.asarray(phi, dtype=float)
     magnitude = np.abs(phi)
     top = magnitude.max()
-    near = np.flatnonzero((magnitude < _LONE_REL * top)
-                          & (magnitude >= _SNAP_REL * top))
-    if near.size == 0:
+    near = (magnitude < _LONE_REL * top) & (magnitude >= _SNAP_REL * top)
+    if not near.any():
         return phi
-    indptr, indices = mesh.neighbours
-    count = indptr[near + 1] - indptr[near]
-    first = np.cumsum(count) - count
-    around = phi[indices[np.arange(count.sum())
-                         + np.repeat(indptr[near] - first, count)]]
-    lone = np.logical_and.reduceat(
-        (around > 0.0) != np.repeat(phi[near] > 0.0, count), first) \
-        & (magnitude[near]
-           < _LONE_REL * np.minimum.reduceat(np.abs(around), first))
+    # each element corner at a candidate, by flat position, and the next two
+    at = np.flatnonzero(near.take(mesh.elements))[:, None]
+    node = np.repeat(mesh.elements.take(at), 2)
+    around = mesh.elements.take(at - at % 3 + (at + [1, 2]) % 3).ravel()
+    same = np.bincount(node[(phi[around] > 0.0) == (phi[node] > 0.0)],
+                       minlength=phi.size)
+    smallest = np.full(phi.size, np.inf)
+    np.minimum.at(smallest, node, magnitude[around])
+    lone = near & (same == 0) & (magnitude < _LONE_REL * smallest)
     if not lone.any():
         return phi
     out = phi.copy()
-    out[near[lone]] *= -1.0
+    out[lone] *= -1.0
     return out
 
 

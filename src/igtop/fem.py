@@ -169,7 +169,7 @@ class Assembler:
     The pattern of the original dofs comes once from the mesh's node pairs,
     filled by one fixed linear map of the per-element modulus (summed in
     ``dtype``); each model adds the rows and columns of its enriched dofs.
-    K is canonical CSR without stored zeros.
+    K is CSR without stored zeros.
 
     ``dtype`` (float64, or longdouble for interface-exactness studies below
     the material-contrast conditioning floor) is the precision of the
@@ -286,7 +286,6 @@ class Assembler:
             (w[:, rows, cols].ravel(),
              (slots[:, rows].ravel(), slots[:, cols].ravel())),
             shape=(ndof, ndof)).tocsr()
-        k.has_canonical_format = True  # a sum of canonical matrices
 
         f = np.zeros(ndof, dtype=dtype)
         f[:self._f_base.size] = self._f_base
@@ -341,8 +340,8 @@ def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
     col *= rows
     row += col
     del col
-    # K is canonical, so each position is hit once: the sum adds each value
-    # to 0.0, after rounding a longdouble product to float64 as a store does
+    # the sum adds the entries that share a position, each after rounding a
+    # longdouble product to float64 as a store does
     band = np.bincount(row, weights=data.astype(np.float64, copy=False),
                        minlength=rows * at.size)
     return band.reshape((rows, at.size), order="F"), scale
@@ -392,10 +391,8 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
-    # one entry per position, as the band scatter needs: else sum a copy
-    if not (isinstance(k, sparse.csr_matrix) and k.has_canonical_format):
-        k = sparse.csr_matrix(k, copy=True)
-        k.sum_duplicates()
+    if not isinstance(k, sparse.csr_matrix):
+        k = sparse.csr_matrix(k)
     if key is None:
         at = free[reverse_cuthill_mckee(k[free][:, free], symmetric_mode=True)]
     else:
@@ -427,22 +424,21 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # accuracy lost to the material-contrast conditioning; with longdouble
     # assembly the refinement target itself carries the extra digits. The
     # residual reads only the free block, as x is exactly zero at the fixed
-    # dofs, and its Jacobi-scaled norm decides the stop; so does the next
-    # correction, predicted from the last two as |dy|^2 / |dy_prev|
-    # (max-norm), once below an ulp of the scaled solution y. K @ x runs in
+    # dofs. The loop stops when its Jacobi-scaled norm falls by less than
+    # half, or when the next correction, predicted from the last two as
+    # |dy|^2 / |dy_prev| (max-norm), is below an ulp of the scaled solution
+    # y; a zero residual gives a zero correction, so the latter. K @ x runs in
     # longdouble: scipy promotes a float64 K to x's dtype in a copy, one
     # block of rows at a time (_product)
     fb = f[at]
-    fs = fb * s
-    fsnorm = float(np.linalg.norm(fs.astype(np.float64)))
     x = np.zeros(ndof, dtype=np.longdouble)
-    dy = y = solve(fs)
+    dy = y = solve(fb * s)
     x[at] = s * y
     last = np.inf
     for _ in range(6):
         rs = s * (fb - _product(k, x)[at])
         rnorm = float(np.linalg.norm(rs.astype(np.float64)))
-        if rnorm <= 1e-16 * fsnorm or rnorm > 0.5 * last:
+        if rnorm > 0.5 * last:
             break
         prev, dy = np.abs(dy).max(), solve(rs)
         x[at] += s * dy

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, finite_number
 
@@ -96,21 +95,6 @@ class Mesh:
         the element.
         """
         return cofactor_hat_gradients(self.nodes.take(self.elements, axis=0))
-
-    @cached_property
-    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes joined to each node by an element edge, as CSR arrays
-        (indptr, indices): node i's are ``indices[indptr[i]:indptr[i + 1]]``,
-        ascending."""
-        a = self.elements
-        b = np.roll(a, -1, axis=1)
-        graph = sparse.csr_matrix(
-            (np.ones(2 * a.size, dtype=bool),
-             (np.concatenate([a, b], axis=None),
-              np.concatenate([b, a], axis=None))),
-            shape=(self.n_nodes, self.n_nodes))
-        graph.sum_duplicates()
-        return graph.indptr, graph.indices
 
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""

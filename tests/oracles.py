@@ -31,6 +31,11 @@ tiles the whole mesh, and the flags compare whole-mesh cut topologies.
 lower entries of K, with every index array alive beside the band; the
 package's fill, which frees them first and sums into the band, must give
 the same band bit for bit.
+
+:func:`flip_lone_nodes` is the lone-node rule as it is stated, node by node
+over each node's edge neighbours (:func:`edge_neighbours`) as Python sets;
+the package's rule, which reads the corners of the elements at the
+candidate nodes, must give the same levelset bit for bit.
 """
 
 import dataclasses
@@ -320,3 +325,28 @@ def scaled_band(k, pos, at):
     band = np.zeros(rows * at.size)
     band[offset + rows * col] = scale[row] * data * scale[col]
     return band.reshape((rows, at.size), order="F"), scale
+
+
+def edge_neighbours(mesh) -> list:
+    """The set of nodes joined to each node by an element edge."""
+    around = [set() for _ in range(mesh.n_nodes)]
+    for element in mesh.elements.tolist():
+        for a, node in enumerate(element):
+            around[node].update(element[:a] + element[a + 1:])
+    return around
+
+
+def flip_lone_nodes(phi, mesh):
+    """``phi`` with each node flipped whose |phi| lies in [1e-10, 1e-5) of
+    max|phi|, whose sign differs from that of every edge neighbour, and
+    whose |phi| is below 1e-5 of the smallest |phi| among them; a copy."""
+    values = np.asarray(phi, dtype=float).tolist()
+    top = max(abs(v) for v in values)
+    out = np.array(values)
+    for node, around in enumerate(edge_neighbours(mesh)):
+        v = values[node]
+        if (1e-10 * top <= abs(v) < 1e-5 * top
+                and all((values[o] > 0.0) != (v > 0.0) for o in around)
+                and abs(v) < 1e-5 * min(abs(values[o]) for o in around)):
+            out[node] = -v
+    return out

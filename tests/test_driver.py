@@ -784,6 +784,15 @@ LONE_PROBLEMS = {"mbb": mbb(16, 6, rbf_nx=16, rbf_ny=6),
                  "cantilever": cantilever(9, 5)}
 
 
+RULE_MESHES = {"cantilever": cantilever(9, 5), "mbb": mbb(31, 11),
+               "heat_sink": heat_sink(13, 13)}
+
+
+@functools.cache
+def rule_mesh(name):
+    return RULE_MESHES[name].build_mesh()
+
+
 @functools.cache
 def solved_levelset(name):
     """A workspace of the problem and the nodal levelset of its initial
@@ -822,6 +831,40 @@ class TestLoneNodes:
         phi[0] = 9e-11
         assert flip_lone_nodes(phi, mesh) is phi
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(RULE_MESHES)), st.data())
+    def test_the_rule_as_stated(self, name, data):
+        # 1-7 nodes, corners and boundary nodes among them, at +-(1e-12 ...
+        # 1e-4) of max|phi|, the snap band included; half the time every
+        # neighbour of the first takes the other sign, and it may sit at
+        # exactly 1e-5 of their smallest |phi| or of max|phi|
+        mesh = rule_mesh(name)
+        edge = np.concatenate(list(mesh.boundary.values()))
+        corners = np.flatnonzero(np.bincount(edge) == 2)
+        pools = {"corner": corners, "boundary": np.unique(edge),
+                 "any": np.arange(mesh.n_nodes)}
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        top = np.abs(phi).max()
+        nodes = [data.draw(st.sampled_from(pools[data.draw(st.sampled_from(
+            sorted(pools)))].tolist())) for _ in range(data.draw(
+                st.integers(1, 7)))]
+        for node in nodes:
+            phi[node] = data.draw(st.sampled_from([-1.0, 1.0])) \
+                * 10.0 ** data.draw(st.floats(-12.0, -4.0)) * top
+        around = sorted(oracles.edge_neighbours(mesh)[nodes[0]])
+        if data.draw(st.booleans()):
+            phi[around] = -np.sign(phi[nodes[0]]) * np.abs(phi[around])
+        exact = data.draw(st.sampled_from([None, "neighbours", "top"]))
+        if exact is not None:
+            phi[nodes[0]] = np.copysign(1e-5 * (
+                np.abs(phi[around]).min() if exact == "neighbours"
+                else np.abs(phi).max()), phi[nodes[0]])
+        ref = oracles.flip_lone_nodes(phi, mesh)
+        got = flip_lone_nodes(phi, mesh)
+        assert got.tobytes() == ref.tobytes()
+        assert (got is phi) == np.array_equal(ref, phi)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(LONE_PROBLEMS)),
            st.sampled_from(["interior", "boundary", "pair"]), st.data())
@@ -840,10 +883,8 @@ class TestLoneNodes:
                 pool, edge)
         nodes = [data.draw(st.sampled_from(pool.tolist()))]
         if case == "pair":
-            indptr, indices = mesh.neighbours
-            nodes.append(data.draw(st.sampled_from(np.setdiff1d(
-                indices[indptr[nodes[0]]:indptr[nodes[0] + 1]],
-                loaded).tolist())))
+            nodes.append(data.draw(st.sampled_from(sorted(
+                oracles.edge_neighbours(mesh)[nodes[0]] - set(loaded)))))
         phi = phi.copy()
         top = np.abs(phi).max()
         for node in nodes:

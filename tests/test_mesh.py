@@ -57,18 +57,6 @@ def test_nearest_node_exact_and_tie(grid_21x11):
     assert grid_21x11.nearest_node((0.05, 0.0)) == 0
 
 
-def test_neighbours_are_the_other_ends_of_each_nodes_edges():
-    mesh = structured_grid(2.0, 1.0, 4, 3)
-    edges = {frozenset(map(int, (el[a], el[(a + 1) % 3])))
-             for el in mesh.elements for a in range(3)}
-    indptr, indices = mesh.neighbours
-    assert indptr.size == mesh.n_nodes + 1
-    for node in range(mesh.n_nodes):
-        assert indices[indptr[node]:indptr[node + 1]].tolist() == sorted(
-            other for edge in edges if node in edge
-            for other in edge - {node})
-
-
 def test_hat_gradients_unit_triangle():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     elems = np.array([[0, 1, 2]])
