@@ -246,9 +246,8 @@ class TestSolve:
             solve_system(k, f, fixed, key)
 
     def test_non_canonical_k_is_left_as_it_was(self):
-        # row 0 holds entry (0, 0) twice, which the band fill sums; summing
-        # it in place used to shorten the caller's indptr to [0 2 5 7] but
-        # not its other arrays
+        # row 0 holds entry (0, 0) twice, which the band fill sums; the
+        # caller's arrays stay as they were
         data = np.array([1.0, 1.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0])
         indices = np.array([0, 0, 1, 0, 1, 2, 1, 2], dtype=np.int32)
         indptr = np.array([0, 3, 6, 8], dtype=np.int32)
