@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Verbs: ``run`` drives an optimization and writes its artifacts,
-``check-gradients`` compares analytic and finite-difference sensitivities,
-``export`` re-analyzes a stored design and writes geometry files,
-``list-problems`` shows the built-in problem definitions.
+``check-gradients`` compares analytic and finite-difference sensitivities
+and ``export`` writes geometry files, both of the initial design or of a
+stored one (``--design``), ``list-problems`` shows the built-in problem
+definitions.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -90,11 +91,14 @@ def _cmd_run(args) -> int:
           f"{last.compliance:.6g}, volume fraction "
           f"{last.volume_fraction:.4f}")
     print(f"artifacts in {outdir}")
-    if out.gradient_check:
-        print("gradient check on the final design:")
-        return _report_gradient_rows(
-            check_gradients(cfg.problem, design=result.design))
     return 0
+
+
+def _design(args):
+    """The design of the ``--design`` file, or None for the initial one."""
+    if args.design == "":
+        raise ConfigError("--design needs a file, got an empty path")
+    return None if args.design is None else read_design(args.design)
 
 
 def _report_gradient_rows(rows) -> int:
@@ -119,8 +123,8 @@ def _report_gradient_rows(rows) -> int:
 def _cmd_check_gradients(args) -> int:
     cfg = _resolve(args)
     return _report_gradient_rows(check_gradients(
-        cfg.problem, n_sample=args.samples, seed=args.seed,
-        quantity=args.quantity))
+        cfg.problem, design=_design(args), n_sample=args.samples,
+        seed=args.seed, quantity=args.quantity))
 
 
 def _cmd_export(args) -> int:
@@ -132,11 +136,8 @@ def _cmd_export(args) -> int:
         if target and not Path(target).parent.is_dir():
             raise ConfigError(f"cannot write {target}: no directory "
                               f"{Path(target).parent}")
-    if args.design == "":
-        raise ConfigError("--design needs a file, got an empty path")
     cfg = _resolve(args)
-    design = read_design(args.design) if args.design else None
-    model, u, f, c, vol = analyze(cfg.problem, design)
+    model, u, f, c, vol = analyze(cfg.problem, _design(args))
     domain = cfg.problem.width * cfg.problem.height
     if args.vtk:
         write_vtk(args.vtk, model, title=f"{cfg.problem.name} design")
@@ -193,13 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="re-analyze a stored design and export "
                                 "geometry")
     _problem_args(p_exp)
-    p_exp.add_argument("--design", default=None,
-                       help="design file (defaults to the initial design)")
     p_exp.add_argument("--vtk", default=None, metavar="FILE",
                        help="write the resolved geometry as legacy VTK")
     p_exp.add_argument("--contour", default=None, metavar="FILE",
                        help="write interface polyline segments")
     p_exp.set_defaults(func=_cmd_export)
+    for p in (p_chk, p_exp):
+        p.add_argument("--design", default=None, metavar="FILE",
+                       help="design file (defaults to the initial design)")
 
     p_ls = sub.add_parser("list-problems", help="show built-in problems")
     p_ls.set_defaults(func=_cmd_list_problems)

@@ -2,11 +2,12 @@
 
 INI syntax with two sections. ``[problem]`` picks a built-in problem by name
 and may override its numeric parameters; ``[output]`` sets the artifact
-directory, the snapshot interval and the post-run gradient check. Unknown
-sections, unknown keys, and unparseable values are all collected and
-reported together in one error. A relative output directory resolves
-against the config file's own directory. One file serves every verb of
-``igtop``; only ``run`` reads ``budget`` and ``move_limit``.
+directory and the snapshot interval, its key types those of
+``OutputConfig``. Unknown sections, unknown keys, and unparseable values
+are all collected and reported together in one error. A relative output
+directory resolves against the config file's own directory. One file
+serves every verb of ``igtop``; only ``run`` reads ``budget`` and
+``move_limit``.
 
 Example::
 
@@ -34,18 +35,11 @@ _PROBLEM_KEYS = {k: t for k, t in get_type_hints(ProblemSpec).items()
                  if k in ("name", "nx", "ny", "rbf_nx", "rbf_ny", "budget",
                           "move_limit", "volume_fraction")}
 
-_OUTPUT_KEYS = {
-    "directory": str,
-    "snapshot_every": int,
-    "gradient_check": bool,
-}
-
 
 @dataclass
 class OutputConfig:
     directory: Path = Path("igtop-out")
     snapshot_every: int = 10
-    gradient_check: bool = False
 
 
 @dataclass
@@ -64,10 +58,8 @@ def _parse_section(cp, section, schema, problems):
             problems.append(f"[{section}] has unknown key {key!r} "
                             f"(known: {known})")
             continue
-        typ = schema[key]
         try:
-            out[key] = (cp.getboolean(section, key) if typ is bool
-                        else typ(raw))
+            out[key] = schema[key](raw)
         except ValueError as err:
             problems.append(f"[{section}] {key}: {err}")
     return out
@@ -87,19 +79,20 @@ def parse_config(text: str, base_dir: Path | None = None) -> RunConfig:
         if section not in ("problem", "output"):
             problems.append(f"unknown section [{section}]")
     prob_kw = _parse_section(cp, "problem", _PROBLEM_KEYS, problems)
-    out_kw = _parse_section(cp, "output", _OUTPUT_KEYS, problems)
+    out_kw = _parse_section(cp, "output", get_type_hints(OutputConfig),
+                            problems)
 
     name = prob_kw.pop("name", None)
     if name is None:
         problems.append("[problem] section must set 'name'")
-    if out_kw.get("directory") == "":
+    if cp.get("output", "directory", fallback=None) == "":
         problems.append("[output] directory needs a path, got an empty one")
     if problems:
         raise ConfigError(problems)
 
     problem = get_problem(name, **prob_kw)
 
-    directory = Path(out_kw.pop("directory", OutputConfig.directory))
+    directory = out_kw.pop("directory", OutputConfig.directory)
     if base_dir is not None and not directory.is_absolute():
         directory = base_dir / directory
     output = OutputConfig(directory=directory, **out_kw)

@@ -11,7 +11,7 @@ import pytest
 from igtop.cli import build_parser, main
 from igtop.config import load_config, parse_config
 from igtop.driver import (GradientCheckRow, HistoryRecord, analyze,
-                          cantilever, get_problem, run)
+                          cantilever, check_gradients, get_problem, run)
 from igtop.enrich import build_enriched_model, snap_nodal_levelset
 from igtop.errors import ConfigError, MmaStepError, SolverError
 from igtop.mesh import structured_grid
@@ -49,6 +49,19 @@ def tiny_config(tmp_path, extra=""):
     return cfg
 
 
+# the verbs that read a design file through --design
+DESIGN_VERBS = ("export", "check-gradients")
+
+
+def design_command(verb, tmp_path, design):
+    """The arguments of ``verb`` on the tiny config and ``design``; export
+    writes a contour beside it."""
+    command = [verb, str(tiny_config(tmp_path)), "--design", str(design)]
+    if verb == "export":
+        command += ["--contour", str(tmp_path / "c.txt")]
+    return command
+
+
 def run_not_reached(*args, **kwargs):
     raise AssertionError("the optimization started")
 
@@ -77,7 +90,6 @@ class TestConfig:
         cfg = parse_config("[problem]\nname = heat_sink\n")
         assert cfg.problem.budget == 100
         assert cfg.output.snapshot_every == 10
-        assert not cfg.output.gradient_check
 
     def test_volume_fraction_must_be_a_fraction(self):
         with pytest.raises(ConfigError) as err:
@@ -94,14 +106,17 @@ class TestConfig:
 
     def test_errors_are_aggregated(self):
         bad = ("[problem]\nname = cantilever\nnx = many\nwidth = 3\n"
-               "[output]\ngradient_check = maybe\n[extra]\nk = v\n"
+               "[output]\ngradient_check = maybe\nsnapshot_every = often\n"
+               "[extra]\nk = v\n"
                "[DEFAULT]\nbudget = 5\n")
         with pytest.raises(ConfigError) as exc:
             parse_config(bad)
         msg = str(exc.value)
         assert "nx" in msg
         assert "width" in msg  # not an overridable problem key
-        assert "gradient_check" in msg
+        # check-gradients --design checks a stored design; no key does
+        assert "[output] has unknown key 'gradient_check'" in msg
+        assert "[output] snapshot_every: invalid literal for int()" in msg
         assert "[extra]" in msg
         assert "unknown section [DEFAULT]" in msg
         assert "key 'budget'" not in msg  # not merged into another section
@@ -140,7 +155,6 @@ class TestConfig:
         cfg = parse_config(block)
         assert cfg.problem.name == "cantilever"
         assert cfg.problem.move_limit == 0.01
-        assert not cfg.output.gradient_check
 
     def test_readme_commands_parse(self):
         readme = (REPO / "README.md").read_text()
@@ -375,33 +389,37 @@ class TestCli:
         assert (tmp_path / "final.vtk").exists()
         assert (tmp_path / "final_contour.txt").exists()
 
-    @pytest.mark.parametrize("content, message", [
-        (None, "cannot read design"),
-        ("design\n" + "nan\n" * 66, "at index 0 lies outside [-1, 1]"),
-        ("design\n0.5\n0.5\n", "expects 66 values"),
-    ], ids=["missing", "nan", "wrong-length"])
-    def test_export_rejects_bad_design_file(self, tmp_path, capsys, content,
-                                            message):
+    @pytest.mark.parametrize("verb, content, message", [
+        pytest.param(verb, content, message,
+                     id=case if verb == "export" else f"{verb}-{case}")
+        for verb in DESIGN_VERBS
+        for case, content, message in [
+            ("missing", None, "cannot read design"),
+            ("nan", "design\n" + "nan\n" * 66,
+             "at index 0 lies outside [-1, 1]"),
+            ("wrong-length", "design\n0.5\n0.5\n", "expects 66 values")]])
+    def test_export_rejects_bad_design_file(self, tmp_path, capsys, verb,
+                                            content, message):
+        # export's cases, run by each verb that reads --design
         design = tmp_path / "design.txt"
         if content is not None:
             design.write_text(content)
-        rc = main(["export", str(tiny_config(tmp_path)),
-                   "--design", str(design),
-                   "--contour", str(tmp_path / "c.txt")])
+        rc = main(design_command(verb, tmp_path, design))
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "c.txt").exists()
 
-    @pytest.mark.parametrize("value", ["5.0", "-1.5"])
+    @pytest.mark.parametrize("verb, value", [
+        pytest.param(verb, value,
+                     id=value if verb == "export" else f"{verb}-{value}")
+        for verb in DESIGN_VERBS for value in ["5.0", "-1.5"]])
     def test_export_rejects_out_of_bounds_design(self, tmp_path, capsys,
-                                                 value):
+                                                 verb, value):
         values = ["0.5"] * 66
         values[7] = values[40] = value
         design = tmp_path / "design.txt"
         design.write_text("design\n" + "\n".join(values) + "\n")
-        rc = main(["export", str(tiny_config(tmp_path)),
-                   "--design", str(design),
-                   "--contour", str(tmp_path / "c.txt")])
+        rc = main(design_command(verb, tmp_path, design))
         assert rc == 2
         err = capsys.readouterr().err
         assert "index 7 " in err and "[-1, 1]" in err
@@ -469,15 +487,26 @@ class TestCli:
         assert rc == 2
         assert "nothing to export" in capsys.readouterr().err
 
-    def test_gradient_check_toggle_runs_after_optimization(self, tmp_path,
-                                                           capsys):
+    @pytest.mark.parametrize("quantity", ["compliance", "volume"])
+    def test_check_gradients_of_the_final_design(self, tmp_path, capsys,
+                                                 quantity):
         cfg = tiny_config(tmp_path)
-        cfg.write_text(cfg.read_text() + "gradient_check = yes\n")
-        rc = main(["run", str(cfg)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "gradient check on the final design" in out
-        assert "within 0.001" in out
+        assert main(["run", str(cfg)]) == 0
+        final = tmp_path / "out" / "design_final.txt"
+        capsys.readouterr()
+        assert main(["check-gradients", str(cfg), "--design", str(final),
+                     "--samples", "8", "--quantity", quantity]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = [(int(w[0]), float(w[1]), float(w[2]))
+                   for w in (line.split() for line in lines[1:-1])]
+        problem = load_config(cfg).problem
+        # the printed digits give back each float64 exactly
+        rows = check_gradients(problem, design=read_design(final),
+                               n_sample=8, quantity=quantity)
+        assert printed == [(r.index, r.analytic, r.fd) for r in rows]
+        assert printed != [(r.index, r.analytic, r.fd) for r in
+                           check_gradients(problem, n_sample=8,
+                                           quantity=quantity)]
 
     def test_failed_gradient_check_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr("igtop.cli.check_gradients", two_of_twenty_off)
@@ -485,17 +514,6 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "18/20 within 0.001" in out
         assert "gradient check FAILED" in err
-
-    def test_failed_gradient_check_after_run_exits_3(self, tmp_path, capsys,
-                                                     monkeypatch):
-        monkeypatch.setattr("igtop.cli.check_gradients", two_of_twenty_off)
-        cfg = tiny_config(tmp_path)
-        cfg.write_text(cfg.read_text() + "gradient_check = yes\n")
-        assert main(["run", str(cfg)]) == 3
-        out, err = capsys.readouterr()
-        assert "18/20 within 0.001" in out
-        assert "gradient check FAILED" in err
-        assert len(read_history(tmp_path / "out" / "history.csv")) == 3
 
     def test_artifacts_are_byte_stable_across_runs(self, tmp_path, capsys):
         paths = []

@@ -1,13 +1,19 @@
-"""Static checks on the package source."""
+"""Checks on the package source: static ones, and a profile of short runs
+that must enter every function of the package."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+from igtop import cli, driver
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "igtop"
@@ -95,6 +101,88 @@ def test_every_method_has_a_user():
                 if package[node.name] == own and node.name not in outside:
                     unused.append(f"{cls.name}.{node.name}")
     assert not unused, f"methods and properties nothing names: {unused}"
+
+
+def package_functions():
+    """{code object: "module.qualified name"} of every function, method and
+    property of the package's source; the methods a dataclass generates are
+    not in it."""
+    found = {}
+
+    def add(name, function):
+        if Path(function.__code__.co_filename).parent == SRC:
+            found[function.__code__] = name
+
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "igtop" if path.stem == "__init__" else f"igtop.{path.stem}")
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # imported from elsewhere
+            if isinstance(obj, types.FunctionType):
+                add(f"{path.stem}.{attr}", obj)
+            if not isinstance(obj, type):
+                continue
+            for name, member in vars(obj).items():
+                name = f"{path.stem}.{obj.__name__}.{name}"
+                if isinstance(member, (staticmethod, classmethod)):
+                    add(name, member.__func__)
+                elif isinstance(member, property):
+                    for accessor in (member.fget, member.fset, member.fdel):
+                        if accessor is not None:
+                            add(name, accessor)
+                elif isinstance(member, cached_property):
+                    add(name, member.func)
+                elif isinstance(member, types.FunctionType):
+                    add(name, member)
+    return found
+
+
+def test_every_function_is_entered(tmp_path, capsys):
+    # unlike the name checks above, a profile resolves the receiver: a
+    # method counts only when a call enters its own code object. The
+    # traffic is a tiny run of each built-in problem (MBB's in two
+    # stages), a compliance and a volume gradient check, and every verb
+    # of the command line, one of them refused. Only the benchmark reads
+    # EnrichedModel.integration.
+    sizes = {"cantilever": (9, 5, 9, 5, 2), "heat_sink": (9, 9, 9, 9, 2),
+             "mbb": (31, 11, 16, 6, 6)}
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("[problem]\nname = cantilever\nnx = 9\nny = 5\n"
+                   "rbf_nx = 9\nrbf_ny = 5\nbudget = 2\n[output]\n"
+                   f"directory = {tmp_path / 'out'}\nsnapshot_every = 1\n")
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name in driver.BUILTIN_PROBLEMS:
+            nx, ny, rbf_nx, rbf_ny, budget = sizes[name]
+            driver.run(driver.get_problem(name, nx=nx, ny=ny, rbf_nx=rbf_nx,
+                                          rbf_ny=rbf_ny), budget=budget)
+        small = driver.cantilever(nx=9, ny=5, rbf_nx=9, rbf_ny=5)
+        for quantity in ("compliance", "volume"):
+            driver.check_gradients(small, n_sample=4, quantity=quantity)
+        codes = [cli.main(argv) for argv in (
+            ["list-problems"], ["run", str(cfg)],
+            ["check-gradients", str(cfg), "--samples", "4", "--design",
+             str(tmp_path / "out" / "design_final.txt")],
+            ["export", str(cfg), "--design",
+             str(tmp_path / "out" / "design_0001.txt"),
+             "--vtk", str(tmp_path / "d.vtk"),
+             "--contour", str(tmp_path / "c.txt")],
+            ["export", str(cfg)])]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0, 0, 0, 0, 2]
+    missed = sorted(name for code, name in package_functions().items()
+                    if code not in entered)
+    assert missed == ["enrich.EnrichedModel.integration"], \
+        f"functions no traffic enters: {missed}"
 
 
 def is_dataclass(cls):

@@ -16,18 +16,18 @@ times and runs the problem at the workload's budget; its ``ru_maxrss``
 after each is the peak resident memory that the benchmark reports. Traced
 bytes leave out the interpreter's own and BLAS's native allocations.
 
-In that run the fresh process installs the benchmark's ``Tracer``
-(``benchmarks/tracing.py``), which spans each state solve (``fem.solve``),
-and traces with it the banded Cholesky factor (``cholesky_banded``) and
-back-solves (``cho_solve_banded``), whose spans nest under their caller's.
-Under the tracer's span of each state solve it reads ``ru_maxrss`` before
-and after the solve: the rise is how much that solve raised the process's
-peak resident memory. Per problem and analysis mesh (a run with a coarse
-stage solves on two), it prints from those spans, as medians over the
-solves in ms, the whole solve, its factor, its back-solves together and the
-rest (band fill, residuals and checks), the largest rise in MB and the
-range of back-solves per solve. Times are wall clock, so they carry the
-host's load.
+In that run the fresh process times with ``time.perf_counter`` each state
+solve (``driver.solve_system``) and, while one is open, the banded Cholesky
+factor (``fem.cholesky_banded``) and back-solves (``fem.cho_solve_banded``)
+inside it; the RBF fit solves through ``rbf``'s own ``solve_system``, so
+its factor is not counted. Around each state solve it reads ``ru_maxrss``
+before and after: the rise is how much that solve raised the process's peak
+resident memory. The observer tags each solve with its state's analysis
+mesh. Per problem and analysis mesh (a run with a coarse stage solves on
+two), it prints, as medians over the solves in ms, the whole solve, its
+factor, its back-solves together and the rest (band fill, residuals and
+checks), the largest rise in MB and the range of back-solves per solve.
+Times are wall clock, so they carry the host's load.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 MB = 2.0 ** 20
-BANDED = ("cholesky_banded", "cho_solve_banded")  # traced in the solve
+BANDED = ("cholesky_banded", "cho_solve_banded")  # timed in the solve
 
 
 def use_benchmark_sources() -> None:
@@ -109,32 +110,15 @@ def analysis_steps(problem) -> list:
     return rows
 
 
-def state_solves(spans, history, rises) -> list:
-    """[solve s, factor s, back-solves s, back-solves, rise MB, mesh] per
-    top-level ``fem.solve`` span, with the history's records and the peak
-    rises of the solves in turn. Only the factor and back-solve spans right
-    under one count, not the RBF fit's."""
-    solves = {i: [end - start, 0.0, 0.0, 0]
-              for i, (name, start, end, parent) in enumerate(spans)
-              if name == "fem.solve" and parent == -1}
-    for name, start, end, parent in spans:
-        if parent in solves and name in BANDED:
-            back = name == "cho_solve_banded"
-            solves[parent][1 + back] += end - start
-            solves[parent][3] += back
-    return [solve + [rise, record.mesh] for solve, record, rise in zip(
-        solves.values(), history, rises, strict=True)]
-
-
 def resident_steps(workload: str, overrides=None, budget=None,
                    setups: int | None = None) -> tuple:
     """``ru_maxrss`` in MB of a fresh process after ``setups`` (by default
     the benchmark's count) of the benchmark's set-ups of a workload's
     problem, with ``overrides``, and after a run at ``budget`` (by default
-    the workload's); that budget; and the run's solves as ``state_solves``
-    lists them. Linux counts the resident memory of the process that starts
-    the child in the child's maximum, so call this before the caller itself
-    grows."""
+    the workload's); that budget; and per state solve of the run [solve s,
+    factor s, back-solves s, back-solves, rise MB, mesh]. Linux counts the
+    resident memory of the process that starts the child in the child's
+    maximum, so call this before the caller itself grows."""
     spec = json.dumps({"workload": workload, "overrides": overrides or {},
                        "budget": budget, "setups": setups})
     child = subprocess.run(
@@ -151,7 +135,6 @@ def resident_child(spec: str) -> int:
     import igtop
     import run
     from igtop import driver, fem
-    from tracing import Tracer
     from workloads import build_setup, workloads
 
     spec = json.loads(spec)
@@ -161,27 +144,44 @@ def resident_child(spec: str) -> int:
     for _ in range(spec["setups"] or run.SETUP_REPEATS):
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    tracer, solves, rises = Tracer(), [], []
-    for name in BANDED:  # spans of the same tracer, so that they nest
-        setattr(fem, name, tracer._wrap(name, getattr(fem, name), None))
+    solves, pending, parts = [], [], None  # parts: the open state solve's
+
+    def timed(name):
+        call, back = getattr(fem, name), name == "cho_solve_banded"
+
+        def counted(*args, **kwargs):
+            start = time.perf_counter()
+            result = call(*args, **kwargs)
+            if parts is not None:
+                parts[1 + back] += time.perf_counter() - start
+                parts[3] += back
+            return result
+        return counted
+
+    for name in BANDED:
+        setattr(fem, name, timed(name))
     solve = driver.solve_system
 
-    def measured(*args, **kwargs):  # the tracer wraps it in its span
+    def measured(*args, **kwargs):
+        nonlocal parts
+        parts = [0.0, 0.0, 0.0, 0]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        start = time.perf_counter()
         result = solve(*args, **kwargs)
-        rises.append((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                      - before) / 1024.0)
+        parts[0] = time.perf_counter() - start
+        pending.append(parts + [(resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0])
+        parts = None
         return result
 
     driver.solve_system = measured
 
-    def observer(state):  # drop spans once read, or they add to ru_maxrss
-        solves.extend(state_solves(tracer.spans, [state], rises))
-        tracer.spans.clear()
-        rises.clear()
+    def observer(state):  # one state solve per analysis
+        (solved,) = pending
+        solves.append(solved + [state.mesh])
+        pending.clear()
 
-    with tracer.installed():
-        igtop.run(problem, budget=budget, observer=observer)
+    igtop.run(problem, budget=budget, observer=observer)
     after_run = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"after_setups": after_setups / 1024.0,
                       "after_run": after_run / 1024.0, "budget": budget,
