@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     outdir = Path(args.output_dir) if args.output_dir else out.directory
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory {outdir}: "
                           f"{err}") from None
     every = out.snapshot_every

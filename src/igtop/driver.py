@@ -26,8 +26,9 @@ from .mma import S_MAX, S_MIN, MmaOptimizer
 from .rbf import (LevelsetField, RbfGrid, build_theta, fit_design,
                   hole_lattice_levelset)
 
-STALL_TOL = 1e-6
-STALL_ITERS = 10
+SETTLE_RECORDS = 10
+SETTLE_SPAN = 1e-3
+SETTLE_VF = 0.002
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,6 @@ class RunResult:
     design: np.ndarray
     model: EnrichedModel
     u: np.ndarray
-    converged: bool
 
 
 class _Workspace:
@@ -386,19 +386,18 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     analyses run in the stages of ``_stages``: one optimizer steps the
     design across them, each stage normalizes the compliance by its own
     first one, and the last record is always on the problem's own mesh.
-    The loop stops early once the design update stays below 1e-6 in the max
-    norm for ten consecutive iterations; a stage that stops so hands over
-    to the next, whose first analysis ends the run. A NumericalError from
-    the loop leaves with the iteration and a copy of the design it failed
-    at.
+    A stage ends after its cap of analyses, or once its last 10
+    compliances span under 0.1% of their mean and its volume fraction is
+    within 0.002 of the limit; the next stage starts from the last design
+    it analysed. The final design is the one the last record analysed. A
+    NumericalError from the loop leaves with the iteration and a copy of
+    the design it failed at.
     """
     problem = problem.with_overrides(
         budget=problem.budget if budget is None else budget)
-    budget = problem.budget
 
     history = []
     s = opt = None
-    stall = 0
     it = -1
     try:
         for spec, analyses in _stages(problem):
@@ -410,43 +409,43 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
                 opt = MmaOptimizer(ws.grid.n_centers,
                                    move_limit=problem.move_limit)
             v_limit = problem.volume_fraction * ws.domain_volume
-            c_ref = None
-            for _ in range(analyses):
+            window = []  # the stage's compliances, the last 10 at most
+            for i in range(analyses):
                 it += 1
                 # free the last analysis, with its model's cached geometry
                 model = u = f = None
                 model, u, f, c, vol = ws.analyze(s)
-                record = HistoryRecord(
-                    it, c, vol / ws.domain_volume,
-                    problem.pair.field_dim * model.n_enriched,
-                    f"{spec.nx}x{spec.ny}")
+                vf = vol / ws.domain_volume
+                record = HistoryRecord(it, c, vf, problem.pair.field_dim *
+                                       model.n_enriched, f"{spec.nx}x{spec.ny}")
                 history.append(record)
                 if observer is not None:
                     observer(IterationState(**vars(record), design=s.copy(),
                                             model=model, u=u))
-                if c_ref is None:
+                if not window:
                     if not c > 0.0:
                         raise SolverError(f"initial compliance {c} is not "
                                           "positive; cannot normalize the "
                                           "objective")
                     c_ref = c
-                converged = stall >= STALL_ITERS
-                if converged or it == budget - 1:
+                window = window[1 - SETTLE_RECORDS:] + [c]
+                settled = (len(window) == SETTLE_RECORDS and np.ptp(window) <
+                           SETTLE_SPAN * np.mean(window) and
+                           abs(vf - problem.volume_fraction) <= SETTLE_VF)
+                # _stages gives the last stage the problem itself
+                if settled or spec is problem and i == analyses - 1:
                     break
 
                 dc, dv = ws.gradients(model, u)
                 dc[ws.passive] = dv[ws.passive] = 0.0
                 fval = vol / v_limit - 1.0
-                s_new = opt.step(s, dc / c_ref, fval, dv / v_limit)
-                stall = (stall + 1 if np.abs(s_new - s).max() < STALL_TOL
-                         else 0)
-                s = s_new
+                s = opt.step(s, dc / c_ref, fval, dv / v_limit)
     except NumericalError as err:
         err.iteration, err.design = it, s.copy()
         raise
 
     return RunResult(problem=problem, mesh=ws.mesh, history=history,
-                     design=s, model=model, u=u, converged=converged)
+                     design=s, model=model, u=u)
 
 
 def analyze(problem: ProblemSpec, design: np.ndarray | None = None):

@@ -185,6 +185,26 @@ class TestCriterion4Mbb:
             ("runtime", wall < 1800.0, f"{wall:.0f}s"),
         ])
 
+    def test_band_holds_under_rounding_perturbations(self, monkeypatch):
+        # as for the cantilever: the initial design scaled by
+        # (1 + k 1e-14), k = 0..7, must not leave the gate's bands
+        t0 = time.perf_counter()
+        initial = ProblemSpec.initial_design
+        checks = []
+        for k in range(8):
+            monkeypatch.setattr(
+                ProblemSpec, "initial_design",
+                lambda self, grid, k=k: initial(self, grid) * (1.0 + k * 1e-14))
+            result = run(mbb())
+            c = result.history[-1].compliance
+            vf = result.history[-1].volume_fraction
+            limit = result.problem.volume_fraction
+            checks.append((f"k={k}", abs(c - 175.26) <= 0.10 * 175.26
+                           and vf <= limit * 1.01, f"C {c:.3f} VF {vf:.4f}"))
+        wall = time.perf_counter() - t0
+        checks.append(("runtime", wall < 1800.0, f"{wall:.0f}s"))
+        report(4, "MBB under 1e-14 design perturbations", checks)
+
 
 class TestCriterion5HeatSink:
     def test_final_compliance_and_volume(self, heat_run):

@@ -560,6 +560,17 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert "output directory" in capsys.readouterr().err
 
+    def test_nul_byte_in_output_directory_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # os.mkdir raises ValueError, not OSError, on an embedded NUL
+        monkeypatch.setattr("igtop.cli.run", run_not_reached)
+        cfg = tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(str(tmp_path / "out"),
+                                               str(tmp_path / "a\0b")))
+        assert main(["run", str(cfg)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.cfg"]
+
     def test_output_dir_flag_naming_a_file_exits_2(self, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr("igtop.cli.run", run_not_reached)
