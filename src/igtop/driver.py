@@ -388,10 +388,10 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     first one, and the last record is always on the problem's own mesh.
     A stage ends after its cap of analyses, or once its last 10
     compliances span under 0.1% of their mean and its volume fraction is
-    within 0.002 of the limit; the next stage starts from the last design
-    it analysed. The final design is the one the last record analysed. A
-    NumericalError from the loop leaves with the iteration and a copy of
-    the design it failed at.
+    within 0.002 of the limit; a stage that settles hands the next its last
+    analysed design, unstepped. The final design is the one the last
+    record analysed. A NumericalError from the loop leaves with the
+    iteration and a copy of the design it failed at.
     """
     problem = problem.with_overrides(
         budget=problem.budget if budget is None else budget)
