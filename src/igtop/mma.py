@@ -6,6 +6,14 @@ curvature is controlled by per-variable asymptotes, and solves it exactly
 through its one-dimensional dual. Asymptotes widen while the iterate moves
 monotonically and contract when it oscillates.
 
+Each variable also keeps its own move limit, read by the same two-step sign
+rule: from the third step on it grows by the asymptotes' factor 1.2 where
+the variable's last two steps agreed and shrinks by 0.7 where they
+reversed, within [0.005, 1] times the optimizer's ``move_limit``. The
+asymptotes alone cannot shorten a step: they stay at least 0.02 from x, so
+the bound they set lies at least 0.018 away, and a move limit of 0.01
+binds first, however often the variable oscillates.
+
 The constraint is relaxed with an elastic variable y >= 0 priced at
 c*y + d*y^2/2 (c = 10, d = 1), so the subproblem is always feasible; with c
 well above the constraint's dual price the optimizer drives y to zero and
@@ -26,6 +34,8 @@ _ASY_SHRINK = 0.7
 _ASY_GROW = 1.2
 _ASY_MIN = 0.01
 _ASY_MAX = 10.0
+# floor of a variable's own move limit, as a share of move_limit
+_MOVE_MIN = 0.005
 _ALBEFA = 0.1
 _RAA0 = 1e-5
 _DUAL_TOL = 1e-9
@@ -52,7 +62,9 @@ class MmaOptimizer:
     n : int
         Number of design variables.
     move_limit : float
-        Hard cap on the per-variable step, in absolute variable units.
+        Hard cap on the per-variable step, in absolute variable units, and
+        the first two steps' limit. Each variable's limit ``move[i]`` then
+        follows its own last two steps (see the module docstring).
     """
 
     def __init__(self, n: int, move_limit: float = 0.01):
@@ -65,6 +77,7 @@ class MmaOptimizer:
         self.move_limit = float(move_limit)
         self.low = None
         self.upp = None
+        self.move = None
         self.xold1 = None
         self.xold2 = None
         self.iteration = 0
@@ -72,9 +85,11 @@ class MmaOptimizer:
         self.y = 0.0
 
     def _update_asymptotes(self, x: np.ndarray) -> None:
+        """Asymptotes and per-variable move limits for a step from ``x``."""
         if self.iteration < 2:
             self.low = x - _ASY_INIT * _RANGE
             self.upp = x + _ASY_INIT * _RANGE
+            self.move = np.full(self.n, self.move_limit)
             return
         trend = (x - self.xold1) * (self.xold1 - self.xold2)
         factor = np.where(trend < 0.0, _ASY_SHRINK,
@@ -87,6 +102,8 @@ class MmaOptimizer:
             factor * (self.xold1 - self.low), lo_min), lo_max)
         self.upp = x + np.minimum(np.maximum(
             factor * (self.upp - self.xold1), lo_min), lo_max)
+        self.move = np.minimum(np.maximum(
+            factor * self.move, _MOVE_MIN * self.move_limit), self.move_limit)
 
     def step(self, x, df0dx, fval: float, dfdx) -> np.ndarray:
         """One design update.
@@ -110,9 +127,9 @@ class MmaOptimizer:
         low, upp = self.low, self.upp
 
         alpha = np.maximum(np.maximum(S_MIN, low + _ALBEFA * (x - low)),
-                           x - self.move_limit)
+                           x - self.move)
         beta = np.minimum(np.minimum(S_MAX, upp - _ALBEFA * (upp - x)),
-                          x + self.move_limit)
+                          x + self.move)
 
         ux = upp - x
         xl = x - low

@@ -154,18 +154,25 @@ class TestCriterion3Cantilever:
 
     def test_band_holds_under_rounding_perturbations(self, monkeypatch):
         # the initial design scaled by (1 + k 1e-14), k = 0..7: rounding of
-        # this size must not decide the gate
+        # this size must not decide the gate; most runs settle before their
+        # budget, as each variable's move limit shrinks where it oscillates
         t0 = time.perf_counter()
         initial = ProblemSpec.initial_design
         checks = []
+        settled = 0
         for k in range(8):
             monkeypatch.setattr(
                 ProblemSpec, "initial_design",
                 lambda self, grid, k=k: initial(self, grid) * (1.0 + k * 1e-14))
-            last = run(cantilever()).history[-1]
-            c, vf = last.compliance, last.volume_fraction
+            problem = cantilever()
+            history = run(problem).history
+            c, vf = history[-1].compliance, history[-1].volume_fraction
+            settled += len(history) < problem.budget
             checks.append((f"k={k}", abs(c - 56.998) <= 0.10 * 56.998
-                           and vf <= 0.56, f"C {c:.3f} VF {vf:.4f}"))
+                           and vf <= 0.56,
+                           f"C {c:.3f} VF {vf:.4f} in {len(history)}"))
+        checks.append(("at least 6 of 8 settle", settled >= 6,
+                       f"{settled} of 8"))
         wall = time.perf_counter() - t0
         checks.append(("runtime", wall < 600.0, f"{wall:.0f}s"))
         report(3, "cantilever under 1e-14 design perturbations", checks)
@@ -220,7 +227,8 @@ class TestCriterion5HeatSink:
 
     def test_band_holds_under_rounding_perturbations(self, monkeypatch):
         # as for the cantilever: the initial design scaled by
-        # (1 + k 1e-14), k = 0..7, must not leave the gate's bands
+        # (1 + k 1e-14), k = 0..7, must not leave the gate's bands, and
+        # every run settles before its 100-analysis budget
         t0 = time.perf_counter()
         initial = ProblemSpec.initial_design
         checks = []
@@ -228,11 +236,11 @@ class TestCriterion5HeatSink:
             monkeypatch.setattr(
                 ProblemSpec, "initial_design",
                 lambda self, grid, k=k: initial(self, grid) * (1.0 + k * 1e-14))
-            last = run(heat_sink()).history[-1]
-            c, vf = last.compliance, last.volume_fraction
+            history = run(heat_sink()).history
+            c, vf = history[-1].compliance, history[-1].volume_fraction
             checks.append((f"k={k}", abs(c - 3.240) <= 0.15 * 3.240
-                           and abs(vf - 0.45) <= 0.01,
-                           f"C {c:.4f} VF {vf:.4f}"))
+                           and abs(vf - 0.45) <= 0.01 and len(history) < 100,
+                           f"C {c:.4f} VF {vf:.4f} in {len(history)}"))
         wall = time.perf_counter() - t0
         checks.append(("runtime", wall < 600.0, f"{wall:.0f}s"))
         report(5, "heat sink under 1e-14 design perturbations", checks)

@@ -220,6 +220,76 @@ class TestAsymptotes:
         assert opt.upp[0] - x >= 0.01 * 2.0 - 1e-12
 
 
+class TestMoveLimits:
+    """Each variable's move limit follows the sign of its last two steps,
+    as the asymptotes do, within [0.005, 1] x move_limit."""
+
+    def _run_history(self, rows, move_limit=0.01):
+        opt = MmaOptimizer(len(rows[0]), move_limit=move_limit)
+        for x in rows:
+            opt.step(np.array(x), np.ones(len(x)), -1.0, np.zeros(len(x)))
+        return opt
+
+    def test_first_two_steps_use_move_limit(self):
+        opt = MmaOptimizer(3, move_limit=0.02)
+        x = np.zeros(3)
+        for g in (1e6, -1e6):
+            xnew = opt.step(x, np.full(3, g), -1.0, np.zeros(3))
+            np.testing.assert_array_equal(opt.move, np.full(3, 0.02))
+            np.testing.assert_allclose(np.abs(xnew - x), 0.02, rtol=1e-6)
+            x = xnew
+
+    def test_reversal_shrinks_and_agreement_grows(self):
+        # variable 0 reverses at the third step and again at the fourth,
+        # variable 1 reverses and then agrees, variable 2 stands still
+        opt = self._run_history([[0.0, 0.0, 0.3], [0.01, 0.01, 0.3],
+                                 [0.0, 0.0, 0.3]])
+        np.testing.assert_allclose(opt.move, [0.007, 0.007, 0.01],
+                                   rtol=1e-15)
+        opt.step(np.array([0.01, -0.01, 0.3]), np.ones(3), -1.0,
+                 np.zeros(3))
+        np.testing.assert_allclose(opt.move, [0.0049, 0.0084, 0.01],
+                                   rtol=1e-15)
+
+    def test_limits_are_clipped_to_their_band(self):
+        oscillating = [[0.01 * (k % 2)] for k in range(40)]
+        opt = self._run_history(oscillating, move_limit=0.04)
+        assert opt.move[0] == 0.005 * 0.04
+        monotone = [[0.01 * k] for k in range(40)]
+        opt = self._run_history(monotone, move_limit=0.04)
+        assert opt.move[0] == 0.04
+
+    def test_no_step_exceeds_its_limit(self):
+        # a gradient far above any curvature puts every step on its limit;
+        # its sign flips each step, so the limits shrink from the third on
+        opt = MmaOptimizer(2, move_limit=0.01)
+        x = np.array([0.1, -0.2])
+        for k in range(12):
+            g = np.array([1e6, -1e6]) * (-1.0) ** k
+            xnew = opt.step(x, g, -1.0, np.zeros(2))
+            np.testing.assert_allclose(opt.move, 0.01 * 0.7 ** max(0, k - 1),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(np.abs(xnew - x), opt.move,
+                                       rtol=1e-6)
+            assert np.all(np.abs(xnew - x) <= opt.move * (1 + 1e-12))
+            x = xnew
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        min_size=3, max_size=8)))
+    def test_random_steps_stay_within_their_limits(self, gradients):
+        n = len(gradients[0])
+        opt = MmaOptimizer(n)
+        x = np.zeros(n)
+        for g in gradients:
+            xnew = opt.step(x, np.array(g), -1.0, np.zeros(n))
+            assert np.all(np.abs(xnew - x) <= opt.move * (1 + 1e-12))
+            assert np.all((opt.move >= 0.005 * opt.move_limit)
+                          & (opt.move <= opt.move_limit))
+            x = xnew
+
+
 class TestValidation:
     def test_rejects_non_finite(self):
         opt = MmaOptimizer(2)
