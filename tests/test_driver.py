@@ -952,7 +952,7 @@ class TestGradientCheck:
     def test_mid_run_heat_sink_design(self, quantity):
         # the heat sink carries a body load in both phases, the only builtin
         # problem on the body-load term of the compliance gradient; the
-        # cantilever design of iteration 80 is one of a run that never settles
+        # cantilever design of iteration 80 is a stored mid-run design
         for problem, name in ((heat_sink(), "heat_sink_iter40.txt"),
                               (cantilever(), "cantilever_iter80.txt")):
             s = np.loadtxt(DATA / name)

@@ -240,15 +240,15 @@ class TestMoveLimits:
             x = xnew
 
     def test_reversal_shrinks_and_agreement_grows(self):
-        # variable 0 reverses at the third step and again at the fourth,
-        # variable 1 reverses and then agrees, variable 2 stands still
-        opt = self._run_history([[0.0, 0.0, 0.3], [0.01, 0.01, 0.3],
+        # all three reverse at the third step; at the fourth variable 0
+        # reverses again, variable 1 agrees and variable 2 stands still
+        opt = self._run_history([[0.0, 0.0, 0.3], [0.01, 0.01, 0.31],
                                  [0.0, 0.0, 0.3]])
-        np.testing.assert_allclose(opt.move, [0.007, 0.007, 0.01],
+        np.testing.assert_allclose(opt.move, [0.007, 0.007, 0.007],
                                    rtol=1e-15)
         opt.step(np.array([0.01, -0.01, 0.3]), np.ones(3), -1.0,
                  np.zeros(3))
-        np.testing.assert_allclose(opt.move, [0.0049, 0.0084, 0.01],
+        np.testing.assert_allclose(opt.move, [0.0049, 0.0084, 0.007],
                                    rtol=1e-15)
 
     def test_limits_are_clipped_to_their_band(self):

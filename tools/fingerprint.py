@@ -17,7 +17,7 @@ the free block, which no workload runs. Two checkouts that print the same
 digests computed the same bits. The benchmark is imported, not changed.
 
 The five digests of float64 paths (the four workloads and ``setup``) read
-cantilever 5752d20b..., mbb ceb04a6b..., heat_sink 14d5fc9f..., gradcheck
+cantilever 104858e8..., mbb 28cbb6ae..., heat_sink ca5affd8..., gradcheck
 69a034a3... and setup c1ba952f...; a change that keeps float64 results
 must not move them. The two longdouble checks read compliance_check
 f6320e33... and heat_sink_compliance_check 3eedd97b..., both at one BLAS
