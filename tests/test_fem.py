@@ -707,3 +707,19 @@ class TestScaledBand:
                             lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         assert solve_system(k, f, ws.fixed).residual <= 1e-10
         assert len(calls) == solves
+
+    def test_refinement_stops_once_the_residual_no_longer_halves(
+            self, monkeypatch):
+        # a back-solve that returns 0.4 of its solution leaves 0.6 of each
+        # residual, so the second residual has not halved: the first solve
+        # and one correction, after which the residual check refuses u at
+        # 0.6^2 of f. Without the stop all six corrections run, to 0.6^7
+        k, f, fixed, _ = initial_system(cantilever())
+        calls = []
+        solve = igtop.fem.cho_solve_banded
+        monkeypatch.setattr(
+            igtop.fem, "cho_solve_banded",
+            lambda *a, **kw: calls.append(1) or 0.4 * solve(*a, **kw))
+        with pytest.raises(SolverError, match=r"residual 3\.600e-01"):
+            solve_system(k, f, fixed)
+        assert len(calls) == 2
