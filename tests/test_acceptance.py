@@ -54,7 +54,6 @@ GATES = {
     "mbb": (mbb, 175.26, 0.10, (mbb().volume_fraction * 1.01, None), ".3f"),
     "heat_sink": (heat_sink, 3.240, 0.15, (0.45, 0.01), ".4f"),
 }
-PERTURBATIONS = range(8)
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +95,9 @@ def perturbed(optimize, name, ok=lambda history: True):
     """The runs from the initial design scaled by (1 + k 1e-14), k = 0..7,
     whose rounding must not decide the gate: their histories, summed wall
     time, the gate's rules and one check per k of the rules and ``ok``."""
-    runs = [optimize(name, k) for k in PERTURBATIONS]
+    runs = [optimize(name, k) for k in range(8)]
     checks = []
-    for k, (history, _) in zip(PERTURBATIONS, runs):
+    for k, (history, _) in enumerate(runs):
         (c_rule, c_ok, c), (vf_rule, vf_ok, vf) = gate_checks(name, history)
         checks.append((f"k={k}", c_ok and vf_ok and ok(history),
                        f"C {c} VF {vf} in {len(history)}"))
