@@ -19,7 +19,7 @@ from . import sensitivity
 from .enrich import (EnrichedModel, build_enriched_model, flip_lone_nodes,
                      snap_nodal_levelset)
 from .errors import ConfigError, NumericalError, SolverError, finite_number
-from .fem import (Assembler, Conduction, LoadCase, MaterialPair,
+from .fem import (Assembler, BandBuffer, Conduction, LoadCase, MaterialPair,
                   PlaneStressElastic, compliance, node_dofs, solve_system)
 from .mesh import SIDES, Mesh, structured_grid
 from .mma import S_MAX, S_MIN, MmaOptimizer
@@ -320,6 +320,7 @@ class _Workspace:
         self.field = LevelsetField(self.grid, self.mesh.nodes, self.initial)
         self.fixed = problem.fixed_dofs(self.mesh)
         self.assembler = Assembler(self.mesh, problem.pair, self.loads)
+        self.band = BandBuffer()  # the band of every state solve
         self.domain_volume = problem.width * problem.height
 
     def levelset(self, design: np.ndarray) -> np.ndarray:
@@ -339,7 +340,7 @@ class _Workspace:
         model = self.model(design)
         k, f = self.assembler.assemble(model)
         u = solve_system(k, f, self.assembler.fixed_dofs(model, self.fixed),
-                         self.assembler.band_key(model)).u
+                         self.assembler.band_key(model), self.band).u
         return model, u, f, compliance(u, f), model.material_volume()
 
     def gradients(self, model, u):

@@ -311,11 +311,27 @@ class SolveResult:
     residual: float
 
 
-def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
-                 at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class BandBuffer:
+    """Float64 storage that successive solves fill their bands in: a band
+    is a view of its first entries, and one that does not fit replaces it,
+    the old array dropped first, instead of being placed beside it."""
+
+    def __init__(self):
+        self.data = np.empty(0)
+
+    def take(self, size: int) -> np.ndarray:
+        if self.data.size < size:
+            self.data = None
+            self.data = np.empty(size)
+        return self.data[:size]
+
+
+def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray, at: np.ndarray,
+                 buffer=None) -> tuple[np.ndarray, np.ndarray]:
     """The float64 lower band of diag(scale) K diag(scale) over the dofs
     ``at`` at band positions ``pos`` (-1 when fixed), filled from K in one
-    pass and in Fortran order so that LAPACK factors it in place, and
+    pass into a zeroed view of the BandBuffer ``buffer`` (a fresh one when
+    None), in Fortran order so that LAPACK factors it in place, and
     ``scale``: the inverse square roots of K's diagonal at ``at``, where an
     unstored entry reads 0 and is refused like any nonpositive one."""
     diag = k.diagonal()[at]
@@ -325,7 +341,7 @@ def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
             f"the system has an unconstrained or degenerate mode")
     scale = 1.0 / np.sqrt(diag)
     # the band is the largest array of a solve: free the nnz-sized arrays
-    # before it exists, so that it alone adds to the process's peak
+    # before it is taken, so that a band that must grow alone adds to the peak
     i, j = np.repeat(pos, np.diff(k.indptr)), pos.take(k.indices)
     lower = np.flatnonzero((j >= 0) & (i >= j))
     row, col = i[lower], j[lower]
@@ -340,10 +356,11 @@ def _scaled_band(k: sparse.csr_matrix, pos: np.ndarray,
     col *= rows
     row += col
     del col
-    # the sum adds the entries that share a position, each after rounding a
-    # longdouble product to float64 as a store does
-    band = np.bincount(row, weights=data.astype(np.float64, copy=False),
-                       minlength=rows * at.size)
+    # the sum adds the entries that share a position in stored order, each
+    # after rounding a longdouble product to float64 as a store does
+    band = (BandBuffer() if buffer is None else buffer).take(rows * at.size)
+    band.fill(0.0)
+    np.add.at(band, row, data.astype(np.float64, copy=False))
     return band.reshape((rows, at.size), order="F"), scale
 
 
@@ -366,20 +383,27 @@ def _product(k: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
-                 key=None) -> SolveResult:
-    """Direct solve with homogeneous essential conditions on ``fixed_dofs``.
+                 key=None, band: BandBuffer | None = None) -> SolveResult:
+    """Direct solve with homogeneous essential conditions on the integer
+    dof indices ``fixed_dofs``.
 
     The reduced system is symmetrically Jacobi-scaled and factored by banded
-    Cholesky. The free dofs take their band positions in ascending ``key``,
-    one value per dof, ties by dof index; without a key they are ordered by
-    reverse Cuthill-McKee of the free block. Raises ValueError on malformed
-    input, SolverError on singular or indefinite systems (typically an
-    unconstrained rigid mode) or when the relative residual exceeds 1e-6.
+    Cholesky, in ``band`` (kept by a caller that solves system after system)
+    or a fresh BandBuffer when None. The free dofs take their band positions
+    in ascending ``key``, one value per dof, ties by dof index; without a
+    key they are ordered by reverse Cuthill-McKee of the free block. Raises
+    ValueError on malformed input, SolverError on singular or indefinite
+    systems (typically an unconstrained rigid mode) or when the relative
+    residual exceeds 1e-6.
     """
     ndof = k.shape[0]
     if np.shape(f) != (ndof,):
         raise ValueError(f"f has shape {np.shape(f)}, not ({ndof},)")
-    fixed = np.asarray(fixed_dofs, dtype=np.int64).ravel()
+    fixed = np.asarray(fixed_dofs).ravel()
+    # an empty list reads as float; a bool or a float is no dof index
+    if fixed.size and fixed.dtype.kind not in "iu":
+        raise ValueError(f"fixed dofs must be integers, got {fixed.dtype}")
+    fixed = fixed.astype(np.int64)
     if fixed.size and (fixed.min() < 0 or fixed.max() >= ndof):
         raise ValueError("fixed dof index out of range")
     if key is not None and np.shape(key) != (ndof,):
@@ -400,7 +424,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # the band position of each free dof, -1 at the fixed ones
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[at] = np.arange(free.size, dtype=pos.dtype)
-    band, s = _scaled_band(k, pos, at)
+    band, s = _scaled_band(k, pos, at, buffer=band)
     try:
         factor = cholesky_banded(band, lower=True, overwrite_ab=True,
                                  check_finite=False)
