@@ -383,18 +383,18 @@ def _product(k: sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 
 def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
-                 key=None, band: BandBuffer | None = None) -> SolveResult:
+                 key=None, buffer: BandBuffer | None = None) -> SolveResult:
     """Direct solve with homogeneous essential conditions on the integer
     dof indices ``fixed_dofs``.
 
     The reduced system is symmetrically Jacobi-scaled and factored by banded
-    Cholesky, in ``band`` (kept by a caller that solves system after system)
-    or a fresh BandBuffer when None. The free dofs take their band positions
-    in ascending ``key``, one value per dof, ties by dof index; without a
-    key they are ordered by reverse Cuthill-McKee of the free block. Raises
-    ValueError on malformed input, SolverError on singular or indefinite
-    systems (typically an unconstrained rigid mode) or when the relative
-    residual exceeds 1e-6.
+    Cholesky, in ``buffer`` (kept by a caller that solves system after
+    system) or a fresh BandBuffer when None. The free dofs take their band
+    positions in ascending ``key``, one value per dof, ties by dof index;
+    without a key they are ordered by reverse Cuthill-McKee of the free
+    block. Raises ValueError on malformed input, SolverError on singular or
+    indefinite systems (typically an unconstrained rigid mode) or when the
+    relative residual exceeds 1e-6.
     """
     ndof = k.shape[0]
     if np.shape(f) != (ndof,):
@@ -424,7 +424,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # the band position of each free dof, -1 at the fixed ones
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[at] = np.arange(free.size, dtype=pos.dtype)
-    band, s = _scaled_band(k, pos, at, buffer=band)
+    band, s = _scaled_band(k, pos, at, buffer=buffer)
     try:
         factor = cholesky_banded(band, lower=True, overwrite_ab=True,
                                  check_finite=False)

@@ -738,13 +738,13 @@ class TestScaledBand:
 
 
 def traced_rise(step):
-    """(what ``step`` returns, the traced peak during it less the traced
-    bytes before it) with tracing already on."""
+    """The traced peak while ``step`` runs less the traced bytes before it,
+    with tracing already on."""
     gc.collect()
     before = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    out = step()
-    return out, tracemalloc.get_traced_memory()[1] - before
+    step()
+    return tracemalloc.get_traced_memory()[1] - before
 
 
 class TestBandBuffer:
@@ -758,7 +758,7 @@ class TestBandBuffer:
         try:
             ws.analyze(ws.initial)
             buffer = ws.band.data
-            _, rise = traced_rise(lambda: ws.analyze(ws.initial))
+            rise = traced_rise(lambda: ws.analyze(ws.initial))
         finally:
             tracemalloc.stop()
         assert ws.band.data is buffer
@@ -769,19 +769,17 @@ class TestBandBuffer:
         # fresh buffer's would less the small band, which it frees first
         small, large = (initial_system(mbb(*size))[:3]
                         for size in ((76, 26), (151, 51)))
-        rises = []
-        for buffer in (BandBuffer(), None):
-            tracemalloc.start()
-            try:
-                if buffer is not None:
-                    solve_system(*small, band=buffer)
-                    small_bytes = buffer.data.nbytes
-                rises.append(traced_rise(
-                    lambda: solve_system(*large, band=buffer))[1])
-            finally:
-                tracemalloc.stop()
-        assert buffer is None and 0 < small_bytes
-        assert rises[0] < rises[1] - small_bytes / 2
+        buffer = BandBuffer()
+        tracemalloc.start()
+        try:
+            solve_system(*small, buffer=buffer)
+            small_bytes = buffer.data.nbytes
+            kept = traced_rise(lambda: solve_system(*large, buffer=buffer))
+            fresh = traced_rise(lambda: solve_system(*large))
+        finally:
+            tracemalloc.stop()
+        assert buffer.data.nbytes > small_bytes > 0
+        assert kept < fresh - small_bytes / 2
 
     @pytest.mark.parametrize("problem", [mbb(76, 26), heat_sink()],
                              ids=["mbb-76x26", "heat_sink"])
@@ -791,7 +789,7 @@ class TestBandBuffer:
         # the bits of the scatter reference, and solves as a fresh band does
         k, f, fixed, _ = initial_system(problem)
         buffer = BandBuffer()
-        solve_system(*initial_system(mbb())[:3], band=buffer)
+        solve_system(*initial_system(mbb())[:3], buffer=buffer)
         held = buffer.data.size
         fills = []
         fill = igtop.fem._scaled_band
@@ -802,7 +800,7 @@ class TestBandBuffer:
             return band, scale
 
         monkeypatch.setattr(igtop.fem, "_scaled_band", recorded)
-        u = solve_system(k, f, fixed, band=buffer).u
+        u = solve_system(k, f, fixed, buffer=buffer).u
         assert buffer.data.size == held
         (args, band), = fills
         assert band.size < held

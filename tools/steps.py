@@ -22,12 +22,14 @@ factor (``fem.cholesky_banded``) and back-solves (``fem.cho_solve_banded``)
 inside it; the RBF fit solves through ``rbf``'s own ``solve_system``, so
 its factor is not counted. Around each state solve it reads ``ru_maxrss``
 before and after: the rise is how much that solve raised the process's peak
-resident memory. The observer tags each solve with its state's analysis
-mesh. Per problem and analysis mesh (a run with a coarse stage solves on
-two), it prints, as medians over the solves in ms, the whole solve, its
-factor, its back-solves together and the rest (band fill, residuals and
-checks), the largest rise in MB and the range of back-solves per solve.
-Times are wall clock, so they carry the host's load.
+resident memory. A solve whose band fits the buffer its workspace kept from
+the stage's earlier solves adds no band to it, so the largest rise of a mesh
+is its first or largest band's. The observer tags each solve with its
+state's analysis mesh. Per problem and analysis mesh (a run with a coarse
+stage solves on two), it prints, as medians over the solves in ms, the
+whole solve, its factor, its back-solves together and the rest (band fill,
+residuals and checks), the largest rise in MB and the range of back-solves
+per solve. Times are wall clock, so they carry the host's load.
 """
 
 from __future__ import annotations
