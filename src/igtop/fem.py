@@ -12,6 +12,7 @@ ones: dof = field_dim * (n_nodes + m) + component.
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -174,6 +175,9 @@ class Assembler:
     ``dtype`` (float64, or longdouble for interface-exactness studies below
     the material-contrast conditioning floor) is the precision of the
     element products and sums; the ``model.grads`` they read are float64.
+    Raises ValueError on another ``dtype``, or on a point load whose node
+    or component is not an integer index of the mesh's nodes or the
+    field's components.
     """
 
     def __init__(self, mesh, pair: MaterialPair, loads: LoadCase,
@@ -230,7 +234,13 @@ class Assembler:
 
         self._f_base = np.zeros(d * n, dtype=dtype)
         for node, comp, value in loads.point_loads:
-            self._f_base[node_dofs(node, d, comp)[0]] += value
+            if not (finite_number(numbers.Integral, node) and 0 <= node < n
+                    and finite_number(numbers.Integral, comp)
+                    and 0 <= comp < d):
+                raise ValueError(f"point load {(node, comp, value)!r} needs "
+                                 f"an integer node in [0, {n}) and an "
+                                 f"integer component in [0, {d})")
+            self._f_base[d * node + comp] += value
 
     def fixed_dofs(self, model: EnrichedModel, fixed) -> np.ndarray:
         """The original dofs ``fixed`` and the enriched dofs they hold: an
@@ -307,8 +317,13 @@ _BLOCK_ROWS = 4096
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solution, its relative residual over the free dofs, and the
+    seconds of the banded Cholesky factor and of each back-solve."""
+
     u: np.ndarray
     residual: float
+    factor_s: float = 0.0
+    back_s: tuple = ()
 
 
 class BandBuffer:
@@ -392,13 +407,18 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     system) or a fresh BandBuffer when None. The free dofs take their band
     positions in ascending ``key``, one value per dof, ties by dof index;
     without a key they are ordered by reverse Cuthill-McKee of the free
-    block. Raises ValueError on malformed input, SolverError on singular or
-    indefinite systems (typically an unconstrained rigid mode) or when the
-    relative residual exceeds 1e-6.
+    block. ``k`` and the array-like ``f`` hold real numbers (an integer K is
+    solved as float64). The result carries the seconds of the factor and
+    of each back-solve. Raises ValueError on malformed input, SolverError
+    on singular or indefinite systems (typically an unconstrained rigid
+    mode) or when the relative residual exceeds 1e-6.
     """
-    ndof = k.shape[0]
-    if np.shape(f) != (ndof,):
-        raise ValueError(f"f has shape {np.shape(f)}, not ({ndof},)")
+    ndof, f = k.shape[0], np.asarray(f)
+    if f.shape != (ndof,):
+        raise ValueError(f"f has shape {f.shape}, not ({ndof},)")
+    for name, a in (("k", k), ("f", f)):
+        if a.dtype.kind not in "iuf":
+            raise ValueError(f"{name} must hold real numbers, got {a.dtype}")
     fixed = np.asarray(fixed_dofs).ravel()
     # an empty list reads as float; a bool or a float is no dof index
     if fixed.size and fixed.dtype.kind not in "iu":
@@ -415,8 +435,8 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     if free.size == 0:
         return SolveResult(u=np.zeros(ndof), residual=0.0)
 
-    if not isinstance(k, sparse.csr_matrix):
-        k = sparse.csr_matrix(k)
+    if not isinstance(k, sparse.csr_matrix) or k.dtype.kind != "f":
+        k = sparse.csr_matrix(k, dtype=np.result_type(k.dtype, 1.0))
     if key is None:
         at = free[reverse_cuthill_mckee(k[free][:, free], symmetric_mode=True)]
     else:
@@ -425,6 +445,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     pos = np.full(ndof, -1, dtype=k.indices.dtype)
     pos[at] = np.arange(free.size, dtype=pos.dtype)
     band, s = _scaled_band(k, pos, at, buffer=buffer)
+    start = time.perf_counter()
     try:
         factor = cholesky_banded(band, lower=True, overwrite_ab=True,
                                  check_finite=False)
@@ -432,6 +453,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
         raise SolverError(
             f"stiffness factorization failed ({err}); check boundary "
             f"conditions for a free rigid mode") from err
+    factor_s, back_s = time.perf_counter() - start, []
     pivots = factor[0] ** 2
     if pivots.min() < 1e-12 * pivots.max():
         raise SolverError(
@@ -441,8 +463,10 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     # a plain closure: a factor held in a reference cycle would outlive the
     # solve until the seldom-run cyclic collector frees it
     def solve(b):
-        return cho_solve_banded((factor, True), b.astype(np.float64),
-                                check_finite=False)
+        b, start = b.astype(np.float64), time.perf_counter()
+        x = cho_solve_banded((factor, True), b, check_finite=False)
+        back_s.append(time.perf_counter() - start)
+        return x
 
     # refinement with extended-precision residuals f - K u recovers the
     # accuracy lost to the material-contrast conditioning; with longdouble
@@ -480,7 +504,7 @@ def solve_system(k: sparse.csr_matrix, f: np.ndarray, fixed_dofs,
     if not residual <= 1e-6:
         raise SolverError(f"relative solve residual {residual:.3e} exceeds "
                           f"1e-6; check boundary conditions")
-    return SolveResult(u=u, residual=residual)
+    return SolveResult(u, residual, factor_s, tuple(back_s))
 
 
 def compliance(u: np.ndarray, f: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -208,6 +209,20 @@ class TestAssembler:
         with pytest.raises(ValueError, match="float64 or longdouble"):
             Assembler(ws.mesh, ws.problem.pair, ws.loads, dtype=dtype)
 
+    @pytest.mark.parametrize("load", [
+        (-1, 0, 1.0), (5, 2, 1.0), (5, -1, 1.0), (2.5, 0, 1.0),
+        (10 ** 6, 0, 1.0), (True, 0, 1.0)],
+        ids=["negative-node", "component-2", "negative-component",
+             "fractional-node", "node-past-the-end", "bool-node"])
+    def test_refuses_a_point_load_off_the_mesh(self, load):
+        # the first four loaded dofs 88, 12, 9 and 4 of the 45-node mesh
+        # without a word, and node 10**6 ended in an IndexError
+        ws = _Workspace(cantilever(9, 5))
+        with pytest.raises(ValueError, match=r"point load .* needs an "
+                           r"integer node in \[0, 45\) and an integer "
+                           r"component in \[0, 2\)"):
+            Assembler(ws.mesh, ws.problem.pair, LoadCase([load]))
+
     def test_body_load_total_matches_domain(self):
         mesh, model, pair, _, _ = heat_bar(interface=0.4)
         loads = LoadCase(body=[1.0])
@@ -305,11 +320,44 @@ class TestSolve:
         with pytest.raises(ValueError, match="fixed dofs must be integers"):
             solve_system(self.chain(2.0), np.ones(3), fixed)
 
+    @pytest.mark.parametrize("k, f", [
+        ("complex", None), ("bool", None), (None, [1.0, 1j, 1.0]),
+        (None, [True, True, False]), (None, ["1", "1", "1"]),
+        (None, [1.0, None, 1.0])],
+        ids=["complex-k", "bool-k", "complex-f", "bool-f", "string-f",
+             "object-f"])
+    def test_k_or_f_that_is_not_real(self, k, f):
+        # a complex f was solved by its real part with a zero residual, a
+        # complex K ended in numpy's casting error
+        k = self.chain(2.0) if k is None else self.chain(2.0).astype(k)
+        f = np.ones(3) if f is None else f
+        with pytest.raises(ValueError, match=r"^[kf] must hold real numbers"):
+            solve_system(k, f, [])
+
+    def test_array_like_load_and_integer_k(self):
+        # a list f ended in numpy's index error at f[free], an integer K in
+        # its casting error
+        u = solve_system(self.chain(2.0), np.ones(3), []).u
+        for k, f in ((self.chain(2.0), [1, 1, 1]),
+                     (self.chain(2), np.ones(3, dtype=np.int64)),
+                     (self.chain(2.0), np.ones(3, dtype=np.longdouble))):
+            np.testing.assert_array_equal(solve_system(k, f, []).u, u)
+
+    def test_reports_factor_and_back_solve_seconds(self):
+        k, f, fixed, _ = initial_system(cantilever())
+        start = time.perf_counter()
+        res = solve_system(k, f, fixed)
+        took = time.perf_counter() - start
+        assert len(res.back_s) >= 1
+        assert min(res.factor_s, *res.back_s) > 0.0
+        assert res.factor_s + sum(res.back_s) < took
+
     def test_every_dof_fixed(self):
         res = solve_system(self.chain(2.0), np.ones(3), [2, 0, 1, 1])
         assert res.u.dtype == np.float64
         np.testing.assert_array_equal(res.u, np.zeros(3))
         assert res.residual == 0.0
+        assert res.factor_s == 0.0 and res.back_s == ()
 
     @pytest.mark.parametrize("load", ["nan-at-free-dof", "short", "long"])
     def test_malformed_load(self, load):
@@ -702,8 +750,7 @@ class TestScaledBand:
 
     @pytest.mark.parametrize("dtype, solves", [(np.float64, 2),
                                                (np.longdouble, 2)])
-    def test_refinement_stops_after_one_correction(
-            self, monkeypatch, dtype, solves):
+    def test_refinement_stops_after_one_correction(self, dtype, solves):
         # on the initial MBB design the first correction is 2.2e-10 (float64)
         # or 1.2e-10 (longdouble) of the first solve in the max-norm, so the
         # next one, predicted from that contraction, would be some 1e-4 of an
@@ -713,12 +760,9 @@ class TestScaledBand:
             ws.mesh, snap_nodal_levelset(ws.field.nodal_values))
         k, f = Assembler(ws.mesh, ws.problem.pair, ws.loads,
                          dtype=dtype).assemble(model)
-        calls = []
-        solve = igtop.fem.cho_solve_banded
-        monkeypatch.setattr(igtop.fem, "cho_solve_banded",
-                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
-        assert solve_system(k, f, ws.fixed).residual <= 1e-10
-        assert len(calls) == solves
+        result = solve_system(k, f, ws.fixed)
+        assert result.residual <= 1e-10
+        assert len(result.back_s) == solves
 
     def test_refinement_stops_once_the_residual_no_longer_halves(
             self, monkeypatch):

@@ -17,19 +17,19 @@ after each is the peak resident memory that the benchmark reports. Traced
 bytes leave out the interpreter's own and BLAS's native allocations.
 
 In that run the fresh process times with ``time.perf_counter`` each state
-solve (``driver.solve_system``) and, while one is open, the banded Cholesky
-factor (``fem.cholesky_banded``) and back-solves (``fem.cho_solve_banded``)
-inside it; the RBF fit solves through ``rbf``'s own ``solve_system``, so
-its factor is not counted. Around each state solve it reads ``ru_maxrss``
-before and after: the rise is how much that solve raised the process's peak
-resident memory. A solve whose band fits the buffer its workspace kept from
-the stage's earlier solves adds no band to it, so the largest rise of a mesh
-is its first or largest band's. The observer tags each solve with its
-state's analysis mesh. Per problem and analysis mesh (a run with a coarse
-stage solves on two), it prints, as medians over the solves in ms, the
-whole solve, its factor, its back-solves together and the rest (band fill,
-residuals and checks), the largest rise in MB and the range of back-solves
-per solve. Times are wall clock, so they carry the host's load.
+solve (``driver.solve_system``) and takes the seconds of its banded
+Cholesky factor and of each back-solve from the ``SolveResult`` it returns
+(``factor_s`` and ``back_s``). Around each state solve it reads
+``ru_maxrss`` before and after: the rise is how much that solve raised the
+process's peak resident memory. A solve whose band fits the buffer its
+workspace kept from the stage's earlier solves adds no band to it, so the
+largest rise of a mesh is its first or largest band's. The observer tags
+each solve with its state's analysis mesh. Per problem and analysis mesh (a
+run with a coarse stage solves on two), it prints, as medians over the
+solves in ms, the whole solve, its factor, its back-solves together and the
+rest (band fill, residuals and checks), the largest rise in MB and the
+range of back-solves per solve. Times are wall clock, so they carry the
+host's load.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from pathlib import Path
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 MB = 2.0 ** 20
-BANDED = ("cholesky_banded", "cho_solve_banded")  # timed in the solve
 
 
 def use_benchmark_sources() -> None:
@@ -136,7 +135,7 @@ def resident_child(spec: str) -> int:
     use_benchmark_sources()
     import igtop
     import run
-    from igtop import driver, fem
+    from igtop import driver
     from workloads import build_setup, workloads
 
     spec = json.loads(spec)
@@ -146,34 +145,17 @@ def resident_child(spec: str) -> int:
     for _ in range(spec["setups"] or run.SETUP_REPEATS):
         build_setup(problem)
     after_setups = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    solves, pending, parts = [], [], None  # parts: the open state solve's
-
-    def timed(name):
-        call, back = getattr(fem, name), name == "cho_solve_banded"
-
-        def counted(*args, **kwargs):
-            start = time.perf_counter()
-            result = call(*args, **kwargs)
-            if parts is not None:
-                parts[1 + back] += time.perf_counter() - start
-                parts[3] += back
-            return result
-        return counted
-
-    for name in BANDED:
-        setattr(fem, name, timed(name))
+    solves, pending = [], []
     solve = driver.solve_system
 
     def measured(*args, **kwargs):
-        nonlocal parts
-        parts = [0.0, 0.0, 0.0, 0]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         start = time.perf_counter()
         result = solve(*args, **kwargs)
-        parts[0] = time.perf_counter() - start
-        pending.append(parts + [(resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0])
-        parts = None
+        pending.append([time.perf_counter() - start, result.factor_s,
+                        sum(result.back_s), len(result.back_s),
+                        (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                         - before) / 1024.0])
         return result
 
     driver.solve_system = measured
