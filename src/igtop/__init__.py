@@ -6,6 +6,16 @@ interface, differentiated analytically through the enriched-node positions,
 and optimized with the method of moving asymptotes.
 """
 
+import os
+
+# BLAS runs at one thread unless the environment says otherwise: the thread
+# count decides MBB's bits (README's determinism paragraph), and a pool only
+# reads these variables when numpy or scipy first loads it, so they are set
+# before any module below imports numpy
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+del var
+
 from .driver import (BUILTIN_PROBLEMS, DirichletRule, HistoryRecord,
                      IterationState, ProblemSpec, RunResult, analyze,
                      cantilever, check_gradients, get_problem, heat_sink,

@@ -353,9 +353,9 @@ class _Workspace:
 def _stages(problem: ProblemSpec) -> list:
     """The (problem, analyses) stages that ``run`` analyses in turn.
 
-    The design lives on the RBF centres, not on the mesh, so a design and
-    the optimizer's state carry from one mesh to another unchanged. A
-    problem runs its first ``budget * 5 // 6`` analyses on the structured
+    The design lives on the RBF centres, not on the mesh, so it carries
+    from one mesh to another unchanged; it is all a stage hands the next.
+    A problem runs its first ``budget * 5 // 6`` analyses on the structured
     mesh with half its intervals (rounded up) and the rest on its own mesh,
     when that coarse mesh is no coarser than the centres in x and in y,
     and every point load and point support lands on a node with the same
@@ -384,9 +384,10 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
 
     The history holds one record per analysis, starting with the initial
     design at iteration 0, at most ``budget`` records in total. The
-    analyses run in the stages of ``_stages``: one optimizer steps the
-    design across them, each stage normalizes the compliance by its own
-    first one, and the last record is always on the problem's own mesh.
+    analyses run in the stages of ``_stages``, and the last record is
+    always on the problem's own mesh. Each stage starts its own optimizer
+    at ``move_limit`` from the design the last stage handed over, and
+    normalizes the compliance by its own first one.
     A stage ends after its cap of analyses, or once its last 10
     compliances span under 0.1% of their mean and its volume fraction is
     within 0.002 of the limit; a stage that settles hands the next its last
@@ -398,17 +399,15 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
         budget=problem.budget if budget is None else budget)
 
     history = []
-    s = opt = None
+    s = None
     it = -1
     try:
         for spec, analyses in _stages(problem):
             # free the last stage, with its last model, before the next
             ws = model = u = f = None
             ws = _Workspace(spec, s)
-            if s is None:
-                s = ws.initial
-                opt = MmaOptimizer(ws.grid.n_centers,
-                                   move_limit=problem.move_limit)
+            s = ws.initial
+            opt = MmaOptimizer(ws.grid.n_centers, move_limit=problem.move_limit)
             v_limit = problem.volume_fraction * ws.domain_volume
             window = []  # the stage's compliances, the last 10 at most
             for i in range(analyses):

@@ -493,6 +493,23 @@ class TestStages:
             dc[ws.passive] = 0.0
             assert np.array_equal(scales[it], dc / seen[first].compliance)
 
+    def test_each_stage_steps_with_its_own_optimizer(self, monkeypatch):
+        steps = []
+        step = MmaOptimizer.step
+
+        def record(self, *args):
+            steps.append((self, self.iteration))
+            return step(self, *args)
+
+        monkeypatch.setattr(MmaOptimizer, "step", record)
+        run(small_mbb(), budget=8)
+        # six coarse steps, then the fine stage's first step starts afresh
+        # (its last record takes no step)
+        assert [it for _, it in steps] == [0, 1, 2, 3, 4, 5, 0]
+        opts = [opt for opt, _ in steps]
+        assert all(opt is opts[0] for opt in opts[:6])
+        assert opts[6] is not opts[0]
+
     def test_an_mma_failure_in_the_coarse_stage(self, monkeypatch):
         step = MmaOptimizer.step
 

@@ -274,6 +274,22 @@ def test_import_loads_no_scipy_spatial_or_special():
     assert out.strip() == "[]", f"import igtop loads {out.strip()}"
 
 
+def test_import_sets_unset_blas_threads_to_one():
+    # igtop gives the three thread variables the tests' default before
+    # numpy loads; a value already in the environment is kept
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, igtop; print([os.environ.get(v) for v in {names}])"
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    for preset, expected in ({}, ["1", "1", "1"]), (
+            {"OPENBLAS_NUM_THREADS": "2"}, ["1", "2", "1"]):
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(env, **preset), check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == str(expected), (preset, out)
+
+
 def test_only_fem_orders_the_dofs():
     # the dof layout and the band order of the enriched system live in fem:
     # no other module builds a graph to order by, and the driver, which
