@@ -385,8 +385,8 @@ def run(problem: ProblemSpec, *, budget: int | None = None,
     The history holds one record per analysis, starting with the initial
     design at iteration 0, at most ``budget`` records in total. The
     analyses run in the stages of ``_stages``, and the last record is
-    always on the problem's own mesh. Each stage starts its own optimizer
-    at ``move_limit`` from the design the last stage handed over, and
+    always on the problem's own mesh. Each stage steps the design it is
+    handed with an optimizer of its own, fresh at ``move_limit``, and
     normalizes the compliance by its own first one.
     A stage ends after its cap of analyses, or once its last 10
     compliances span under 0.1% of their mean and its volume fraction is
