@@ -16,8 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (DL, Mesh, adj2, cofactor_hat_gradients, cross2,
-                   tri_jacobian)
+from .mesh import Mesh, cofactor_rows, cross2
 
 VOID, MATERIAL, CUT = 0, 1, 2
 
@@ -180,8 +179,8 @@ class EnrichedModel:
         All integration elements stacked along a leading axis of 3 n_cut.
 
     Cached float64 arrays of ``tiles``, each computed when first read:
-    ``hats`` and ``grads`` (an assembly's), ``ddet`` (only the gradients')
-    and ``centroid_shape`` (only a body load's).
+    ``ddet``, ``hats`` and ``grads`` (an assembly's) and
+    ``centroid_shape`` (only a body load's).
     """
 
     mesh: Mesh
@@ -216,16 +215,16 @@ class EnrichedModel:
 
     @cached_property
     def ddet(self) -> np.ndarray:
-        """DL adj(J) of ``tiles``, shape (..., 3, 2): entry (l, c) is
-        d(det J)/d(x_l[c]), twice the rate of change of the area as vertex
-        l moves along axis c."""
-        return DL @ adj2(tri_jacobian(self.tiles.coords))
+        """The cofactor rows of ``tiles``, shape (..., 3, 2): entry (l, c)
+        is d(det J)/d(x_l[c]), twice the rate of change of the area as
+        vertex l moves along axis c."""
+        return cofactor_rows(self.tiles.coords)
 
     @cached_property
     def hats(self) -> np.ndarray:
-        """The hat gradients of ``tiles`` themselves, ``DL J^-1`` in
-        cofactor form, shape (..., 3, 2)."""
-        return cofactor_hat_gradients(self.tiles.coords)
+        """The hat gradients of ``tiles`` themselves, ``ddet`` over det J,
+        shape (..., 3, 2)."""
+        return self.ddet / (2 * np.asarray(self.tiles.area))[..., None, None]
 
     @cached_property
     def grads(self) -> np.ndarray:

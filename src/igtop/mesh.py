@@ -11,36 +11,17 @@ import numpy as np
 from .errors import ConfigError, finite_number
 
 
-# gradients of the master-triangle hat functions (L1, L2, L3)
-DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z-component of the cross product of stacked 2-D vectors."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def adj2(m: np.ndarray) -> np.ndarray:
-    """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
-
-
-def tri_jacobian(coords: np.ndarray) -> np.ndarray:
-    """Jacobians of the master-to-physical maps of triangles with vertex
-    coordinates (..., 3, 2); columns are edge vectors."""
-    return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
-
-
-def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
-    """Physical hat-function gradients of triangles with vertex coordinates
-    (..., 3, 2), in their dtype: row i is the rotated opposite edge
-    (y_j - y_k, x_k - x_j) over twice the area, with (i, j, k) cyclic.
-    Mesh elements, cut parents and integration elements all take their hat
+def cofactor_rows(coords: np.ndarray) -> np.ndarray:
+    """Cofactor rows of triangles with vertex coordinates (..., 3, 2), in
+    their dtype: row i is the rotated opposite edge (y_j - y_k, x_k - x_j),
+    with (i, j, k) cyclic. Entry (i, c) is d(det J)/d(x_i[c]), and row i
+    over det J, twice the area, is the gradient of hat function i. Mesh
+    elements, cut parents and integration elements all take their hat
     gradients from here.
     """
     g = np.empty_like(coords)
@@ -48,8 +29,6 @@ def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
         j, k = (i + 1) % 3, (i + 2) % 3
         g[..., i, 0] = coords[..., j, 1] - coords[..., k, 1]
         g[..., i, 1] = coords[..., k, 0] - coords[..., j, 0]
-    g /= cross2(coords[..., 1, :] - coords[..., 0, :],
-                coords[..., 2, :] - coords[..., 0, :])[..., None, None]
     return g
 
 
@@ -94,7 +73,8 @@ class Mesh:
         Returns shape (n_elements, 3, 2); row i holds grad(N_i), constant on
         the element.
         """
-        return cofactor_hat_gradients(self.nodes.take(self.elements, axis=0))
+        x = self.nodes.take(self.elements, axis=0)
+        return cofactor_rows(x) / (2 * self.areas)[:, None, None]
 
     def nearest_node(self, point) -> int:
         """Index of the node closest to ``point``; ties go to the lowest index."""

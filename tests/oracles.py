@@ -7,6 +7,11 @@ rule through the Jacobian inverse, and serve the tests as its independent
 reference. They take a model and integration elements ``ie``, one or a
 stack, and evaluate on the model whose tiles are ``ie``.
 
+:func:`tri_jacobian`, :func:`adj2` and ``DL`` build J and its adjugate;
+``DL adj(J)`` is d(det J)/d(x), which the package reads as the cofactor
+rows of :func:`igtop.mesh.cofactor_rows`, and :func:`cofactor_hat_gradients`
+is those rows over det J.
+
 :func:`parent_hats` and :func:`enrichment_values` evaluate a cut parent's
 shape functions at any barycentric point of its integration elements; the
 package evaluates them at the centroid alone
@@ -48,12 +53,39 @@ from igtop.enrich import (CUT, MATERIAL, VOID, EnrichedModel,
                           IntegrationElement, intersect_edge)
 from igtop import sensitivity
 from igtop.fem import build_b, node_dofs
-from igtop.mesh import (DL, adj2, cofactor_hat_gradients, cross2,
-                        tri_jacobian)
+from igtop.mesh import cofactor_rows, cross2
 
 _DIAG_TIE_REL = 1e-12
 _TILES = np.array([[[0, 3, 4], [3, 1, 4], [1, 2, 4]],
                    [[0, 3, 4], [3, 1, 2], [3, 2, 4]]])
+
+# gradients of the master-triangle hat functions (L1, L2, L3)
+DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def adj2(m: np.ndarray) -> np.ndarray:
+    """Adjugates of 2x2 matrices: adj(m) @ m = det(m) I."""
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
+
+
+def tri_jacobian(coords: np.ndarray) -> np.ndarray:
+    """Jacobians of the master-to-physical maps of triangles with vertex
+    coordinates (..., 3, 2); columns are edge vectors."""
+    return np.swapaxes(coords, -1, -2) @ DL.astype(coords.dtype)
+
+
+def cofactor_hat_gradients(coords: np.ndarray) -> np.ndarray:
+    """Physical hat-function gradients of triangles with vertex coordinates
+    (..., 3, 2), in their dtype: the cofactor rows over det J, the cross
+    product of the edges from vertex 0."""
+    return cofactor_rows(coords) / cross2(
+        coords[..., 1, :] - coords[..., 0, :],
+        coords[..., 2, :] - coords[..., 0, :])[..., None, None]
 
 
 def jacobian_derivative(vertex: int, component: int) -> np.ndarray:

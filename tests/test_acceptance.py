@@ -25,11 +25,12 @@ from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
                        PlaneStressElastic, integration_element_force,
                        integration_element_stiffness, node_dofs,
                        solve_system)
-from igtop.mesh import Mesh, cross2, structured_grid, tri_jacobian
+from igtop.mesh import Mesh, cross2, structured_grid
 from oracles import (conforming_map, conforming_system, edge_traction_loads,
                      enrichment_values, integration_element_force_derivative,
                      integration_element_stiffness_derivative,
-                     inv_derivative, jacobian_derivative, jacobian_inverse)
+                     inv_derivative, jacobian_derivative, jacobian_inverse,
+                     tri_jacobian)
 
 DATA = Path(__file__).resolve().parent / "data"
 

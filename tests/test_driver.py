@@ -638,17 +638,17 @@ class TestAnalyze:
     def test_tile_geometry_is_computed_once(self, monkeypatch, problem,
                                             body_load):
         # each float64 array of model.tiles is computed once, when code
-        # first reads it: an assembly computes hats and grads and no ddet,
-        # the gradients add ddet, and a longdouble assembly casts grads;
-        # the mesh's hat gradients are computed once for every assembler;
-        # the model keeps centroid shape values only where a body load
-        # needs them
+        # first reads it: an assembly computes ddet, hats (ddet over det J)
+        # and grads, the gradients read them, and a longdouble assembly
+        # casts grads; the mesh's hat gradients are computed once for every
+        # assembler; the model keeps centroid shape values only where a
+        # body load needs them
         import igtop.enrich
         import igtop.fem
         import igtop.mesh
         import igtop.sensitivity
 
-        calls = {"tri_jacobian": 0, "cofactor_hat_gradients": 0}
+        calls = {"cofactor_rows": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -665,15 +665,13 @@ class TestAnalyze:
         ws = _Workspace(problem)
         model, u, *_ = ws.analyze(ws.initial)
         assert model.n_cut > 0
-        assert {"hats", "grads"} <= set(vars(model))
-        assert "ddet" not in vars(model)
-        assert calls["tri_jacobian"] == 0
-        ws.gradients(model, u)
         assert {"ddet", "hats", "grads"} <= set(vars(model))
+        # the mesh's cofactor rows and the tiles' own
+        assert calls == {"cofactor_rows": 2}
+        ws.gradients(model, u)
         Assembler(ws.mesh, problem.pair, ws.loads,
                   dtype=np.longdouble).assemble(model)
-        # the mesh's hat gradients and the tiles' own
-        assert calls == {"tri_jacobian": 1, "cofactor_hat_gradients": 2}
+        assert calls == {"cofactor_rows": 2}
         assert ("centroid_shape" in vars(model)) == body_load
 
 

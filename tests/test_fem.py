@@ -21,10 +21,10 @@ from igtop.fem import (_BLOCK_ROWS, CUT, MATERIAL, Assembler, BandBuffer,
                        build_b,
                        compliance, cut_parent_dofs,
                        integration_element_stiffness, node_dofs, solve_system)
-from igtop.mesh import (DL, Mesh, adj2, cofactor_hat_gradients,
-                        structured_grid, tri_jacobian)
+from igtop.mesh import Mesh, cofactor_rows, structured_grid
 import oracles
-from oracles import edge_traction_loads, enrichment_values, parent_hats
+from oracles import (DL, adj2, cofactor_hat_gradients, edge_traction_loads,
+                     enrichment_values, parent_hats, tri_jacobian)
 
 DATA = Path(__file__).resolve().parent / "data"
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -35,6 +35,7 @@ class TestElementKernels:
         np.testing.assert_allclose(tri_jacobian(UNIT_TRI), np.eye(2))
         np.testing.assert_allclose(cofactor_hat_gradients(UNIT_TRI),
                                    [[-1, -1], [1, 0], [0, 1]])
+        np.testing.assert_array_equal(cofactor_rows(UNIT_TRI), DL)
 
     def test_conduction_stiffness_unit_triangle(self):
         # hand-integrated: k = A * kappa * G G^T on the unit right triangle
@@ -502,7 +503,15 @@ class TestTileGeometry:
     def test_equals_fresh_helpers(self, model):
         mesh, tiles = model.mesh, model.tiles
         eq = np.testing.assert_array_equal
-        eq(model.ddet, DL @ adj2(tri_jacobian(tiles.coords)))
+        eq(model.ddet, cofactor_rows(tiles.coords))
+        # DL adj(J) forms row 0 from the edges at vertex 0, the cofactor
+        # rows from the coordinates: rows 1 and 2 are the same bits, row 0
+        # differs by the rounding of those edges
+        reference = DL @ adj2(tri_jacobian(tiles.coords))
+        eq(model.ddet[..., 1:, :], reference[..., 1:, :])
+        np.testing.assert_allclose(
+            model.ddet[..., 0, :], reference[..., 0, :], rtol=0,
+            atol=2 * np.spacing(np.abs(tiles.coords).max()))
         eq(model.hats, cofactor_hat_gradients(tiles.coords))
         eq(model.grads, np.concatenate([
             cofactor_hat_gradients(mesh.nodes[mesh.elements[tiles.parent]]),

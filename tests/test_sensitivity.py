@@ -17,14 +17,15 @@ from igtop.fem import (Assembler, Conduction, LoadCase, MaterialPair,
                        cut_parent_dofs, integration_element_force,
                        integration_element_stiffness, node_dofs,
                        solve_system)
-from igtop.mesh import Mesh, adj2, cross2, structured_grid, tri_jacobian
+from igtop.mesh import Mesh, cross2, structured_grid
 from igtop.rbf import LevelsetField, RbfGrid, fit_design
 from igtop.sensitivity import (compliance_gradient, design_velocity,
                                nodal_compliance_gradient, nodal_volume_gradient,
                                volume_gradient)
-from oracles import (integration_element_force_derivative,
+from oracles import (adj2, integration_element_force_derivative,
                      integration_element_stiffness_derivative,
-                     inv_derivative, jacobian_derivative, jacobian_inverse)
+                     inv_derivative, jacobian_derivative, jacobian_inverse,
+                     tri_jacobian)
 
 HEAT = MaterialPair(Conduction(), 1.0, 0.01)
 ELASTIC = MaterialPair(PlaneStressElastic(0.3), 1.0, 1e-6)
